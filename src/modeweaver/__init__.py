@@ -2,7 +2,8 @@
 waveguide circuits built from mode multiplexers and grating mode-beamsplitters.
 """
 
-from ._kernels import BACKEND as PERMANENT_BACKEND
+# The permanent algorithm behind every transition amplitude (see fock.permanent).
+PERMANENT_BACKEND = "glynn"
 
 __version__ = "0.1.0"
 

@@ -42,7 +42,6 @@ class MultiplexerIn:
     """Maps a single-mode input port onto a mode channel of the circuit."""
 
     spec: DirectionalCouplerSpec
-    input_arm: int = 0
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,6 @@ class MultiplexerOut:
     """Maps a mode channel back out to a single-mode port."""
 
     spec: DirectionalCouplerSpec
-    output_arm: int = 0
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -19,9 +20,12 @@ import numpy as np
 from . import circuit as circuit_mod
 from . import coupling, experiments, wgmodes
 from .circuit import HeaterModel, reck_decompose
-from .errors import ModeweaverError
+from .errors import InvalidInput, ModeweaverError
 from .fock import PhotonPairSource
 from .wgmodes import MaterialStack, ModeId, WaveguideGeometry
+
+# Largest start:stop:step grid a command accepts.
+MAX_GRID_POINTS = 100_000
 
 
 class ConfigError(Exception):
@@ -39,7 +43,11 @@ def _round12(obj):
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(_round12(obj), indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(_round12(obj), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise InvalidInput(f"non-finite number in output: {exc}") from exc
+    return text + "\n"
 
 
 def _parse_range(text: str, name: str) -> list[float]:
@@ -51,12 +59,17 @@ def _parse_range(text: str, name: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"bad number in {name}: {exc}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"non-finite number in {name}={text!r}")
     if step <= 0 or stop < start:
         raise ConfigError(f"empty sweep: {name}={text!r}")
-    values = np.arange(start, stop + step * 1e-9, step)
-    if len(values) == 0:
-        raise ConfigError(f"empty sweep: {name}={text!r}")
-    return [float(v) for v in values]
+    intervals = (stop - start) / step
+    if not intervals < MAX_GRID_POINTS:
+        raise ConfigError(
+            f"{name}={text!r} has more than {MAX_GRID_POINTS} points"
+        )
+    count = math.floor(intervals + 1e-9) + 1
+    return [start + i * step for i in range(count)]
 
 
 def _parse_modes(text: str) -> list[ModeId]:
@@ -85,14 +98,21 @@ def _load_config(path: str | None, allowed: set[str]) -> dict:
     return merged
 
 
-def _setting(args, config: dict, key: str, default):
-    """Flag beats config file beats default."""
+def _setting(args, config: dict, key: str, default, kind=None):
+    """Flag beats config file beats default.
+
+    `kind` converts a value that is not None; a float must be finite.
+    """
     flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
+    value = flag if flag is not None else config.get(key, default)
+    if kind is not None and value is not None:
+        try:
+            value = kind(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad value for {key}: {value!r}") from exc
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value}")
+    return value
 
 
 def _emit(args, text: str, filename: str | None = None) -> None:
@@ -105,7 +125,7 @@ def _emit(args, text: str, filename: str | None = None) -> None:
 
 
 def _stack(args, config) -> MaterialStack:
-    wavelength = float(_setting(args, config, "wavelength", 808.0))
+    wavelength = _setting(args, config, "wavelength", 808.0, float)
     return MaterialStack(
         n_core=wgmodes.silicon_nitride_index(wavelength),
         n_clad=wgmodes.silica_index(wavelength),
@@ -115,15 +135,15 @@ def _stack(args, config) -> MaterialStack:
 
 def _source(args, config) -> PhotonPairSource:
     return PhotonPairSource(
-        intrinsic_overlap=float(_setting(args, config, "overlap", 0.92)),
-        filter_fwhm_nm=float(_setting(args, config, "filter_fwhm", 3.0)),
-        center_wavelength_nm=float(_setting(args, config, "wavelength", 808.0)),
+        intrinsic_overlap=_setting(args, config, "overlap", 0.92, float),
+        filter_fwhm_nm=_setting(args, config, "filter_fwhm", 3.0, float),
+        center_wavelength_nm=_setting(args, config, "wavelength", 808.0, float),
     )
 
 
 def _count_config(args, config) -> circuit_mod.CoincidenceConfig:
     return circuit_mod.CoincidenceConfig(
-        poisson=bool(_setting(args, config, "poisson", False)),
+        poisson=_setting(args, config, "poisson", False, bool),
         seed=args.seed,
     )
 
@@ -136,10 +156,11 @@ def cmd_dispersion(args) -> int:
     config = _load_config(
         args.config, {"height", "widths", "modes", "wavelength"}
     )
-    height = float(_setting(args, config, "height", 190.0))
-    widths = _parse_range(str(_setting(args, config, "widths", "400:2000:25")),
-                          "widths")
-    modes = _parse_modes(str(_setting(args, config, "modes", "TE0,TE1,TE2")))
+    height = _setting(args, config, "height", 190.0, float)
+    widths = _parse_range(
+        _setting(args, config, "widths", "400:2000:25", str), "widths"
+    )
+    modes = _parse_modes(_setting(args, config, "modes", "TE0,TE1,TE2", str))
     if not modes:
         raise ConfigError("no modes requested")
     curve = wgmodes.dispersion_sweep(
@@ -165,21 +186,21 @@ def cmd_design_grating(args) -> int:
         args.config,
         {"width", "height", "modes", "depth", "periods", "kappa", "wavelength"},
     )
-    width = float(_setting(args, config, "width", 1600.0))
-    height = float(_setting(args, config, "height", 190.0))
-    modes = _parse_modes(str(_setting(args, config, "modes", "TE0,TE2")))
+    width = _setting(args, config, "width", 1600.0, float)
+    height = _setting(args, config, "height", 190.0, float)
+    modes = _parse_modes(_setting(args, config, "modes", "TE0,TE2", str))
     if len(modes) != 2:
         raise ConfigError("design-grating needs exactly two modes")
-    depth = float(_setting(args, config, "depth", 24.0))
-    periods = int(_setting(args, config, "periods", 20))
-    kappa = _setting(args, config, "kappa", None)
+    depth = _setting(args, config, "depth", 24.0, float)
+    periods = _setting(args, config, "periods", 20, int)
+    kappa = _setting(args, config, "kappa", None, float)
     geometry = WaveguideGeometry(width, height, _stack(args, config))
     spec = coupling.grating_from_geometry(
         geometry,
         (modes[0], modes[1]),
         depth_nm=depth,
         num_periods=periods,
-        kappa_override=float(kappa) if kappa is not None else None,
+        kappa_override=kappa,
     )
     _emit(args, _dump_json(spec.to_dict()), "grating.json")
     return 0
@@ -187,13 +208,16 @@ def cmd_design_grating(args) -> int:
 
 def cmd_splitting(args) -> int:
     config = _load_config(args.config, {"kappa", "periods", "overlap"})
-    kappa = float(_setting(args, config, "kappa", 0.041))
-    periods_text = str(_setting(args, config, "periods", "0:40:1"))
+    kappa = _setting(args, config, "kappa", 0.041, float)
+    periods_text = _setting(args, config, "periods", "0:40:1", str)
     if "," in periods_text:
-        n_values = [int(p) for p in periods_text.split(",") if p.strip()]
+        try:
+            n_values = [int(p) for p in periods_text.split(",") if p.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"bad period count: {exc}") from exc
     else:
         n_values = [int(v) for v in _parse_range(periods_text, "periods")]
-    overlap = float(_setting(args, config, "overlap", 0.92))
+    overlap = _setting(args, config, "overlap", 0.92, float)
     rows = experiments.run_splitting_vs_N(kappa, n_values, overlap)
     if args.format == "json":
         _emit(args, _dump_json(rows), "splitting.json")
@@ -223,9 +247,10 @@ def cmd_hom_scan(args) -> int:
         args.config, {"eta", "overlap", "filter_fwhm", "wavelength", "delays",
                       "poisson"}
     )
-    eta = float(_setting(args, config, "eta", 0.55))
-    grid = _parse_range(str(_setting(args, config, "delays", "-500:500:10")),
-                        "delays")
+    eta = _setting(args, config, "eta", 0.55, float)
+    grid = _parse_range(
+        _setting(args, config, "delays", "-500:500:10", str), "delays"
+    )
     result = experiments.run_hom_dip(
         eta, _source(args, config), np.array(grid), _count_config(args, config)
     )
@@ -238,9 +263,10 @@ def cmd_hom_peak(args) -> int:
         args.config, {"eta", "overlap", "filter_fwhm", "wavelength", "delays",
                       "poisson"}
     )
-    eta = float(_setting(args, config, "eta", 0.55))
-    grid = _parse_range(str(_setting(args, config, "delays", "-500:500:10")),
-                        "delays")
+    eta = _setting(args, config, "eta", 0.55, float)
+    grid = _parse_range(
+        _setting(args, config, "delays", "-500:500:10", str), "delays"
+    )
     results = experiments.run_hom_peak(
         eta, _source(args, config), np.array(grid), _count_config(args, config)
     )
@@ -255,11 +281,12 @@ def cmd_noon_scan(args) -> int:
         {"eta1", "eta2", "overlap", "filter_fwhm", "wavelength", "powers",
          "p2pi", "poisson"},
     )
-    eta1 = float(_setting(args, config, "eta1", 0.66))
-    eta2 = float(_setting(args, config, "eta2", 0.66))
-    powers = _parse_range(str(_setting(args, config, "powers", "0:2.6:0.05")),
-                          "powers")
-    heater = HeaterModel(p_2pi_w=float(_setting(args, config, "p2pi", 1.3)))
+    eta1 = _setting(args, config, "eta1", 0.66, float)
+    eta2 = _setting(args, config, "eta2", 0.66, float)
+    powers = _parse_range(
+        _setting(args, config, "powers", "0:2.6:0.05", str), "powers"
+    )
+    heater = HeaterModel(p_2pi_w=_setting(args, config, "p2pi", 1.3, float))
     classical, quantum = experiments.run_noon(
         eta1, eta2, heater, np.array(powers), _source(args, config),
         _count_config(args, config),
@@ -282,7 +309,7 @@ def cmd_decompose(args) -> int:
                 "unitary must be a nested list of [re, im] pairs"
             ) from exc
     elif args.seed is not None or "size" in config:
-        size = int(config.get("size", 4))
+        size = _setting(args, config, "size", 4, int)
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
         z = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
         q, r = np.linalg.qr(z)
@@ -313,7 +340,7 @@ def cmd_reproduce_paper(args) -> int:
     config = _load_config(args.config, {"poisson"})
     out_dir = Path(args.output if args.output else "paper_outputs")
     out_dir.mkdir(parents=True, exist_ok=True)
-    poisson = bool(_setting(args, config, "poisson", False))
+    poisson = _setting(args, config, "poisson", False, bool)
     scans, tables, targets = experiments.reproduce_all(
         seed=args.seed, poisson=poisson
     )

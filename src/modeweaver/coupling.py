@@ -104,9 +104,6 @@ class GratingSpec:
     def length_um(self) -> float:
         return self.period_um * self.num_periods
 
-    def unitary(self) -> CouplerUnitary:
-        return coupler_unitary(self.eta)
-
     def to_dict(self) -> dict:
         return {
             "period_um": self.period_um,

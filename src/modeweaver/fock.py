@@ -14,30 +14,60 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from ._kernels import BACKEND, permanent_kernel
 from .errors import InvalidInput, NotUnitary, PhotonNumberMismatch, SizeLimit
 
 SPEED_OF_LIGHT_UM_PER_S = 2.99792458e14
 
 PERMANENT_SIZE_CAP = 20
+# Glynn's sign vectors over the first rows are summed as one n x 2^12 block;
+# the remaining rows (at most 7 under the cap) are looped over, which keeps
+# the working set near 1 MB.
+_GLYNN_BLOCK_ROWS = 13
 
 
 def permanent(matrix: np.ndarray) -> complex:
-    """Permanent of a square complex matrix (Ryser, Gray-code order).
+    """Permanent of a square complex matrix (Glynn's formula), capped at 20x20.
 
-    Dispatches to the compiled kernel when available; capped at 20x20.
+    Per(A) = 2^(1-n) sum_d (prod_i d_i) prod_j sum_i d_i a_ij over the sign
+    vectors d with d_0 = +1: O(2^n n). Closed forms for n <= 2; the 0x0
+    permanent is 1 by convention.
     """
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInput(f"permanent needs a square matrix, got {a.shape}")
-    if a.shape[0] > PERMANENT_SIZE_CAP:
+    n = a.shape[0]
+    if n > PERMANENT_SIZE_CAP:
         raise SizeLimit(f"permanent capped at n = {PERMANENT_SIZE_CAP}")
-    return permanent_kernel(a)
+    if n == 0:
+        return 1.0 + 0.0j
+    if n == 1:
+        return complex(a[0, 0])
+    if n == 2:
+        (a00, a01), (a10, a11) = a.tolist()
+        return a00 * a11 + a01 * a10
+    # Signed column sums of the first block rows, one column per sign vector.
+    sums, signs = _signed_sums(a[1:_GLYNN_BLOCK_ROWS], a[0])
+    if n <= _GLYNN_BLOCK_ROWS:
+        total = np.prod(sums, axis=0) @ signs
+    else:
+        total = 0.0 + 0.0j
+        tails, tail_signs = _signed_sums(a[_GLYNN_BLOCK_ROWS:], np.zeros(n))
+        for tail, tail_sign in zip(tails.T, tail_signs):
+            total += tail_sign * (np.prod(sums + tail[:, None], axis=0) @ signs)
+    return complex(total) / 2 ** (n - 1)
 
 
-def permanent_backend() -> str:
-    """Name of the active permanent kernel ('cython' or 'python')."""
-    return BACKEND
+def _signed_sums(rows: np.ndarray, start: np.ndarray):
+    """Columns start + sum_i d_i rows[i] over all sign vectors d, and prod(d).
+
+    Built by doubling: each row splits every column into (+row, -row).
+    """
+    sums = start[:, None]
+    signs = np.ones(1)
+    for row in rows:
+        sums = np.concatenate((sums + row[:, None], sums - row[:, None]), axis=1)
+        signs = np.concatenate((signs, -signs))
+    return sums, signs
 
 
 def fock_basis(num_photons: int, num_channels: int) -> list[tuple[int, ...]]:

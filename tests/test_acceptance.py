@@ -180,7 +180,7 @@ def test_criterion_7_oracle_equivalence(capsys):
     verdict(
         capsys, 7, ok,
         f"oracles: path enumeration deviation {worst:.1e}, "
-        f"Ryser vs naive {worst_perm:.1e} (both < 1e-12)",
+        f"Glynn vs naive {worst_perm:.1e} (both < 1e-12)",
     )
 
 

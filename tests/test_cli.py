@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from modeweaver.cli import main
+from modeweaver.cli import _dump_json, main
+from modeweaver.errors import InvalidInput
 
 
 def run(capsys, *argv):
@@ -171,6 +172,50 @@ class TestConfigPrecedence:
             capsys, "splitting", "--config", str(tmp_path / "missing.json")
         )
         assert code == 2
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("dispersion", "--height", "nan"),
+            ("design-grating", "--depth", "nan", "--format", "json"),
+            ("hom-scan", "--delays=0:nan:1"),
+            ("noon-scan", "--p2pi", "nan"),
+            ("hom-scan", "--eta", "inf"),
+            ("hom-scan", "--delays=0:1e9:1e-3"),
+            ("dispersion", "--widths", "0:1e308:1e-308"),
+            ("splitting", "--periods", "15,abc"),
+        ],
+    )
+    def test_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("hom-scan", '{"eta": NaN}'),
+            ("hom-scan", '{"eta": -Infinity}'),
+            ("hom-scan", '{"eta": "nan"}'),
+            ("design-grating", '{"periods": NaN}'),
+            ("decompose", '{"size": "abc"}'),
+        ],
+    )
+    def test_config_value(self, capsys, tmp_path, command, text):
+        config = tmp_path / "c.json"
+        config.write_text(text)
+        code, _, err = run(capsys, command, "--config", str(config))
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("config error: ")
+
+    def test_non_finite_output_is_compute_error(self):
+        with pytest.raises(InvalidInput):
+            _dump_json({"x": float("nan")})
 
 
 class TestTopLevel:

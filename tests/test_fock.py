@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from conftest import haar_unitary
-from modeweaver._kernels import BACKEND, permanent_kernel, permanent_kernel_python
 from modeweaver.coupling import coupler_unitary
 from modeweaver.errors import (
     InvalidInput,
@@ -23,7 +22,6 @@ from modeweaver.fock import (
     format_fock,
     hom_visibility,
     permanent,
-    permanent_backend,
     spectral_overlap,
     transition_amplitude,
     two_photon_coincidence,
@@ -46,23 +44,36 @@ class TestPermanent:
     def test_all_ones(self):
         assert permanent(np.ones((3, 3))) == pytest.approx(6.0, abs=1e-12)
         assert permanent(np.ones((5, 5))) == pytest.approx(120.0, abs=1e-10)
+        assert permanent(np.ones((16, 16))) == pytest.approx(
+            math.factorial(16), rel=1e-12
+        )
 
     def test_one_by_one(self):
         assert permanent(np.array([[2.5 + 1j]])) == pytest.approx(2.5 + 1j)
 
     def test_against_naive_oracle(self, rng):
-        for n in range(2, 7):
+        assert permanent(np.zeros((0, 0))) == 1.0
+        for n in range(1, 9):
             a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             expected = naive_permanent(a)
             assert permanent(a) == pytest.approx(expected, rel=1e-11)
 
-    def test_backends_agree(self, rng):
+    # n = 16 spans the 13-row sign block and the looped tail rows.
+    def test_block_diagonal_factorizes(self, rng):
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        assert permanent_kernel(a) == pytest.approx(
-            permanent_kernel_python(a), rel=1e-12
-        )
-        assert permanent_backend() == BACKEND
-        assert BACKEND in ("cython", "python")
+        b = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        per_a, per_b = permanent(a), permanent(b)
+        assert per_a == pytest.approx(naive_permanent(a), rel=1e-11)
+        assert per_b == pytest.approx(naive_permanent(b), rel=1e-11)
+        block = np.zeros((16, 16), dtype=np.complex128)
+        block[:8, :8] = a
+        block[8:, 8:] = b
+        assert permanent(block) == pytest.approx(per_a * per_b, rel=1e-12)
+
+    def test_row_permutation_invariance(self, rng):
+        a = haar_unitary(16, rng)
+        shuffled = a[rng.permutation(16)]
+        assert permanent(shuffled) == pytest.approx(permanent(a), rel=1e-12)
 
     def test_size_cap(self):
         with pytest.raises(SizeLimit):

@@ -13,12 +13,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coupling import DirectionalCouplerSpec, GratingSpec, coupler_unitary
+from .coupling import (
+    DirectionalCouplerSpec,
+    GratingSpec,
+    coupler_unitary,
+    multiplexer_transfer,
+)
 from .errors import (
     ChannelMismatch,
     InvalidInput,
     NonUnitaryElement,
     NotUnitary,
+    require_finite,
 )
 from .fock import PhotonPairSource, check_unitary, spectral_overlap, two_photon_coincidence
 
@@ -92,6 +98,7 @@ class Loss:
     channels: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        require_finite(loss_db=self.loss_db)
         if self.loss_db < 0:
             raise InvalidInput("loss must be >= 0 dB")
 
@@ -107,11 +114,13 @@ class HeaterModel:
     phi0_rad: float = 0.0
 
     def __post_init__(self):
+        require_finite(p_2pi_w=self.p_2pi_w, phi0_rad=self.phi0_rad)
         if self.p_2pi_w <= 0:
             raise InvalidInput("P_2pi must be positive")
 
 
 def heater_phase(model: HeaterModel, power_w: float) -> float:
+    require_finite(power_w=power_w)
     if power_w < 0:
         raise InvalidInput("heater power must be >= 0")
     return 2.0 * math.pi * power_w / model.p_2pi_w + model.phi0_rad
@@ -184,7 +193,7 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
                 )
             crosstalk = max(crosstalk, element.spec.crosstalk)
         elif isinstance(element, GratingBS):
-            block = coupler_unitary(element.splitting()).matrix
+            block = coupler_unitary(element.splitting())
             step = _embed_two_mode(block, element.channels, m)
             _check_element_unitary(step)
             unitary = step @ unitary
@@ -229,6 +238,9 @@ class CoincidenceConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        require_finite(
+            window_ns=self.window_ns, integration_time_s=self.integration_time_s
+        )
         if self.window_ns <= 0:
             raise InvalidInput("coincidence window must be positive")
         if self.integration_time_s <= 0:
@@ -256,6 +268,17 @@ def _relative_delay_um(compiled: CompiledCircuit, arms: tuple[int, int]) -> floa
     return d.get(arms[0], 0.0) - d.get(arms[1], 0.0)
 
 
+def _arrival(prob: np.ndarray, channel: int, crosstalk: float) -> np.ndarray:
+    """Output power distribution of one photon entering `channel`, given
+    prob = |U|^2. The multiplexer routes it into `channel` or leaks it into
+    the other channels; with no crosstalk this is a column of prob.
+    """
+    if crosstalk == 0.0:
+        return prob[:, channel]
+    spec = DirectionalCouplerSpec(target_channel=channel, crosstalk=crosstalk)
+    return prob @ multiplexer_transfer(spec, len(prob))
+
+
 def _coincidence_probability(
     compiled: CompiledCircuit,
     circuit: Circuit,
@@ -270,17 +293,9 @@ def _coincidence_probability(
     if eps == 0.0:
         return p_routed
     # misrouted photons are distinguishable; average over uniform leaks
-    m = circuit.num_channels
     prob = np.abs(u) ** 2
-
-    def arrival(ch_in: int) -> np.ndarray:
-        weights = np.full(m, eps / (m - 1)) if m > 1 else np.array([1.0])
-        if m > 1:
-            weights[ch_in] = 1.0 - eps
-        return prob @ weights
-
     p_total = (1.0 - eps) ** 2 * p_routed
-    arr_i, arr_j = arrival(i), arrival(j)
+    arr_i, arr_j = _arrival(prob, i, eps), _arrival(prob, j, eps)
     # at least one photon leaked: classical assignment probabilities
     p_cross = arr_i[k] * arr_j[l] + arr_j[k] * arr_i[l]
     p_routed_dist = (
@@ -319,8 +334,10 @@ def simulate_counts(
         prob = np.abs(compiled.unitary) ** 2
         s_in = source.singles_rates_hz
         i, j = configured.input_channels
-        singles_k = (s_in[0] * prob[k, i] + s_in[1] * prob[k, j]) * t_k
-        singles_l = (s_in[0] * prob[l, i] + s_in[1] * prob[l, j]) * t_l
+        arr_i = _arrival(prob, i, compiled.crosstalk)
+        arr_j = _arrival(prob, j, compiled.crosstalk)
+        singles_k = (s_in[0] * arr_i[k] + s_in[1] * arr_j[k]) * t_k
+        singles_l = (s_in[0] * arr_i[l] + s_in[1] * arr_j[l]) * t_l
         acc_rate = accidentals(singles_k, singles_l, config.window_ns)
         raw = (net_rate + acc_rate) * t_int
         acc = acc_rate * t_int

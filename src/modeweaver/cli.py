@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,40 +80,53 @@ def _parse_modes(text: str) -> list[ModeId]:
         raise ConfigError(str(exc)) from exc
 
 
-def _load_config(path: str | None, allowed: set[str]) -> dict:
-    merged: dict = {}
-    for p in filter(None, [os.environ.get("MODEWEAVER_DEFAULTS"), path]):
-        try:
-            with open(p, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {p}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config {p} must hold a JSON object")
-        unknown = set(data) - allowed
-        if unknown:
-            raise ConfigError(
-                f"unknown config keys in {p}: {', '.join(sorted(unknown))}"
-            )
-        merged.update(data)
-    return merged
+class Option(NamedTuple):
+    """One command setting: its config key, the kind that converts its value,
+    its default and the help text of its flag --key. An option without help
+    text declares no flag."""
+
+    key: str
+    kind: type | None
+    default: object = None
+    help: str | None = None
 
 
-def _setting(args, config: dict, key: str, default, kind=None):
-    """Flag beats config file beats default.
+class Settings:
+    """The settings of the parsed command: flag beats config file beats the
+    option's default. Indexing converts with the option's kind; a float
+    must be finite."""
 
-    `kind` converts a value that is not None; a float must be finite.
-    """
-    flag = getattr(args, key.replace("-", "_"), None)
-    value = flag if flag is not None else config.get(key, default)
-    if kind is not None and value is not None:
-        try:
-            value = kind(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {value}")
-    return value
+    def __init__(self, args):
+        self.args = args
+        self.options = {o.key: o for o in COMMANDS[args.command][2]}
+        self.config: dict = {}
+        for p in filter(None, [os.environ.get("MODEWEAVER_DEFAULTS"), args.config]):
+            try:
+                with open(p, encoding="utf-8") as fh:
+                    data = json.load(fh)
+            except (OSError, json.JSONDecodeError) as exc:
+                raise ConfigError(f"cannot read config {p}: {exc}") from exc
+            if not isinstance(data, dict):
+                raise ConfigError(f"config {p} must hold a JSON object")
+            unknown = set(data) - set(self.options)
+            if unknown:
+                raise ConfigError(
+                    f"unknown config keys in {p}: {', '.join(sorted(unknown))}"
+                )
+            self.config.update(data)
+
+    def __getitem__(self, key: str):
+        option = self.options[key]
+        flag = getattr(self.args, key, None)
+        value = flag if flag is not None else self.config.get(key, option.default)
+        if option.kind is not None and value is not None:
+            try:
+                value = option.kind(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"bad value for {key}: {value!r}") from exc
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
+        return value
 
 
 def _emit(args, text: str, filename: str | None = None) -> None:
@@ -124,8 +138,8 @@ def _emit(args, text: str, filename: str | None = None) -> None:
         sys.stdout.write(text)
 
 
-def _stack(args, config) -> MaterialStack:
-    wavelength = _setting(args, config, "wavelength", 808.0, float)
+def _stack(settings: Settings) -> MaterialStack:
+    wavelength = settings["wavelength"]
     return MaterialStack(
         n_core=wgmodes.silicon_nitride_index(wavelength),
         n_clad=wgmodes.silica_index(wavelength),
@@ -133,18 +147,17 @@ def _stack(args, config) -> MaterialStack:
     )
 
 
-def _source(args, config) -> PhotonPairSource:
+def _source(settings: Settings) -> PhotonPairSource:
     return PhotonPairSource(
-        intrinsic_overlap=_setting(args, config, "overlap", 0.92, float),
-        filter_fwhm_nm=_setting(args, config, "filter_fwhm", 3.0, float),
-        center_wavelength_nm=_setting(args, config, "wavelength", 808.0, float),
+        intrinsic_overlap=settings["overlap"],
+        filter_fwhm_nm=settings["filter_fwhm"],
+        center_wavelength_nm=settings["wavelength"],
     )
 
 
-def _count_config(args, config) -> circuit_mod.CoincidenceConfig:
+def _count_config(settings: Settings) -> circuit_mod.CoincidenceConfig:
     return circuit_mod.CoincidenceConfig(
-        poisson=_setting(args, config, "poisson", False, bool),
-        seed=args.seed,
+        poisson=settings["poisson"], seed=settings.args.seed
     )
 
 
@@ -153,18 +166,14 @@ def _count_config(args, config) -> circuit_mod.CoincidenceConfig:
 
 
 def cmd_dispersion(args) -> int:
-    config = _load_config(
-        args.config, {"height", "widths", "modes", "wavelength"}
-    )
-    height = _setting(args, config, "height", 190.0, float)
-    widths = _parse_range(
-        _setting(args, config, "widths", "400:2000:25", str), "widths"
-    )
-    modes = _parse_modes(_setting(args, config, "modes", "TE0,TE1,TE2", str))
+    settings = Settings(args)
+    height = settings["height"]
+    widths = _parse_range(settings["widths"], "widths")
+    modes = _parse_modes(settings["modes"])
     if not modes:
         raise ConfigError("no modes requested")
     curve = wgmodes.dispersion_sweep(
-        widths, modes, _stack(args, config), "width", height
+        widths, modes, _stack(settings), "width", height
     )
     if args.format == "json":
         payload = {
@@ -182,19 +191,16 @@ def cmd_dispersion(args) -> int:
 
 
 def cmd_design_grating(args) -> int:
-    config = _load_config(
-        args.config,
-        {"width", "height", "modes", "depth", "periods", "kappa", "wavelength"},
-    )
-    width = _setting(args, config, "width", 1600.0, float)
-    height = _setting(args, config, "height", 190.0, float)
-    modes = _parse_modes(_setting(args, config, "modes", "TE0,TE2", str))
+    settings = Settings(args)
+    width = settings["width"]
+    height = settings["height"]
+    modes = _parse_modes(settings["modes"])
     if len(modes) != 2:
         raise ConfigError("design-grating needs exactly two modes")
-    depth = _setting(args, config, "depth", 24.0, float)
-    periods = _setting(args, config, "periods", 20, int)
-    kappa = _setting(args, config, "kappa", None, float)
-    geometry = WaveguideGeometry(width, height, _stack(args, config))
+    depth = settings["depth"]
+    periods = settings["periods"]
+    kappa = settings["kappa"]
+    geometry = WaveguideGeometry(width, height, _stack(settings))
     spec = coupling.grating_from_geometry(
         geometry,
         (modes[0], modes[1]),
@@ -207,9 +213,9 @@ def cmd_design_grating(args) -> int:
 
 
 def cmd_splitting(args) -> int:
-    config = _load_config(args.config, {"kappa", "periods", "overlap"})
-    kappa = _setting(args, config, "kappa", 0.041, float)
-    periods_text = _setting(args, config, "periods", "0:40:1", str)
+    settings = Settings(args)
+    kappa = settings["kappa"]
+    periods_text = settings["periods"]
     if "," in periods_text:
         try:
             n_values = [int(p) for p in periods_text.split(",") if p.strip()]
@@ -217,8 +223,7 @@ def cmd_splitting(args) -> int:
             raise ConfigError(f"bad period count: {exc}") from exc
     else:
         n_values = [int(v) for v in _parse_range(periods_text, "periods")]
-    overlap = _setting(args, config, "overlap", 0.92, float)
-    rows = experiments.run_splitting_vs_N(kappa, n_values, overlap)
+    rows = experiments.run_splitting_vs_N(kappa, n_values, settings["overlap"])
     if args.format == "json":
         _emit(args, _dump_json(rows), "splitting.json")
     else:
@@ -232,84 +237,66 @@ def cmd_splitting(args) -> int:
     return 0
 
 
-def _emit_scan(args, result: experiments.ScanResult) -> None:
-    if args.output:
-        _emit(args, result.to_csv(), f"{result.name}.csv")
-        _emit(args, _dump_json(result.fit_dict()), f"{result.name}.fit.json")
-    elif args.format == "json":
-        sys.stdout.write(_dump_json(result.fit_dict()))
-    else:
-        sys.stdout.write(result.to_csv())
+def _emit_scans(args, results) -> None:
+    for result in results:
+        if args.output:
+            _emit(args, result.to_csv(), f"{result.name}.csv")
+            _emit(args, _dump_json(result.fit_dict()), f"{result.name}.fit.json")
+        elif args.format == "json":
+            sys.stdout.write(_dump_json(result.fit_dict()))
+        else:
+            sys.stdout.write(result.to_csv())
 
 
 def cmd_hom_scan(args) -> int:
-    config = _load_config(
-        args.config, {"eta", "overlap", "filter_fwhm", "wavelength", "delays",
-                      "poisson"}
-    )
-    eta = _setting(args, config, "eta", 0.55, float)
-    grid = _parse_range(
-        _setting(args, config, "delays", "-500:500:10", str), "delays"
-    )
+    settings = Settings(args)
+    eta = settings["eta"]
+    grid = _parse_range(settings["delays"], "delays")
     result = experiments.run_hom_dip(
-        eta, _source(args, config), np.array(grid), _count_config(args, config)
+        eta, _source(settings), np.array(grid), _count_config(settings)
     )
-    _emit_scan(args, result)
+    _emit_scans(args, [result])
     return 0
 
 
 def cmd_hom_peak(args) -> int:
-    config = _load_config(
-        args.config, {"eta", "overlap", "filter_fwhm", "wavelength", "delays",
-                      "poisson"}
-    )
-    eta = _setting(args, config, "eta", 0.55, float)
-    grid = _parse_range(
-        _setting(args, config, "delays", "-500:500:10", str), "delays"
-    )
+    settings = Settings(args)
+    eta = settings["eta"]
+    grid = _parse_range(settings["delays"], "delays")
     results = experiments.run_hom_peak(
-        eta, _source(args, config), np.array(grid), _count_config(args, config)
+        eta, _source(settings), np.array(grid), _count_config(settings)
     )
-    for result in results.values():
-        _emit_scan(args, result)
+    _emit_scans(args, results.values())
     return 0
 
 
 def cmd_noon_scan(args) -> int:
-    config = _load_config(
-        args.config,
-        {"eta1", "eta2", "overlap", "filter_fwhm", "wavelength", "powers",
-         "p2pi", "poisson"},
+    settings = Settings(args)
+    eta1 = settings["eta1"]
+    eta2 = settings["eta2"]
+    powers = _parse_range(settings["powers"], "powers")
+    heater = HeaterModel(p_2pi_w=settings["p2pi"])
+    results = experiments.run_noon(
+        eta1, eta2, heater, np.array(powers), _source(settings),
+        _count_config(settings),
     )
-    eta1 = _setting(args, config, "eta1", 0.66, float)
-    eta2 = _setting(args, config, "eta2", 0.66, float)
-    powers = _parse_range(
-        _setting(args, config, "powers", "0:2.6:0.05", str), "powers"
-    )
-    heater = HeaterModel(p_2pi_w=_setting(args, config, "p2pi", 1.3, float))
-    classical, quantum = experiments.run_noon(
-        eta1, eta2, heater, np.array(powers), _source(args, config),
-        _count_config(args, config),
-    )
-    _emit_scan(args, classical)
-    _emit_scan(args, quantum)
+    _emit_scans(args, results)
     return 0
 
 
 def cmd_decompose(args) -> int:
-    config = _load_config(args.config, {"unitary", "size"})
-    if "unitary" in config:
-        raw = config["unitary"]
+    settings = Settings(args)
+    if "unitary" in settings.config:
         try:
             matrix = np.array(
-                [[complex(c[0], c[1]) for c in row] for row in raw]
+                [[complex(c[0], c[1]) for c in row] for row in settings["unitary"]]
             )
         except (TypeError, IndexError) as exc:
             raise ConfigError(
                 "unitary must be a nested list of [re, im] pairs"
             ) from exc
-    elif args.seed is not None or "size" in config:
-        size = _setting(args, config, "size", 4, int)
+    elif args.seed is not None or "size" in settings.config:
+        size = settings["size"]
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
         z = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
         q, r = np.linalg.qr(z)
@@ -337,20 +324,14 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_reproduce_paper(args) -> int:
-    config = _load_config(args.config, {"poisson"})
-    out_dir = Path(args.output if args.output else "paper_outputs")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    poisson = _setting(args, config, "poisson", False, bool)
+    poisson = Settings(args)["poisson"]
+    args.output = args.output or "paper_outputs"
     scans, tables, targets = experiments.reproduce_all(
         seed=args.seed, poisson=poisson
     )
-    for name, scan in sorted(scans.items()):
-        (out_dir / f"{name}.csv").write_text(scan.to_csv(), encoding="utf-8")
-        (out_dir / f"{name}.fit.json").write_text(
-            _dump_json(scan.fit_dict()), encoding="utf-8"
-        )
-    for name, rows in sorted(tables.items()):
-        (out_dir / f"{name}.json").write_text(_dump_json(rows), encoding="utf-8")
+    _emit_scans(args, scans.values())
+    for name, rows in tables.items():
+        _emit(args, _dump_json(rows), f"{name}.json")
     all_pass = all(t.passed for t in targets)
     summary = {
         "seed": args.seed,
@@ -358,7 +339,7 @@ def cmd_reproduce_paper(args) -> int:
         "targets": [t.to_dict() for t in targets],
         "all_passed": all_pass,
     }
-    (out_dir / "summary.json").write_text(_dump_json(summary), encoding="utf-8")
+    _emit(args, _dump_json(summary), "summary.json")
     for t in targets:
         status = "pass" if t.passed else "FAIL"
         sys.stdout.write(
@@ -371,14 +352,74 @@ def cmd_reproduce_paper(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Options shared by several commands.
+HEIGHT = Option("height", float, 190.0, "waveguide height in nm")
+WAVELENGTH = Option("wavelength", float, 808.0, "wavelength in nm")
+OVERLAP = Option("overlap", float, 0.92, "source overlap x0")
+SOURCE = (
+    OVERLAP,
+    Option("filter_fwhm", float, 3.0, "filter FWHM in nm"),
+    WAVELENGTH,
+)
+# Every command has the --poisson flag; it is a config key only where read.
+POISSON = Option("poisson", bool, False)
+DELAY_SCAN = (
+    Option("eta", float, 0.55, "splitting ratio"),
+    *SOURCE,
+    Option("delays", str, "-500:500:10", "delay grid start:stop:step in um"),
+    POISSON,
+)
+
+# command -> (handler, help, options); flags appear in --help in this order.
+COMMANDS = {
+    "dispersion": (cmd_dispersion, "effective-index sweep to CSV", (
+        HEIGHT,
+        Option("widths", str, "400:2000:25", "width sweep start:stop:step in nm"),
+        Option("modes", str, "TE0,TE1,TE2", "comma-separated mode list, e.g. TE0,TE2"),
+        WAVELENGTH,
+    )),
+    "design-grating": (cmd_design_grating, "grating spec from waveguide geometry", (
+        Option("width", float, 1600.0, "waveguide width in nm"),
+        HEIGHT,
+        Option("modes", str, "TE0,TE2", "mode pair, e.g. TE0,TE2"),
+        Option("depth", float, 24.0, "grating depth in nm"),
+        Option("periods", int, 20, "number of grating periods"),
+        Option("kappa", float, None, "override kappa per period"),
+        WAVELENGTH,
+    )),
+    "splitting": (cmd_splitting, "splitting ratio vs period count", (
+        Option("kappa", float, 0.041, "coupling per period (rad)"),
+        Option("periods", str, "0:40:1", "N list '15,20,25' or range start:stop:step"),
+        OVERLAP,
+    )),
+    "hom-scan": (cmd_hom_scan, "two-photon dip vs delay", DELAY_SCAN),
+    "hom-peak": (cmd_hom_peak, "bunching peak per output arm", DELAY_SCAN),
+    "noon-scan": (cmd_noon_scan, "classical and two-photon fringes", (
+        Option("eta1", float, 0.66, "first coupler splitting ratio"),
+        Option("eta2", float, 0.66, "second coupler splitting ratio"),
+        *SOURCE,
+        Option("powers", str, "0:2.6:0.05", "heater power grid start:stop:step in W"),
+        Option("p2pi", float, 1.3, "heater power per 2 pi (W)"),
+        POISSON,
+    )),
+    "decompose": (cmd_decompose, "triangular mesh factorization of a unitary", (
+        Option("unitary", None),
+        Option("size", int, 4),
+    )),
+    "reproduce-paper": (
+        cmd_reproduce_paper, "run all reference experiments and compare targets",
+        (POISSON,),
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modeweaver",
         description="Design and simulate multimode-waveguide quantum circuits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
+    for name, (func, help_text, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--output", help="output directory (default: stdout)")
@@ -386,55 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--poisson", action="store_true", default=None,
                        help="sample Poisson counts instead of expectations")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+        for option in options:
+            if option.help:
+                p.add_argument("--" + option.key.replace("_", "-"),
+                               type=option.kind, help=option.help)
         p.set_defaults(func=func)
-        return p
-
-    p = add("dispersion", cmd_dispersion, "effective-index sweep to CSV")
-    p.add_argument("--height", type=float, help="waveguide height in nm")
-    p.add_argument("--widths", help="width sweep start:stop:step in nm")
-    p.add_argument("--modes", help="comma-separated mode list, e.g. TE0,TE2")
-    p.add_argument("--wavelength", type=float, help="wavelength in nm")
-
-    p = add("design-grating", cmd_design_grating,
-            "grating spec from waveguide geometry")
-    p.add_argument("--width", type=float, help="waveguide width in nm")
-    p.add_argument("--height", type=float, help="waveguide height in nm")
-    p.add_argument("--modes", help="mode pair, e.g. TE0,TE2")
-    p.add_argument("--depth", type=float, help="grating depth in nm")
-    p.add_argument("--periods", type=int, help="number of grating periods")
-    p.add_argument("--kappa", type=float, help="override kappa per period")
-    p.add_argument("--wavelength", type=float, help="wavelength in nm")
-
-    p = add("splitting", cmd_splitting, "splitting ratio vs period count")
-    p.add_argument("--kappa", type=float, help="coupling per period (rad)")
-    p.add_argument("--periods", help="N list '15,20,25' or range start:stop:step")
-    p.add_argument("--overlap", type=float, help="source overlap x0")
-
-    for name, func, help_text in (
-        ("hom-scan", cmd_hom_scan, "two-photon dip vs delay"),
-        ("hom-peak", cmd_hom_peak, "bunching peak per output arm"),
-    ):
-        p = add(name, func, help_text)
-        p.add_argument("--eta", type=float, help="splitting ratio")
-        p.add_argument("--overlap", type=float, help="source overlap x0")
-        p.add_argument("--filter-fwhm", dest="filter_fwhm", type=float,
-                       help="filter FWHM in nm")
-        p.add_argument("--wavelength", type=float, help="wavelength in nm")
-        p.add_argument("--delays", help="delay grid start:stop:step in um")
-
-    p = add("noon-scan", cmd_noon_scan, "classical and two-photon fringes")
-    p.add_argument("--eta1", type=float, help="first coupler splitting ratio")
-    p.add_argument("--eta2", type=float, help="second coupler splitting ratio")
-    p.add_argument("--overlap", type=float, help="source overlap x0")
-    p.add_argument("--filter-fwhm", dest="filter_fwhm", type=float,
-                   help="filter FWHM in nm")
-    p.add_argument("--wavelength", type=float, help="wavelength in nm")
-    p.add_argument("--powers", help="heater power grid start:stop:step in W")
-    p.add_argument("--p2pi", type=float, help="heater power per 2 pi (W)")
-
-    add("decompose", cmd_decompose, "triangular mesh factorization of a unitary")
-    add("reproduce-paper", cmd_reproduce_paper,
-        "run all reference experiments and compare targets")
     return parser
 
 

@@ -43,15 +43,7 @@ def detuned_splitting(
     return (kappa_per_um / g) ** 2 * math.sin(g * length_um) ** 2
 
 
-@dataclass(frozen=True)
-class CouplerUnitary:
-    """2x2 lossless coupler matrix with its cross-coupling probability."""
-
-    matrix: np.ndarray
-    eta: float
-
-
-def coupler_unitary(eta: float, phase_convention: str = "symmetric") -> CouplerUnitary:
+def coupler_unitary(eta: float) -> np.ndarray:
     """Beamsplitter matrix [[t, i r], [i r, t]] with r = sqrt(eta).
 
     Any fixed lossless convention gives the same probabilities; the
@@ -59,12 +51,9 @@ def coupler_unitary(eta: float, phase_convention: str = "symmetric") -> CouplerU
     """
     if not 0.0 <= eta <= 1.0:
         raise InvalidInput(f"eta = {eta} outside [0, 1]")
-    if phase_convention != "symmetric":
-        raise InvalidInput(f"unknown phase convention {phase_convention!r}")
     t = math.sqrt(1.0 - eta)
     r = math.sqrt(eta)
-    matrix = np.array([[t, 1j * r], [1j * r, t]], dtype=np.complex128)
-    return CouplerUnitary(matrix, eta)
+    return np.array([[t, 1j * r], [1j * r, t]], dtype=np.complex128)
 
 
 def _pair_symmetry(mode_pair: tuple[ModeId, ModeId]) -> str:

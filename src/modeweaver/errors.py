@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all modeweaver modules."""
 
+import math
+
 
 class ModeweaverError(Exception):
     """Base class for all errors raised by this package."""
@@ -47,3 +49,13 @@ class FitDiverged(ModeweaverError):
 
 class InsufficientSpan(ModeweaverError):
     """Scan data do not span enough periods for a reliable sinusoid fit."""
+
+
+def require_finite(**values: float) -> None:
+    """Raise InvalidInput naming the first of `values` that is NaN or infinite.
+
+    Validators call this before their range checks, which NaN passes.
+    """
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidInput(f"{name} must be finite, got {value}")

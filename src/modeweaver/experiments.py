@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from .circuit import (
     GratingBS,
     HeaterModel,
     Loss,
-    MeasurementRecord,
     PhaseShifter,
     RelativeDelay,
     heater_phase,
@@ -101,6 +101,8 @@ def _damped_gauss_newton(residual, jacobian, p0, max_iter=200, tol=1e-13):
 
 @dataclass(frozen=True)
 class GaussianFit:
+    kind: ClassVar[str] = "gaussian"
+
     amplitude: float
     center: float
     sigma: float
@@ -189,6 +191,8 @@ def fit_gaussian(x, y) -> GaussianFit:
 
 @dataclass(frozen=True)
 class SinusoidFit:
+    kind: ClassVar[str] = "sinusoid"
+
     amplitude: float
     offset: float
     period: float
@@ -201,20 +205,29 @@ class SinusoidFit:
         return abs(self.amplitude) / self.offset if self.offset else 0.0
 
 
-def _linear_sinusoid_ls(x, y, freq):
-    design = np.column_stack(
-        [np.ones_like(x), np.cos(2 * np.pi * freq * x), np.sin(2 * np.pi * freq * x)]
-    )
+def _harmonic_ls(x, y, freq, harmonics):
+    """Linear least squares of y on [1, cos(2 pi h f x), sin(2 pi h f x), ...]
+    over the harmonics h; returns (coefficients, sum of squared residuals)."""
+    columns = [np.ones_like(x)]
+    for h in harmonics:
+        arg = 2 * np.pi * h * freq * x
+        columns += [np.cos(arg), np.sin(arg)]
+    design = np.column_stack(columns)
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     sse = float(np.sum((design @ coef - y) ** 2))
     return coef, sse
 
 
-def fit_sinusoid(x, y) -> SinusoidFit:
-    """Fit offset + amplitude * cos(2 pi x / period + phase).
+def fit_sinusoid(x, y, start_period=None, harmonics=(1.0,)) -> SinusoidFit:
+    """Fit C + A cos(2 pi x / P + theta) + sum_k B_k cos(2 pi h_k x / P + psi_k).
 
-    Period by coarse frequency grid search, then damped Gauss-Newton.
-    Requires >= 8 points spanning >= 1.5 periods.
+    `harmonics` lists the frequencies in units of 1/P, the fitted period
+    first (h = 1); parameters are ordered [A, C, P, theta, B_1, psi_1, ...].
+    An unbalanced two-photon fringe carries a component at half its
+    frequency, and fitting it with harmonics (1, 0.5) keeps the extracted
+    period unbiased. The start period is `start_period`, or without one the
+    best of a 2000-point frequency grid. Reported parameters describe the main
+    component. Requires >= 8 points spanning >= 1.5 periods.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -230,106 +243,54 @@ def fit_sinusoid(x, y) -> SinusoidFit:
         raise InsufficientSpan("constant data: no oscillation to fit")
     y_scale = max(float(np.max(np.abs(ys))), 1e-30)
     ys = ys / y_scale
-    min_spacing = float(np.min(np.diff(xs)))
-    f_lo = 0.5 / span
-    f_hi = 0.5 / max(min_spacing, 1e-12)
-    freqs = np.linspace(f_lo, f_hi, 2000)
-    best = None
-    for f in freqs:
-        coef, sse = _linear_sinusoid_ls(xs, ys, f)
-        if best is None or sse < best[2]:
-            best = (f, coef, sse)
-    f0, coef0, _ = best
-    period0 = 1.0 / f0
-    if span < 1.5 * period0:
+    if start_period is None:
+        min_spacing = float(np.min(np.diff(xs)))
+        f_lo = 0.5 / span
+        f_hi = 0.5 / max(min_spacing, 1e-12)
+        freqs = np.linspace(f_lo, f_hi, 2000)
+        best = None
+        for f in freqs:
+            coef, sse = _harmonic_ls(xs, ys, f, harmonics)
+            if best is None or sse < best[2]:
+                best = (f, coef, sse)
+        f0, coef0, _ = best
+        start_period = 1.0 / f0
+    else:
+        coef0, _ = _harmonic_ls(xs, ys, 1.0 / start_period, harmonics)
+    if span < 1.5 * start_period:
         raise InsufficientSpan(
-            f"span {span:.4g} < 1.5 periods ({period0:.4g} each)"
+            f"span {span:.4g} < 1.5 periods ({start_period:.4g} each)"
         )
-    amp0 = math.hypot(coef0[1], coef0[2])
-    phase0 = math.atan2(-coef0[2], coef0[1])
+    # p = [A, C, P, theta, B_1, psi_1, ...]
+    n_params = 2 * len(harmonics) + 2
+    amp_idx = [0, *range(4, n_params, 2)]
+    phase_idx = [3, *range(5, n_params, 2)]
+    p0 = np.empty(n_params)
+    p0[1], p0[2] = coef0[0], start_period
+    p0[amp_idx] = np.hypot(coef0[1::2], coef0[2::2])
+    p0[phase_idx] = np.arctan2(-coef0[2::2], coef0[1::2])
+
+    def arguments(p):
+        w = 2 * np.pi / p[2]
+        return w, [h * w * xs + p[i] for h, i in zip(harmonics, phase_idx)]
 
     def residual(p):
-        a, o, per, ph = p
-        return o + a * np.cos(2 * np.pi * xs / per + ph) - ys
+        model = p[1]
+        for a, arg in zip(p[amp_idx], arguments(p)[1]):
+            model = model + a * np.cos(arg)
+        return model - ys
 
     def jacobian(p):
-        a, o, per, ph = p
-        arg = 2 * np.pi * xs / per + ph
-        j = np.empty((len(xs), 4))
-        j[:, 0] = np.cos(arg)
+        w, args = arguments(p)
+        j = np.empty((len(xs), len(p)))
         j[:, 1] = 1.0
-        j[:, 2] = a * np.sin(arg) * 2 * np.pi * xs / per**2
-        j[:, 3] = -a * np.sin(arg)
-        return j
-
-    p, cov = _damped_gauss_newton(residual, jacobian, [amp0, coef0[0], period0, phase0])
-    err = np.sqrt(np.abs(np.diag(cov)))
-    return SinusoidFit(
-        amplitude=float(abs(p[0])) * y_scale,
-        offset=float(p[1]) * y_scale,
-        period=float(abs(p[2])),
-        phase=float(p[3] + (math.pi if p[0] < 0 else 0.0)),
-        stderr={
-            "amplitude": err[0] * y_scale,
-            "offset": err[1] * y_scale,
-            "period": err[2],
-            "phase": err[3],
-        },
-        residual_norm=float(np.linalg.norm(residual(p))) * y_scale,
-    )
-
-
-def fit_fringe_with_leakage(x, y, period0) -> SinusoidFit:
-    """Sinusoid fit with a half-frequency leakage term.
-
-    Model: C + A cos(2 pi x / P + theta) + B cos(pi x / P + psi). An
-    unbalanced two-photon fringe carries a residual component at the
-    single-photon frequency; fitting it explicitly keeps the extracted
-    period unbiased. Reported parameters describe the main component.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    order = np.argsort(x)
-    xs, ys = x[order], y[order]
-    y_scale = max(float(np.max(np.abs(ys))), 1e-30)
-    ys = ys / y_scale
-
-    def linear_init(per):
-        w = 2 * np.pi / per
-        design = np.column_stack(
-            [np.ones_like(xs), np.cos(w * xs), np.sin(w * xs),
-             np.cos(0.5 * w * xs), np.sin(0.5 * w * xs)]
-        )
-        coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
-        return coef
-
-    c0 = linear_init(period0)
-    p0 = [
-        math.hypot(c0[1], c0[2]),
-        c0[0],
-        period0,
-        math.atan2(-c0[2], c0[1]),
-        math.hypot(c0[3], c0[4]),
-        math.atan2(-c0[4], c0[3]),
-    ]
-
-    def residual(p):
-        a, o, per, ph, b, ps = p
-        w = 2 * np.pi / per
-        return o + a * np.cos(w * xs + ph) + b * np.cos(0.5 * w * xs + ps) - ys
-
-    def jacobian(p):
-        a, o, per, ph, b, ps = p
-        w = 2 * np.pi / per
-        arg1 = w * xs + ph
-        arg2 = 0.5 * w * xs + ps
-        j = np.empty((len(xs), 6))
-        j[:, 0] = np.cos(arg1)
-        j[:, 1] = 1.0
-        j[:, 2] = (a * np.sin(arg1) + 0.5 * b * np.sin(arg2)) * w * xs / per
-        j[:, 3] = -a * np.sin(arg1)
-        j[:, 4] = np.cos(arg2)
-        j[:, 5] = -b * np.sin(arg2)
+        d_period = 0.0
+        for h, ia, ip, arg in zip(harmonics, amp_idx, phase_idx, args):
+            sin = np.sin(arg)
+            j[:, ia] = np.cos(arg)
+            j[:, ip] = -p[ia] * sin
+            d_period = d_period + h * p[ia] * sin
+        j[:, 2] = d_period * w * xs / p[2]
         return j
 
     p, cov = _damped_gauss_newton(residual, jacobian, p0)
@@ -406,8 +367,48 @@ def _observable(records, name):
     raise InvalidInput(f"unknown observable {name!r}")
 
 
-def _source_dict(source: PhotonPairSource) -> dict:
-    return dataclasses.asdict(source)
+def _scan_result(name, scan, observable, records, fit, metrics, config) -> ScanResult:
+    """Package a fitted scan; `scan` is the swept quantity's (name, unit).
+
+    `params` holds the fit's fields other than its stderr and residual norm.
+    """
+    params = dataclasses.asdict(fit)
+    stderr = params.pop("stderr")
+    residual_norm = params.pop("residual_norm")
+    return ScanResult(
+        name=name,
+        scan_name=scan[0],
+        scan_unit=scan[1],
+        observable=observable,
+        records=tuple(records),
+        fit_kind=fit.kind,
+        params=params,
+        stderr=stderr,
+        metrics=metrics,
+        residual_norm=residual_norm,
+        config=config,
+    )
+
+
+def _delay_scan(name, circuit, eta, source, config, delay_grid, metrics, **extra):
+    """Net coincidences versus the delay on input arm 0, fitted with a
+    Gaussian; `metrics(fit)` gives the reported metrics and `extra` joins
+    the recorded config."""
+    grid = default_delay_grid() if delay_grid is None else np.asarray(delay_grid, float)
+    records = simulate_counts(
+        circuit, source, config, grid, lambda c, v: c.with_delay(0, v)
+    )
+    fit = fit_gaussian(grid, _observable(records, "net"))
+    return _scan_result(
+        name, ("delay", "um"), "net", records, fit, metrics(fit),
+        {
+            "eta": eta,
+            **extra,
+            "source": dataclasses.asdict(source),
+            "config": dataclasses.asdict(config),
+            "delay_grid": [float(v) for v in grid],
+        },
+    )
 
 
 def run_hom_dip(
@@ -418,7 +419,6 @@ def run_hom_dip(
     name: str = "hom_dip",
 ) -> ScanResult:
     """Two-photon dip: coincidences between the coupler outputs vs delay."""
-    grid = default_delay_grid() if delay_grid is None else np.asarray(delay_grid, float)
     circuit = Circuit(
         num_channels=2,
         elements=(
@@ -427,36 +427,12 @@ def run_hom_dip(
             Loss(DEFAULT_DEVICE_LOSS_DB),
         ),
     )
-    records = simulate_counts(
-        circuit, source, config, grid, lambda c, v: c.with_delay(0, v)
-    )
-    fit = fit_gaussian(grid, _observable(records, "net"))
-    metrics = {
-        "visibility": fit.visibility,
-        "fwhm_um": fit.fwhm,
-        "center_um": fit.center,
-    }
-    return ScanResult(
-        name=name,
-        scan_name="delay",
-        scan_unit="um",
-        observable="net",
-        records=tuple(records),
-        fit_kind="gaussian",
-        params={
-            "amplitude": fit.amplitude,
-            "center": fit.center,
-            "sigma": fit.sigma,
-            "offset": fit.offset,
-        },
-        stderr=fit.stderr,
-        metrics=metrics,
-        residual_norm=fit.residual_norm,
-        config={
-            "eta": eta,
-            "source": _source_dict(source),
-            "config": dataclasses.asdict(config),
-            "delay_grid": [float(v) for v in grid],
+    return _delay_scan(
+        name, circuit, eta, source, config, delay_grid,
+        lambda fit: {
+            "visibility": fit.visibility,
+            "fwhm_um": fit.fwhm,
+            "center_um": fit.center,
         },
     )
 
@@ -495,7 +471,6 @@ def run_hom_peak(
     and coincidences are taken between that splitter's two outputs."""
     if not 0.0 < eta < 1.0:
         raise InvalidInput("eta must lie strictly inside (0, 1)")
-    grid = default_delay_grid() if delay_grid is None else np.asarray(delay_grid, float)
     base_elements = (
         RelativeDelay(arm=0, delay_um=0.0),
         GratingBS(channels=(0, 1), eta=eta),
@@ -503,6 +478,11 @@ def run_hom_peak(
         GratingBS(channels=(0, 2), eta=0.5),
         GratingBS(channels=(1, 3), eta=0.5),
     )
+
+    def metrics(fit: GaussianFit) -> dict:
+        ratio = 1.0 + fit.amplitude / fit.offset if fit.offset else float("nan")
+        return {"enhancement_ratio": ratio, "fwhm_um": fit.fwhm}
+
     results = {}
     for arm, outputs in (("arm_a", (0, 2)), ("arm_b", (1, 3))):
         circuit = Circuit(
@@ -511,37 +491,9 @@ def run_hom_peak(
             input_channels=(0, 1),
             output_channels=outputs,
         )
-        records = simulate_counts(
-            circuit, source, config, grid, lambda c, v: c.with_delay(0, v)
-        )
-        fit = fit_gaussian(grid, _observable(records, "net"))
-        ratio = 1.0 + fit.amplitude / fit.offset if fit.offset else float("nan")
-        results[arm] = ScanResult(
-            name=f"{name}_{arm}",
-            scan_name="delay",
-            scan_unit="um",
-            observable="net",
-            records=tuple(records),
-            fit_kind="gaussian",
-            params={
-                "amplitude": fit.amplitude,
-                "center": fit.center,
-                "sigma": fit.sigma,
-                "offset": fit.offset,
-            },
-            stderr=fit.stderr,
-            metrics={
-                "enhancement_ratio": ratio,
-                "fwhm_um": fit.fwhm,
-            },
-            residual_norm=fit.residual_norm,
-            config={
-                "eta": eta,
-                "outputs": list(outputs),
-                "source": _source_dict(source),
-                "config": dataclasses.asdict(config),
-                "delay_grid": [float(v) for v in grid],
-            },
+        results[arm] = _delay_scan(
+            f"{name}_{arm}", circuit, eta, source, config, delay_grid, metrics,
+            outputs=list(outputs),
         )
     return results
 
@@ -572,7 +524,8 @@ def run_noon(
 
     Classical: singles of one output with a single input arm lit. Quantum:
     coincidences with a photon pair at zero delay; its fringe is fitted with
-    the half-frequency leakage model so the extracted period is exact.
+    the half-frequency leakage term, from half the classical period, so the
+    extracted period is exact.
     """
     grid = default_power_grid() if power_grid is None else np.asarray(power_grid, float)
     circuit = _noon_circuit(eta1, eta2)
@@ -589,60 +542,36 @@ def run_noon(
     classical_fit = fit_sinusoid(grid, _observable(classical_records, "singles_a"))
 
     quantum_records = simulate_counts(circuit, source, config, grid, set_power)
-    quantum_fit = fit_fringe_with_leakage(
-        grid, _observable(quantum_records, "net"), classical_fit.period / 2.0
+    quantum_fit = fit_sinusoid(
+        grid, _observable(quantum_records, "net"),
+        start_period=classical_fit.period / 2.0, harmonics=(1.0, 0.5),
     )
 
     shared_config = {
         "eta1": eta1,
         "eta2": eta2,
         "heater": dataclasses.asdict(heater),
-        "source": _source_dict(source),
+        "source": dataclasses.asdict(source),
         "config": dataclasses.asdict(config),
         "power_grid": [float(v) for v in grid],
     }
-    classical = ScanResult(
-        name=f"{name}_classical",
-        scan_name="heater_power",
-        scan_unit="W",
-        observable="singles_a",
-        records=tuple(classical_records),
-        fit_kind="sinusoid",
-        params={
-            "amplitude": classical_fit.amplitude,
-            "offset": classical_fit.offset,
-            "period": classical_fit.period,
-            "phase": classical_fit.phase,
-        },
-        stderr=classical_fit.stderr,
-        metrics={
+    scan = ("heater_power", "W")
+    classical = _scan_result(
+        f"{name}_classical", scan, "singles_a", classical_records, classical_fit,
+        {
             "visibility": classical_fit.visibility,
             "period_w": classical_fit.period,
         },
-        residual_norm=classical_fit.residual_norm,
-        config=shared_config,
+        shared_config,
     )
-    quantum = ScanResult(
-        name=f"{name}_quantum",
-        scan_name="heater_power",
-        scan_unit="W",
-        observable="net",
-        records=tuple(quantum_records),
-        fit_kind="sinusoid",
-        params={
-            "amplitude": quantum_fit.amplitude,
-            "offset": quantum_fit.offset,
-            "period": quantum_fit.period,
-            "phase": quantum_fit.phase,
-        },
-        stderr=quantum_fit.stderr,
-        metrics={
+    quantum = _scan_result(
+        f"{name}_quantum", scan, "net", quantum_records, quantum_fit,
+        {
             "visibility": quantum_fit.visibility,
             "period_w": quantum_fit.period,
             "period_ratio": quantum_fit.period / classical_fit.period,
         },
-        residual_norm=quantum_fit.residual_norm,
-        config=shared_config,
+        shared_config,
     )
     return classical, quantum
 

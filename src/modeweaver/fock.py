@@ -181,6 +181,16 @@ class PhotonPairSource:
             raise InvalidInput("wavelength and filter FWHM must be positive")
         if self.pair_rate_hz < 0 or any(s < 0 for s in self.singles_rates_hz):
             raise InvalidInput("rates must be non-negative")
+        # NaN, inf or extreme finite values give NaN, 0 or inf here, or overflow
+        try:
+            tau_c = self.coherence_time_s()
+        except (OverflowError, ZeroDivisionError):
+            tau_c = math.inf
+        if not 0.0 < tau_c < math.inf:
+            raise InvalidInput(
+                f"wavelength {self.center_wavelength_nm} nm with filter FWHM "
+                f"{self.filter_fwhm_nm} nm gives no finite coherence time"
+            )
 
     def coherence_time_s(self) -> float:
         """1/sigma_omega of the Gaussian intensity spectrum set by the filter."""

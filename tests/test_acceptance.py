@@ -87,11 +87,17 @@ def test_criterion_4_dip_width(capsys):
     omega = np.linspace(-8 * sigma, 8 * sigma, 40001)
     spectrum = np.exp(-(omega**2) / (2 * sigma**2))
     spectrum /= np.trapezoid(spectrum, omega)
-    taus = np.linspace(0, 2e-12, 8001)
-    x_tau = np.array(
-        [abs(np.trapezoid(spectrum * np.exp(1j * omega * t), omega)) for t in taus]
-    )
-    tau_half = float(np.interp(0.5, x_tau[::-1], taus[::-1]))
+
+    def x_of(t):
+        return abs(np.trapezoid(spectrum * np.exp(1j * omega * t), omega))
+
+    # x falls from 1 at tau = 0; bisect its 0.5 crossing on [0, 2 ps]
+    lo, hi = 0.0, 2e-12
+    assert x_of(lo) > 0.5 > x_of(hi)
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if x_of(mid) > 0.5 else (lo, mid)
+    tau_half = 0.5 * (lo + hi)
     fwhm_oracle_um = 2.0 * tau_half * fock.SPEED_OF_LIGHT_UM_PER_S
     dip = experiments.run_hom_dip(0.55)
     fwhm = dip.metrics["fwhm_um"]

@@ -52,7 +52,7 @@ class TestCompile:
     def test_grating_embedding(self):
         circuit = Circuit(3, (GratingBS(channels=(0, 2), eta=0.55),))
         u = compile_circuit(circuit).unitary
-        block = coupler_unitary(0.55).matrix
+        block = coupler_unitary(0.55)
         assert u[0, 0] == block[0, 0]
         assert u[0, 2] == block[0, 1]
         assert u[2, 0] == block[1, 0]
@@ -69,9 +69,9 @@ class TestCompile:
             ),
         )
         u = compile_circuit(circuit).unitary
-        b1 = coupler_unitary(0.3).matrix
+        b1 = coupler_unitary(0.3)
         phase = np.diag([1.0, np.exp(0.7j)])
-        b2 = coupler_unitary(0.6).matrix
+        b2 = coupler_unitary(0.6)
         assert np.allclose(u, b2 @ phase @ b1)
 
     def test_chain_stays_unitary(self, rng):
@@ -178,7 +178,7 @@ class TestSimulateCounts:
             dip_circuit(0.55), self.SOURCE, self.CONFIG, [delay], set_delay
         )
         overlap = spectral_overlap(self.SOURCE, delay)
-        u = coupler_unitary(0.55).matrix
+        u = coupler_unitary(0.55)
         p = two_photon_coincidence(u, (0, 1), (0, 1), overlap)
         assert records[0].net == pytest.approx(self.SOURCE.pair_rate_hz * p)
 
@@ -202,6 +202,18 @@ class TestSimulateCounts:
         leaky = Circuit(2, (MultiplexerIn(spec),) + dip_circuit(0.5).elements)
         r = simulate_counts(leaky, self.SOURCE, self.CONFIG, [0.0], set_delay)[0]
         assert r.net > 1.0  # the x = 1 dip is no longer dark
+
+    def test_crosstalk_reaches_singles(self):
+        # 10 % of the photon entering channel 0 leaks into channel 1 before
+        # a 0.3 coupler; only input arm 0 is lit
+        spec = DirectionalCouplerSpec(target_channel=0, crosstalk=0.1)
+        circuit = Circuit(
+            2, (MultiplexerIn(spec), GratingBS(channels=(0, 1), eta=0.3))
+        )
+        source = PhotonPairSource(singles_rates_hz=(30000.0, 0.0))
+        r = simulate_counts(circuit, source, self.CONFIG, [0.0], lambda c, v: c)[0]
+        assert r.singles[0] == pytest.approx(30000.0 * (0.9 * 0.7 + 0.1 * 0.3))
+        assert r.singles[1] == pytest.approx(30000.0 * (0.9 * 0.3 + 0.1 * 0.7))
 
     def test_seeded_poisson_reproducible(self):
         config = CoincidenceConfig(poisson=True, seed=11)
@@ -239,6 +251,21 @@ class TestSimulateCounts:
             CoincidenceConfig(window_ns=0.0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Loss(math.nan),
+        lambda: HeaterModel(p_2pi_w=math.nan),
+        lambda: heater_phase(HeaterModel(), math.nan),
+        lambda: CoincidenceConfig(window_ns=math.inf),
+    ],
+    ids=["loss", "heater_model", "heater_phase", "coincidence_window"],
+)
+def test_validators_reject_non_finite(make):
+    with pytest.raises(InvalidInput, match="must be finite"):
+        make()
+
+
 class TestReck:
     def test_identity_has_no_stages(self):
         decomposition = reck_decompose(np.eye(4))
@@ -246,7 +273,7 @@ class TestReck:
         assert np.allclose(reck_recompose(decomposition), np.eye(4))
 
     def test_single_coupler(self):
-        u = coupler_unitary(0.3).matrix
+        u = coupler_unitary(0.3)
         decomposition = reck_decompose(u)
         assert len(decomposition.stages) == 1
         assert decomposition.stages[0].eta == pytest.approx(0.3, abs=1e-12)

@@ -213,6 +213,15 @@ class TestNonFiniteInput:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("config error: ")
 
+    def test_wavelength_overflow_is_compute_error(self, capsys):
+        code, out, err = run(
+            capsys, "hom-scan", "--wavelength", "1e300", "--format", "json"
+        )
+        assert code == 3
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: InvalidInput: ")
+
     def test_non_finite_output_is_compute_error(self):
         with pytest.raises(InvalidInput):
             _dump_json({"x": float("nan")})

@@ -97,16 +97,16 @@ class TestDetunedSplitting:
 
 class TestCouplerUnitary:
     def test_amplitudes(self):
-        cu = coupler_unitary(0.55)
+        u = coupler_unitary(0.55)
         t, r = math.sqrt(0.45), math.sqrt(0.55)
-        assert cu.matrix[0, 0] == pytest.approx(t, abs=1e-12)
-        assert cu.matrix[0, 1] == pytest.approx(1j * r, abs=1e-12)
-        assert cu.matrix[1, 0] == pytest.approx(1j * r, abs=1e-12)
-        assert cu.matrix[1, 1] == pytest.approx(t, abs=1e-12)
+        assert u[0, 0] == pytest.approx(t, abs=1e-12)
+        assert u[0, 1] == pytest.approx(1j * r, abs=1e-12)
+        assert u[1, 0] == pytest.approx(1j * r, abs=1e-12)
+        assert u[1, 1] == pytest.approx(t, abs=1e-12)
 
     def test_unitary(self):
         for eta in (0.0, 0.3, 0.5345, 1.0):
-            u = coupler_unitary(eta).matrix
+            u = coupler_unitary(eta)
             dev = np.max(np.abs(u.conj().T @ u - np.eye(2)))
             assert dev < 1e-12
 

@@ -94,12 +94,12 @@ class TestTransitionAmplitude:
         assert transition_amplitude(np.eye(2), (0, 0), (0, 0)) == 1.0
 
     def test_hom_cancellation(self):
-        u = coupler_unitary(0.5).matrix
+        u = coupler_unitary(0.5)
         amp = transition_amplitude(u, (1, 1), (1, 1))
         assert abs(amp) < 1e-12
 
     def test_unbalanced_coincidence(self):
-        u = coupler_unitary(0.55).matrix
+        u = coupler_unitary(0.55)
         p = abs(transition_amplitude(u, (1, 1), (1, 1))) ** 2
         assert p == pytest.approx((1 - 2 * 0.55) ** 2, abs=1e-12)
 
@@ -204,17 +204,17 @@ class TestSource:
 
 class TestTwoPhotonCoincidence:
     def test_indistinguishable_balanced(self):
-        u = coupler_unitary(0.5).matrix
+        u = coupler_unitary(0.5)
         assert two_photon_coincidence(u, (0, 1), (0, 1), 1.0) < 1e-12
 
     def test_distinguishable_is_classical(self):
-        u = coupler_unitary(0.3).matrix
+        u = coupler_unitary(0.3)
         p = two_photon_coincidence(u, (0, 1), (0, 1), 0.0)
         t2, r2 = 0.7, 0.3
         assert p == pytest.approx(t2 * t2 + r2 * r2, abs=1e-12)
 
     def test_convex_mixture(self):
-        u = coupler_unitary(0.55).matrix
+        u = coupler_unitary(0.55)
         p0 = two_photon_coincidence(u, (0, 1), (0, 1), 0.0)
         p1 = two_photon_coincidence(u, (0, 1), (0, 1), 1.0)
         x = 0.92
@@ -225,12 +225,12 @@ class TestTwoPhotonCoincidence:
     def test_manual_enumeration(self):
         # eta = 0.3: amplitude for 11 -> 11 is t^2 - r^2 (symmetric convention
         # puts i on both cross terms)
-        u = coupler_unitary(0.3).matrix
+        u = coupler_unitary(0.3)
         p1 = two_photon_coincidence(u, (0, 1), (0, 1), 1.0)
         assert p1 == pytest.approx((0.7 - 0.3) ** 2, abs=1e-12)
 
     def test_invalid(self):
-        u = coupler_unitary(0.5).matrix
+        u = coupler_unitary(0.5)
         with pytest.raises(InvalidInput):
             two_photon_coincidence(u, (0, 0), (0, 1), 1.0)
         with pytest.raises(InvalidInput):
@@ -254,7 +254,7 @@ class TestVisibilityAndCoalescence:
     def test_matches_coincidence_definition(self):
         # V = 1 - P_min/P_max with P from the two-photon calculation
         for eta in (0.3, 0.55, 0.64):
-            u = coupler_unitary(eta).matrix
+            u = coupler_unitary(eta)
             p_dip = two_photon_coincidence(u, (0, 1), (0, 1), 1.0)
             p_far = two_photon_coincidence(u, (0, 1), (0, 1), 0.0)
             assert hom_visibility(eta) == pytest.approx(
@@ -270,7 +270,7 @@ class TestVisibilityAndCoalescence:
         # both photons exiting the same arm: |amp|^2 for 11 -> 20 is
         # 2 t^2 r^2, versus the single classical assignment t^2 r^2
         eta, x = 0.55, 0.92
-        u = coupler_unitary(eta).matrix
+        u = coupler_unitary(eta)
         p_same_indist = abs(transition_amplitude(u, (1, 1), (2, 0))) ** 2
         p_same_dist = abs(u[0, 0]) ** 2 * abs(u[0, 1]) ** 2
         ratio = (x * p_same_indist + (1 - x) * p_same_dist) / p_same_dist

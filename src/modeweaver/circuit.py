@@ -273,10 +273,7 @@ def _arrival(prob: np.ndarray, channel: int, crosstalk: float) -> np.ndarray:
     prob = |U|^2. The multiplexer routes it into `channel` or leaks it into
     the other channels; with no crosstalk this is a column of prob.
     """
-    if crosstalk == 0.0:
-        return prob[:, channel]
-    spec = DirectionalCouplerSpec(target_channel=channel, crosstalk=crosstalk)
-    return prob @ multiplexer_transfer(spec, len(prob))
+    return prob @ multiplexer_transfer(channel, crosstalk, len(prob))
 
 
 def _coincidence_probability(

@@ -167,20 +167,20 @@ class DirectionalCouplerSpec:
             raise InvalidInput("coupling length must be positive")
 
 
-def multiplexer_transfer(spec: DirectionalCouplerSpec, num_channels: int) -> np.ndarray:
+def multiplexer_transfer(
+    target_channel: int, crosstalk: float, num_channels: int
+) -> np.ndarray:
     """Power routing map of one multiplexer port over the circuit channels.
 
     Power (1 - crosstalk) lands in the target channel; the remainder leaks
     equally into the other channels.
     """
-    if spec.target_channel >= num_channels:
-        raise InvalidInput(
-            f"target channel {spec.target_channel} >= m = {num_channels}"
-        )
+    if target_channel >= num_channels:
+        raise InvalidInput(f"target channel {target_channel} >= m = {num_channels}")
     powers = np.zeros(num_channels)
     if num_channels == 1:
         powers[0] = 1.0
         return powers
-    powers[:] = spec.crosstalk / (num_channels - 1)
-    powers[spec.target_channel] = 1.0 - spec.crosstalk
+    powers[:] = crosstalk / (num_channels - 1)
+    powers[target_channel] = 1.0 - crosstalk
     return powers

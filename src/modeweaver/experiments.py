@@ -218,16 +218,16 @@ def _harmonic_ls(x, y, freq, harmonics):
     return coef, sse
 
 
-def fit_sinusoid(x, y, start_period=None, harmonics=(1.0,)) -> SinusoidFit:
-    """Fit C + A cos(2 pi x / P + theta) + sum_k B_k cos(2 pi h_k x / P + psi_k).
+def fit_sinusoid(x, y, leakage_start_period=None) -> SinusoidFit:
+    """Fit C + A cos(2 pi x / P + theta), starting from the best period of a
+    2000-point frequency grid.
 
-    `harmonics` lists the frequencies in units of 1/P, the fitted period
-    first (h = 1); parameters are ordered [A, C, P, theta, B_1, psi_1, ...].
-    An unbalanced two-photon fringe carries a component at half its
-    frequency, and fitting it with harmonics (1, 0.5) keeps the extracted
-    period unbiased. The start period is `start_period`, or without one the
-    best of a 2000-point frequency grid. Reported parameters describe the main
-    component. Requires >= 8 points spanning >= 1.5 periods.
+    An unbalanced two-photon fringe also carries a component at half its
+    frequency. Given `leakage_start_period`, the fit starts from that period
+    and adds B cos(pi x / P + psi), which keeps the extracted period
+    unbiased; parameters are ordered [A, C, P, theta, B, psi]. Reported
+    parameters describe the main component. Requires >= 8 points spanning
+    >= 1.5 periods.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -243,7 +243,8 @@ def fit_sinusoid(x, y, start_period=None, harmonics=(1.0,)) -> SinusoidFit:
         raise InsufficientSpan("constant data: no oscillation to fit")
     y_scale = max(float(np.max(np.abs(ys))), 1e-30)
     ys = ys / y_scale
-    if start_period is None:
+    if leakage_start_period is None:
+        harmonics = (1.0,)
         min_spacing = float(np.min(np.diff(xs)))
         f_lo = 0.5 / span
         f_hi = 0.5 / max(min_spacing, 1e-12)
@@ -256,12 +257,14 @@ def fit_sinusoid(x, y, start_period=None, harmonics=(1.0,)) -> SinusoidFit:
         f0, coef0, _ = best
         start_period = 1.0 / f0
     else:
+        harmonics = (1.0, 0.5)
+        start_period = leakage_start_period
         coef0, _ = _harmonic_ls(xs, ys, 1.0 / start_period, harmonics)
     if span < 1.5 * start_period:
         raise InsufficientSpan(
             f"span {span:.4g} < 1.5 periods ({start_period:.4g} each)"
         )
-    # p = [A, C, P, theta, B_1, psi_1, ...]
+    # p = [A, C, P, theta] or [A, C, P, theta, B, psi]
     n_params = 2 * len(harmonics) + 2
     amp_idx = [0, *range(4, n_params, 2)]
     phase_idx = [3, *range(5, n_params, 2)]
@@ -544,7 +547,7 @@ def run_noon(
     quantum_records = simulate_counts(circuit, source, config, grid, set_power)
     quantum_fit = fit_sinusoid(
         grid, _observable(quantum_records, "net"),
-        start_period=classical_fit.period / 2.0, harmonics=(1.0, 0.5),
+        leakage_start_period=classical_fit.period / 2.0,
     )
 
     shared_config = {

@@ -98,7 +98,7 @@ class TestLeakageFit:
     def test_pure_fundamental(self):
         x = np.arange(0.0, 2.6001, 0.05)
         y = 100.0 + 40.0 * np.cos(2 * np.pi * x / 0.65 + 0.3)
-        fit = fit_sinusoid(x, y, 0.65, harmonics=(1.0, 0.5))
+        fit = fit_sinusoid(x, y, leakage_start_period=0.65)
         assert fit.period == pytest.approx(0.65, abs=1e-8)
         assert fit.amplitude == pytest.approx(40.0, abs=1e-6)
 
@@ -110,7 +110,7 @@ class TestLeakageFit:
             + 40.0 * np.cos(2 * np.pi * x / 0.65 + 0.3)
             + 18.0 * np.cos(np.pi * x / 0.65 - 0.4)
         )
-        fit = fit_sinusoid(x, y, 0.6, harmonics=(1.0, 0.5))
+        fit = fit_sinusoid(x, y, leakage_start_period=0.6)
         assert fit.period == pytest.approx(0.65, abs=1e-8)
         assert fit.amplitude == pytest.approx(40.0, abs=1e-6)
         plain = fit_sinusoid(x, y)

@@ -238,14 +238,18 @@ def cmd_splitting(args) -> int:
 
 
 def _emit_scans(args, results) -> None:
+    """Serialise every result, then write: a failing result writes nothing."""
+    texts = []
     for result in results:
         if args.output:
-            _emit(args, result.to_csv(), f"{result.name}.csv")
-            _emit(args, _dump_json(result.fit_dict()), f"{result.name}.fit.json")
+            texts.append((result.to_csv(), f"{result.name}.csv"))
+            texts.append((_dump_json(result.fit_dict()), f"{result.name}.fit.json"))
         elif args.format == "json":
-            sys.stdout.write(_dump_json(result.fit_dict()))
+            texts.append((_dump_json(result.fit_dict()), None))
         else:
-            sys.stdout.write(result.to_csv())
+            texts.append((result.to_csv(), None))
+    for text, filename in texts:
+        _emit(args, text, filename)
 
 
 def cmd_hom_scan(args) -> int:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wgmodes
-from .errors import InvalidInput
+from .errors import InvalidInput, require_finite
 from .wgmodes import ModeId, WaveguideGeometry
 
 # Anchor point for the per-period coupling strength: a 24 nm deep tooth
@@ -73,6 +73,11 @@ class GratingSpec:
     symmetry: str
 
     def __post_init__(self):
+        require_finite(
+            period_um=self.period_um,
+            depth_nm=self.depth_nm,
+            kappa_per_period=self.kappa_per_period,
+        )
         if self.period_um <= 0:
             raise InvalidInput("grating period must be positive")
         if self.num_periods < 0 or self.kappa_per_period < 0:

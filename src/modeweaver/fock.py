@@ -1,7 +1,10 @@
 """Bosonic Fock-state engine over spatial-mode channels.
 
-Transition amplitudes follow the standard linear-optics rule (permanent of
-the occupation-repeated submatrix); two-photon statistics with partial
+State evolution builds the image of every basis state photon by photon
+(creation operators transformed by the mode unitary, as in SLOS), so it
+needs no permanents. Single transition amplitudes and two-photon
+coincidences follow the standard linear-optics rule (permanent of the
+occupation-repeated submatrix); two-photon statistics with partial
 spectral distinguishability are a convex mixture of the indistinguishable
 and distinguishable cases, weighted by the delay-dependent overlap x(tau).
 """
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -106,6 +110,19 @@ class PureState:
     num_photons: int
     amplitudes: np.ndarray  # aligned with fock_basis(num_photons, num_channels)
 
+    def __post_init__(self):
+        if self.num_channels < 1:
+            raise InvalidInput("need at least one channel")
+        if self.num_photons < 0:
+            raise InvalidInput("photon number must be >= 0")
+        dim = math.comb(self.num_channels + self.num_photons - 1, self.num_photons)
+        if np.shape(self.amplitudes) != (dim,):
+            raise InvalidInput(
+                f"{self.num_photons} photons in {self.num_channels} channels need "
+                f"{dim} amplitudes in one dimension, got shape "
+                f"{np.shape(self.amplitudes)}"
+            )
+
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
@@ -151,17 +168,55 @@ def transition_amplitude(
 
 
 def evolve(unitary: np.ndarray, state: PureState) -> PureState:
-    """Apply a mode unitary to a fixed-photon-number pure state."""
+    """Apply a mode unitary to a fixed-photon-number pure state.
+
+    Builds U|s> for every basis state s one photon at a time: s is its parent
+    p = s - e_c (c the first occupied channel of s) with one more photon in c,
+    so U|s> = B_c U|p> / sqrt(s_c), where B_c = sum_j U[j, c] b_j^dagger and
+    (b_j^dagger v)[t] = sqrt(t_j) v[t - e_j]. Each level costs O(m D^2).
+    """
     u = check_unitary(unitary)
-    if u.shape[0] != state.num_channels:
+    m, n = state.num_channels, state.num_photons
+    if u.shape[0] != m:
         raise InvalidInput("unitary size does not match state channels")
-    basis = fock_basis(state.num_photons, state.num_channels)
-    out = np.zeros(len(basis), dtype=np.complex128)
-    for i, occ_out in enumerate(basis):
-        for amp, occ_in in zip(state.amplitudes, basis):
-            if amp != 0:
-                out[i] += amp * transition_amplitude(u, occ_in, occ_out)
-    return PureState(state.num_channels, state.num_photons, out)
+    # images[t, s] = <t| U |s>; one photon in channel c maps to column c of U
+    images = u if n else np.ones((1, 1), dtype=np.complex128)
+    for k in range(2, n + 1):
+        rows, root_t, parent, channel, inv_root_s = _creation_tables(k, m)
+        # sum_j sqrt(t_j) U[j, c(s)] <t - e_j| U |p(s)> / sqrt(s_c)
+        lower = images[:, parent][rows]
+        images = np.einsum("tjs,tj,js->ts", lower, root_t, u[:, channel] * inv_root_s)
+    out = images @ np.asarray(state.amplitudes, dtype=np.complex128)
+    return PureState(m, n, out)
+
+
+@lru_cache(maxsize=None)
+def _creation_tables(num_photons: int, num_channels: int):
+    """Index tables for adding one photon to level num_photons - 1.
+
+    rows[t, j] indexes t - e_j in the lower basis and root_t[t, j] is
+    sqrt(t_j) (0 where t_j = 0, so the row index there is a dummy 0);
+    parent[s] indexes s - e_c, channel[s] is c and inv_root_s[s] is
+    1 / sqrt(s_c), with c the first occupied channel of s.
+    """
+    lower_basis = fock_basis(num_photons - 1, num_channels)
+    lower = {occ: i for i, occ in enumerate(lower_basis)}
+    basis = fock_basis(num_photons, num_channels)
+    rows = np.zeros((len(basis), num_channels), dtype=np.intp)
+    root_t = np.zeros((len(basis), num_channels))
+    parent = np.empty(len(basis), dtype=np.intp)
+    channel = np.empty(len(basis), dtype=np.intp)
+    inv_root_s = np.empty(len(basis))
+    for i, occ in enumerate(basis):
+        for j, count in enumerate(occ):
+            if count:
+                rows[i, j] = lower[occ[:j] + (count - 1,) + occ[j + 1:]]
+                root_t[i, j] = math.sqrt(count)
+        c = next(j for j, count in enumerate(occ) if count)
+        parent[i] = rows[i, c]
+        channel[i] = c
+        inv_root_s[i] = 1.0 / root_t[i, c]
+    return rows, root_t, parent, channel, inv_root_s
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DegeneratePhaseMatch, InvalidInput, ModeCutoff, NoPhaseMatch
+from .errors import (
+    DegeneratePhaseMatch,
+    InvalidInput,
+    ModeCutoff,
+    NoPhaseMatch,
+    require_finite,
+)
 
 # Sellmeier coefficients: Si3N4 from Luke et al. (LPCVD stoichiometric
 # nitride), SiO2 from Malitson (fused silica). Wavelength arguments in um.
@@ -35,19 +41,36 @@ _SIO2_SELLMEIER = (
 
 def silicon_nitride_index(wavelength_nm: float) -> float:
     """Si3N4 refractive index at the given wavelength (Sellmeier)."""
-    lam_um2 = (wavelength_nm * 1e-3) ** 2
-    n2 = 1.0
-    for b, c in _SI3N4_SELLMEIER:
-        n2 += b * lam_um2 / (lam_um2 - c * c)
-    return math.sqrt(n2)
+    return _sellmeier_index(wavelength_nm, _SI3N4_SELLMEIER, "Si3N4")
 
 
 def silica_index(wavelength_nm: float) -> float:
     """SiO2 refractive index at the given wavelength (Sellmeier)."""
-    lam_um2 = (wavelength_nm * 1e-3) ** 2
-    n2 = 1.0
-    for b, c in _SIO2_SELLMEIER:
-        n2 += b * lam_um2 / (lam_um2 - c * c)
+    return _sellmeier_index(wavelength_nm, _SIO2_SELLMEIER, "SiO2")
+
+
+def _sellmeier_index(wavelength_nm: float, terms, material: str) -> float:
+    """sqrt(1 + sum b lam^2 / (lam^2 - c^2)), lam in um.
+
+    InvalidInput unless the wavelength is finite and positive and the index
+    is real and finite there (lam^2 may overflow, a pole divides by zero,
+    and n^2 < 0 just above a resonance).
+    """
+    if not 0.0 < wavelength_nm < math.inf:
+        raise InvalidInput(
+            f"wavelength must be finite and positive, got {wavelength_nm} nm"
+        )
+    try:
+        lam_um2 = (wavelength_nm * 1e-3) ** 2
+        n2 = 1.0
+        for b, c in terms:
+            n2 += b * lam_um2 / (lam_um2 - c * c)
+    except (OverflowError, ZeroDivisionError):
+        n2 = math.nan
+    if not 0.0 < n2 < math.inf:
+        raise InvalidInput(
+            f"{material} Sellmeier index is not real and finite at {wavelength_nm} nm"
+        )
     return math.sqrt(n2)
 
 
@@ -66,6 +89,9 @@ class MaterialStack:
     wavelength_nm: float = DEFAULT_WAVELENGTH_NM
 
     def __post_init__(self):
+        require_finite(
+            n_core=self.n_core, n_clad=self.n_clad, wavelength_nm=self.wavelength_nm
+        )
         if not (self.n_core > self.n_clad > 0):
             raise InvalidInput(
                 f"need n_core > n_clad > 0, got {self.n_core}, {self.n_clad}"
@@ -83,6 +109,7 @@ class WaveguideGeometry:
     stack: MaterialStack = MaterialStack()
 
     def __post_init__(self):
+        require_finite(width_nm=self.width_nm, height_nm=self.height_nm)
         if self.width_nm <= 0 or self.height_nm <= 0:
             raise InvalidInput("width and height must be positive")
 

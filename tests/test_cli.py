@@ -222,6 +222,25 @@ class TestNonFiniteInput:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("error: InvalidInput: ")
 
+    @pytest.mark.parametrize("command", ["dispersion", "design-grating"])
+    def test_sellmeier_overflow_is_compute_error(self, capsys, command):
+        code, out, err = run(capsys, command, "--wavelength", "1e300")
+        assert code == 3
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error: InvalidInput: ")
+
+    def test_failed_scan_writes_nothing(self, capsys, tmp_path):
+        # the classical fringe fits; the quantum fit of a 0.1 W period
+        # sampled every 0.05 W is not finite
+        argv = ("noon-scan", "--p2pi", "0.1")
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: InvalidInput: non-finite number")
+        code, out, _ = run(capsys, *argv, "--output", str(tmp_path / "run"))
+        assert (code, out) == (3, "")
+        assert not (tmp_path / "run").exists()
+
     def test_non_finite_output_is_compute_error(self):
         with pytest.raises(InvalidInput):
             _dump_json({"x": float("nan")})

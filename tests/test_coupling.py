@@ -149,6 +149,9 @@ class TestGratingSpec:
             self.make(period_um=0.0)
         with pytest.raises(InvalidInput):
             self.make(symmetry="chiral")
+        for field in ("period_um", "depth_nm", "kappa_per_period"):
+            with pytest.raises(InvalidInput, match="must be finite"):
+                self.make(**{field: math.nan})
 
 
 class TestGratingFromGeometry:
@@ -170,6 +173,10 @@ class TestGratingFromGeometry:
             self.GEOM, (TE0, TE2), depth_nm=REFERENCE_GRATING_DEPTH_NM
         )
         assert spec.kappa_per_period == REFERENCE_KAPPA_PER_PERIOD
+
+    def test_nan_depth_rejected(self):
+        with pytest.raises(InvalidInput, match="must be finite"):
+            grating_from_geometry(self.GEOM, (TE0, TE2), depth_nm=math.nan)
 
     def test_kappa_override(self):
         spec = grating_from_geometry(self.GEOM, (TE0, TE2), kappa_override=0.05)

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import haar_unitary
+from modeweaver import fock
 from modeweaver.coupling import coupler_unitary
 from modeweaver.errors import (
     InvalidInput,
@@ -117,7 +120,62 @@ class TestTransitionAmplitude:
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
+def transition_matrix(u: np.ndarray, num_photons: int) -> np.ndarray:
+    """<t| U |s> over the Fock basis, one permanent per entry."""
+    basis = fock_basis(num_photons, u.shape[0])
+    return np.array(
+        [[transition_amplitude(u, s, t) for s in basis] for t in basis]
+    )
+
+
 class TestEvolve:
+    @pytest.mark.parametrize("m", range(1, 7))
+    @pytest.mark.parametrize("n", range(5))
+    def test_matches_permanents(self, rng, m, n):
+        u = haar_unitary(m, rng)
+        expected = transition_matrix(u, n)
+        dim = len(expected)
+        dense = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        inputs = [dense / np.linalg.norm(dense)] + [np.eye(dim)[i] for i in range(dim)]
+        for amps in inputs:
+            out = evolve(u, PureState(m, n, amps)).amplitudes
+            assert np.max(np.abs(out - expected @ amps)) < 1e-12
+
+    def test_uses_no_permanents(self, rng, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("evolve must not compute permanents")
+
+        monkeypatch.setattr(fock, "permanent", forbidden)
+        monkeypatch.setattr(fock, "transition_amplitude", forbidden)
+        u = haar_unitary(4, rng)
+        dim = len(fock_basis(3, 4))
+        amps = np.ones(dim) / math.sqrt(dim)
+        assert evolve(u, PureState(4, 3, amps)).norm() == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        m=st.integers(1, 5),
+        n=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_norm_preserved_property(self, m, n, seed):
+        rng = np.random.default_rng(seed)
+        dim = len(fock_basis(n, m))
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state = PureState(m, n, amps / np.linalg.norm(amps))
+        assert evolve(haar_unitary(m, rng), state).norm() == pytest.approx(
+            1.0, abs=1e-10
+        )
+
+    def test_dense_eight_modes_four_photons(self, rng):
+        dim = len(fock_basis(4, 8))
+        assert dim == 330
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state = PureState(8, 4, amps / np.linalg.norm(amps))
+        out = evolve(haar_unitary(8, rng), state)
+        assert out.amplitudes.shape == (dim,)
+        assert out.norm() == pytest.approx(1.0, abs=1e-10)
+
     def test_norm_preserved(self, rng):
         u = haar_unitary(3, rng)
         basis = fock_basis(2, 3)
@@ -132,10 +190,37 @@ class TestEvolve:
         with pytest.raises(NotUnitary):
             evolve(np.ones((2, 2)), state)
 
+    def test_channel_mismatch(self):
+        state = PureState(3, 1, np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(InvalidInput):
+            evolve(np.eye(2), state)
+
     def test_check_unitary_tol(self):
         check_unitary(np.eye(2) * (1 + 1e-14))
         with pytest.raises(NotUnitary):
             check_unitary(np.eye(2) * 1.001)
+
+
+class TestPureState:
+    @pytest.mark.parametrize(
+        "channels, photons, amplitudes",
+        [
+            (2, 2, np.array([1.0, 0.0])),
+            (2, 2, np.zeros(4)),
+            (2, 2, np.zeros((3, 1))),
+            (2, 2, np.float64(1.0)),
+            (0, 0, np.array([1.0])),
+            (2, -1, np.array([1.0])),
+        ],
+        ids=["short", "long", "two_dim", "scalar", "no_channels", "negative_photons"],
+    )
+    def test_rejects_inconsistent_shapes(self, channels, photons, amplitudes):
+        with pytest.raises(InvalidInput):
+            PureState(channels, photons, amplitudes)
+
+    def test_vacuum_and_single_photon(self):
+        assert PureState(3, 0, np.array([1.0])).norm() == 1.0
+        assert str(PureState(3, 1, np.array([0.0, 1.0, 0.0]))) == "|0,1,0>: 1"
 
 
 class TestFockBasis:

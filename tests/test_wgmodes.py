@@ -194,6 +194,34 @@ class TestMaterials:
         with pytest.raises(InvalidInput):
             WaveguideGeometry(-1, 190)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: WaveguideGeometry(math.nan, 190),
+            lambda: WaveguideGeometry(1600, math.nan),
+            lambda: MaterialStack(n_core=math.inf),
+            lambda: MaterialStack(wavelength_nm=math.nan),
+        ],
+        ids=["width", "height", "n_core", "wavelength"],
+    )
+    def test_rejects_non_finite(self, make):
+        with pytest.raises(InvalidInput, match="must be finite"):
+            make()
+
+    @pytest.mark.parametrize("wavelength_nm", [1e300, math.inf, math.nan, 0.0, -808.0])
+    @pytest.mark.parametrize(
+        "index", [wgmodes.silicon_nitride_index, wgmodes.silica_index]
+    )
+    def test_sellmeier_domain(self, index, wavelength_nm):
+        with pytest.raises(InvalidInput):
+            index(wavelength_nm)
+
+    def test_sellmeier_resonance(self):
+        # just above the 135 nm Si3N4 pole n^2 < 0; on it the sum divides by zero
+        for wavelength_nm in (100.0, 135.3406):
+            with pytest.raises(InvalidInput):
+                wgmodes.silicon_nitride_index(wavelength_nm)
+
     def test_mode_id_parse(self):
         assert ModeId.parse("te2") == TE2
         with pytest.raises(InvalidInput):

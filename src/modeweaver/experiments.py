@@ -88,7 +88,10 @@ def _damped_gauss_newton(residual, jacobian, p0, max_iter=200, tol=1e-13):
                 converged = True
                 break
     if not converged and cost > 1e-18:
-        raise FitDiverged(f"no convergence after {max_iter} iterations")
+        raise FitDiverged(
+            f"no convergence after {max_iter} iterations "
+            f"(final cost {cost:.3e}, damping lambda {lam:.3e})"
+        )
     j = jacobian(p)
     dof = max(len(r) - len(p), 1)
     s2 = cost / dof
@@ -218,6 +221,44 @@ def _harmonic_ls(x, y, freq, harmonics):
     return coef, sse
 
 
+def _best_frequency(x, y, freqs):
+    """Index of the first frequency in `freqs` at which a least-squares fit
+    of y on [1, cos(2 pi f x), sin(2 pi f x)] leaves the least residual.
+
+    Generalised Lomb-Scargle periodogram (Zechmeister & Kuerster, A&A 496,
+    577, 2009) in explained-variance form: with centred y and centred
+    columns, the cos column c and the sin column orthogonalised against it,
+    s, a frequency explains (y.c)^2/|c|^2 + (y.s)^2/|s|^2 of |y|^2. A column
+    whose squared norm is below 1e-12 N is roundoff and explains nothing,
+    such as the sin column at exactly Nyquist on a uniform grid.
+    """
+    block = 64  # frequencies per pass: 0.5 MB per temporary at 1000 points
+    y = y - np.mean(y)
+    negligible = 1e-12 * len(x)
+
+    def kept_norm2(column):
+        # zero a negligible column; its norm becomes 1 so its term is 0
+        norm2 = np.einsum("fn,fn->f", column, column)
+        kept = norm2 > negligible
+        column *= kept[:, None]
+        return np.where(kept, norm2, 1.0)
+
+    best_index, best_score = 0, -np.inf
+    for start in range(0, len(freqs), block):
+        arg = (2 * np.pi * freqs[start:start + block])[:, None] * x
+        cos, sin = np.cos(arg), np.sin(arg)
+        cos -= np.mean(cos, axis=1, keepdims=True)
+        sin -= np.mean(sin, axis=1, keepdims=True)
+        cos_norm2 = kept_norm2(cos)
+        sin -= cos * (np.einsum("fn,fn->f", sin, cos) / cos_norm2)[:, None]
+        sin_norm2 = kept_norm2(sin)
+        score = (cos @ y) ** 2 / cos_norm2 + (sin @ y) ** 2 / sin_norm2
+        i = int(np.argmax(score))
+        if score[i] > best_score:
+            best_index, best_score = start + i, score[i]
+    return best_index
+
+
 def fit_sinusoid(x, y, leakage_start_period=None) -> SinusoidFit:
     """Fit C + A cos(2 pi x / P + theta), starting from the best period of a
     2000-point frequency grid.
@@ -245,16 +286,13 @@ def fit_sinusoid(x, y, leakage_start_period=None) -> SinusoidFit:
     ys = ys / y_scale
     if leakage_start_period is None:
         harmonics = (1.0,)
-        min_spacing = float(np.min(np.diff(xs)))
+        steps = np.diff(xs)
+        min_spacing = float(np.min(steps[steps > 0]))  # repeated x add no resolution
         f_lo = 0.5 / span
         f_hi = 0.5 / max(min_spacing, 1e-12)
         freqs = np.linspace(f_lo, f_hi, 2000)
-        best = None
-        for f in freqs:
-            coef, sse = _harmonic_ls(xs, ys, f, harmonics)
-            if best is None or sse < best[2]:
-                best = (f, coef, sse)
-        f0, coef0, _ = best
+        f0 = freqs[_best_frequency(xs, ys, freqs)]
+        coef0, _ = _harmonic_ls(xs, ys, f0, harmonics)
         start_period = 1.0 / f0
     else:
         harmonics = (1.0, 0.5)

@@ -96,7 +96,9 @@ def check_unitary(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     u = np.asarray(matrix, dtype=np.complex128)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise NotUnitary(f"not square: {u.shape}")
-    dev = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+    gram = u.conj().T @ u
+    gram.ravel()[:: u.shape[0] + 1] -= 1.0  # U^H U - I in place (a fresh array)
+    dev = np.abs(gram).max()
     if dev > tol:
         raise NotUnitary(f"U^H U deviates from identity by {dev:.3e} > {tol}")
     return u

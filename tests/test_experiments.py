@@ -1,10 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from modeweaver import experiments
 from modeweaver.circuit import CoincidenceConfig
-from modeweaver.errors import InsufficientSpan, InvalidInput
+from modeweaver.errors import (
+    FitDiverged,
+    InsufficientSpan,
+    InvalidInput,
+    ModeweaverError,
+)
 from modeweaver.experiments import (
     GAUSS_FWHM_FACTOR,
     PaperTarget,
@@ -92,6 +101,119 @@ class TestSinusoidFit:
     def test_too_few_points(self):
         with pytest.raises(InvalidInput):
             fit_sinusoid([0, 1, 2], [1, 2, 1])
+
+    def test_repeated_scan_point(self):
+        # a zero spacing must not stretch the frequency grid to ~1e12
+        x = np.linspace(0.0, 2.6, 53)
+        x = np.append(x, x[0])
+        y = 500.0 + 200.0 * np.cos(2 * np.pi * x / 1.3 + 0.2)
+        fit = fit_sinusoid(x, y)
+        assert fit.period == pytest.approx(1.3, abs=1e-8)
+        assert fit.amplitude == pytest.approx(200.0, abs=1e-6)
+
+
+def _loop_best_frequency(x, y, freqs):
+    """Reference: one least-squares fit per frequency, first least residual."""
+    best_index, best_sse = 0, math.inf
+    for i, f in enumerate(freqs):
+        _, sse = experiments._harmonic_ls(x, y, f, (1.0,))
+        if sse < best_sse:
+            best_index, best_sse = i, sse
+    return best_index
+
+
+def _searched_indices(run):
+    """Call `run()` and return (periodogram index, reference index) for each
+    frequency search it made, on the exact inputs `fit_sinusoid` passed.
+
+    A RuntimeWarning in the search fails the test, and so does a LinAlgError,
+    which is not a ModeweaverError and propagates."""
+    searches = []
+    search = experiments._best_frequency
+
+    def checked_search(x, y, freqs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            index = search(x, y, freqs)
+        searches.append((index, _loop_best_frequency(x, y, freqs)))
+        return index
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "_best_frequency", checked_search)
+        try:
+            run()
+        except ModeweaverError:
+            pass  # a fit may fail after its search; the search is what is checked
+    return searches
+
+
+class TestFrequencySearch:
+    """The periodogram picks the same grid frequency as per-frequency lstsq."""
+
+    def test_paper_fringe(self):
+        searches = _searched_indices(lambda: run_noon(0.66, 0.66))
+        assert len(searches) == 1  # the two-photon fringe starts from the classical
+        [(index, reference)] = searches
+        assert index == reference
+
+    def test_dense_fringe(self):
+        grid = np.arange(0.0, 5.2 + 1e-9, 0.005)
+        assert len(grid) == 1041
+        [(index, reference)] = _searched_indices(
+            lambda: run_noon(0.66, 0.66, power_grid=grid)
+        )
+        assert index == reference
+
+    def test_nyquist_top_frequency(self):
+        # every uniform grid ends at Nyquist, where the sin column vanishes;
+        # here the data oscillate at Nyquist, so the top frequency wins
+        x = np.linspace(0.0, 2.6, 53)
+        y = 3.0 + np.cos(np.pi * np.arange(53)) + 0.2 * np.cos(2 * np.pi * x / 1.3)
+        [(index, reference)] = _searched_indices(lambda: fit_sinusoid(x, y))
+        assert index == reference == 1999
+
+    def test_nonuniform_x(self, rng):
+        x = np.sort(rng.uniform(0.0, 5.0, 60))
+        y = 3.0 + np.cos(2 * np.pi * x / 0.9) + 0.3 * rng.normal(size=60)
+        [(index, reference)] = _searched_indices(lambda: fit_sinusoid(x, y))
+        assert index == reference
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(8, 80),
+        uniform=st.booleans(),
+        cycles=st.floats(1.5, 20.0),
+        noise=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_noisy_fringes(self, n, uniform, cycles, noise, seed):
+        assume(cycles <= n / 4)  # at least four samples per period
+        rng = np.random.default_rng(seed)
+        x = np.linspace(0.0, 4.0, n) if uniform else np.sort(rng.uniform(0.0, 4.0, n))
+        phase = rng.uniform(0.0, 2 * np.pi)
+        y = 2.0 + np.cos(2 * np.pi * cycles * x / 4.0 + phase)
+        y = y + noise * rng.normal(size=n)
+        [(index, reference)] = _searched_indices(lambda: fit_sinusoid(x, y))
+        assert index == reference
+
+
+class TestGaussNewton:
+    def test_divergence_reports_cost_and_damping(self):
+        x = np.linspace(0.0, 1.0, 20)
+        y = np.exp(3.0 * x)
+
+        def residual(p):
+            return np.exp(p[0] * x) - y
+
+        def jacobian(p):
+            return (x * np.exp(p[0] * x))[:, None]
+
+        with pytest.raises(FitDiverged) as info:
+            experiments._damped_gauss_newton(residual, jacobian, [0.0], max_iter=1)
+        message = str(info.value)
+        assert "no convergence after 1 iterations" in message
+        assert "final cost" in message and "damping lambda" in message
+        assert "\n" not in message
 
 
 class TestLeakageFit:

@@ -199,6 +199,8 @@ class TestEvolve:
         check_unitary(np.eye(2) * (1 + 1e-14))
         with pytest.raises(NotUnitary):
             check_unitary(np.eye(2) * 1.001)
+        with pytest.raises(NotUnitary, match="deviates from identity by 1.000e-03"):
+            check_unitary([[1.0, 1e-3], [0.0, 1.0]])  # off-diagonal deviation
 
 
 class TestPureState:

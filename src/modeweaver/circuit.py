@@ -4,6 +4,11 @@ Elements compile to an m x m unitary plus a per-channel power transmission
 and an input-arm delay map. Loss is uniform-or-per-channel scalar power
 transmission applied to rates, never to amplitudes; delays act on the
 source overlap, not on the mode unitary.
+
+A scan compiles once: its swept delay or phase is an array with one value
+per scan point, a swept phase compiles to a stack of unitaries, and
+`simulate_counts` computes every column of every record as array
+expressions over the grid.
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ class PhaseShifter:
     """Differential phase on a channel subset."""
 
     channels: tuple[int, ...]
-    phase_rad: float = 0.0
+    phase_rad: float | np.ndarray = 0.0  # an array sweeps it, one per scan point
     name: str = "phase"
 
 
@@ -87,7 +92,7 @@ class RelativeDelay:
     """Free-space path delay on one input arm (affects distinguishability)."""
 
     arm: int
-    delay_um: float = 0.0
+    delay_um: float | np.ndarray = 0.0  # an array sweeps it, one per scan point
 
 
 @dataclass(frozen=True)
@@ -119,16 +124,21 @@ class HeaterModel:
             raise InvalidInput("P_2pi must be positive")
 
 
-def heater_phase(model: HeaterModel, power_w: float) -> float:
-    require_finite(power_w=power_w)
-    if power_w < 0:
+def heater_phase(model: HeaterModel, power_w):
+    """Phase at heater power `power_w` (W), a float or an array of powers."""
+    power = np.asarray(power_w, dtype=float)
+    finite = np.isfinite(power)
+    if not finite.all():
+        raise InvalidInput(f"power_w must be finite, got {power[~finite][0]}")
+    if (power < 0).any():
         raise InvalidInput("heater power must be >= 0")
-    return 2.0 * math.pi * power_w / model.p_2pi_w + model.phi0_rad
+    return 2.0 * math.pi * power / model.p_2pi_w + model.phi0_rad
 
 
-def accidentals(singles_1_hz: float, singles_2_hz: float, window_ns: float) -> float:
-    """Accidental coincidence rate S1 * S2 * window."""
-    if singles_1_hz < 0 or singles_2_hz < 0 or window_ns < 0:
+def accidentals(singles_1_hz, singles_2_hz, window_ns: float):
+    """Accidental coincidence rate S1 * S2 * window; the rates may be arrays."""
+    if (np.less(singles_1_hz, 0).any() or np.less(singles_2_hz, 0).any()
+            or window_ns < 0):
         raise InvalidInput("rates and window must be >= 0")
     return singles_1_hz * singles_2_hz * window_ns * 1e-9
 
@@ -142,8 +152,9 @@ class Circuit:
     input_channels: tuple[int, int] = (0, 1)
     output_channels: tuple[int, int] = (0, 1)
 
-    def with_phase(self, name: str, phase_rad: float) -> "Circuit":
-        """Copy of the circuit with the named phase shifter set."""
+    def with_phase(self, name: str, phase_rad) -> "Circuit":
+        """Copy of the circuit with the named phase shifter set; an array of
+        phases sweeps it."""
         new_elements = tuple(
             replace(e, phase_rad=phase_rad)
             if isinstance(e, PhaseShifter) and e.name == name
@@ -152,8 +163,9 @@ class Circuit:
         )
         return replace(self, elements=new_elements)
 
-    def with_delay(self, arm: int, delay_um: float) -> "Circuit":
-        """Copy of the circuit with the delay on `arm` set."""
+    def with_delay(self, arm: int, delay_um) -> "Circuit":
+        """Copy of the circuit with the delay on `arm` set; an array of
+        delays sweeps it."""
         new_elements = tuple(
             replace(e, delay_um=delay_um)
             if isinstance(e, RelativeDelay) and e.arm == arm
@@ -165,9 +177,9 @@ class Circuit:
 
 @dataclass(frozen=True)
 class CompiledCircuit:
-    unitary: np.ndarray
+    unitary: np.ndarray  # (m, m), or (N, m, m) when a phase is swept
     transmission: np.ndarray  # per-channel power factor
-    delays_um: dict  # input arm -> accumulated delay
+    delays_um: dict  # input arm -> accumulated delay (an array when swept)
     crosstalk: float  # multiplexer leak fraction (incoherent)
 
 
@@ -176,7 +188,9 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
 
     Multiplexers with zero crosstalk contribute identity routing (channel
     indexing is fixed by the circuit); nonzero crosstalk is recorded and
-    folded into the distinguishable paths by simulate_counts.
+    folded into the distinguishable paths by simulate_counts. A phase
+    shifter whose phase is an array of N values makes the unitary an
+    (N, m, m) stack.
     """
     m = circuit.num_channels
     if m < 1:
@@ -198,14 +212,17 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
             _check_element_unitary(step)
             unitary = step @ unitary
         elif isinstance(element, PhaseShifter):
-            step = np.eye(m, dtype=np.complex128)
+            phase = np.asarray(element.phase_rad, dtype=float)
+            step = np.zeros(phase.shape + (m, m), dtype=np.complex128)
+            step[..., range(m), range(m)] = 1.0
             for ch in element.channels:
                 if not 0 <= ch < m:
                     raise ChannelMismatch(f"phase channel {ch} outside 0..{m - 1}")
-                step[ch, ch] = np.exp(1j * element.phase_rad)
+                step[..., ch, ch] = np.exp(1j * phase)
             unitary = step @ unitary
         elif isinstance(element, RelativeDelay):
-            delays[element.arm] = delays.get(element.arm, 0.0) + element.delay_um
+            delay = np.asarray(element.delay_um, dtype=float)
+            delays[element.arm] = delays.get(element.arm, 0.0) + delay
         elif isinstance(element, Loss):
             factor = 10.0 ** (-element.loss_db / 10.0)
             if element.channels is None:
@@ -263,43 +280,18 @@ class MeasurementRecord:
             raise InvalidInput("counts must be non-negative")
 
 
-def _relative_delay_um(compiled: CompiledCircuit, arms: tuple[int, int]) -> float:
+def _relative_delay_um(compiled: CompiledCircuit, arms: tuple[int, int]):
     d = compiled.delays_um
     return d.get(arms[0], 0.0) - d.get(arms[1], 0.0)
 
 
 def _arrival(prob: np.ndarray, channel: int, crosstalk: float) -> np.ndarray:
     """Output power distribution of one photon entering `channel`, given
-    prob = |U|^2. The multiplexer routes it into `channel` or leaks it into
-    the other channels; with no crosstalk this is a column of prob.
+    prob = |U|^2 (or a stack of them). The multiplexer routes it into
+    `channel` or leaks it into the other channels; with no crosstalk this is
+    a column of prob.
     """
-    return prob @ multiplexer_transfer(channel, crosstalk, len(prob))
-
-
-def _coincidence_probability(
-    compiled: CompiledCircuit,
-    circuit: Circuit,
-    overlap: float,
-) -> float:
-    """Pair coincidence probability including incoherent multiplexer leak."""
-    i, j = circuit.input_channels
-    k, l = circuit.output_channels
-    u = compiled.unitary
-    eps = compiled.crosstalk
-    p_routed = two_photon_coincidence(u, (i, j), (k, l), overlap)
-    if eps == 0.0:
-        return p_routed
-    # misrouted photons are distinguishable; average over uniform leaks
-    prob = np.abs(u) ** 2
-    p_total = (1.0 - eps) ** 2 * p_routed
-    arr_i, arr_j = _arrival(prob, i, eps), _arrival(prob, j, eps)
-    # at least one photon leaked: classical assignment probabilities
-    p_cross = arr_i[k] * arr_j[l] + arr_j[k] * arr_i[l]
-    p_routed_dist = (
-        prob[k, i] * prob[l, j] + prob[k, j] * prob[l, i]
-    ) * (1.0 - eps) ** 2
-    p_total += p_cross - p_routed_dist
-    return float(p_total)
+    return prob @ multiplexer_transfer(channel, crosstalk, prob.shape[-1])
 
 
 def simulate_counts(
@@ -307,54 +299,77 @@ def simulate_counts(
     source: PhotonPairSource,
     config: CoincidenceConfig,
     scan_values,
-    set_point,
 ) -> list[MeasurementRecord]:
     """Expected (or Poisson-sampled) counts over a scan.
 
-    `set_point(circuit, value)` returns the circuit configured at one scan
-    value (e.g. a delay or a heater phase). Deterministic without a seed;
-    bitwise reproducible with one.
+    `circuit` holds the whole scan: its swept delay or phase is an array
+    with one value per entry of `scan_values`, which label the records
+    (see `Circuit.with_delay` and `Circuit.with_phase`). The circuit
+    compiles once and every column is computed over the grid at once.
+    Deterministic without a seed; bitwise reproducible with one.
     """
-    rng = np.random.default_rng(config.seed) if config.poisson else None
-    records = []
-    t_int = config.integration_time_s
-    for value in scan_values:
-        configured = set_point(circuit, value)
-        compiled = compile_circuit(configured)
-        delay = _relative_delay_um(compiled, configured.input_channels)
-        overlap = spectral_overlap(source, delay)
-        p_cc = _coincidence_probability(compiled, configured, overlap)
-        k, l = configured.output_channels
-        t_k = compiled.transmission[k]
-        t_l = compiled.transmission[l]
-        net_rate = source.pair_rate_hz * p_cc * t_k * t_l
-        prob = np.abs(compiled.unitary) ** 2
-        s_in = source.singles_rates_hz
-        i, j = configured.input_channels
-        arr_i = _arrival(prob, i, compiled.crosstalk)
-        arr_j = _arrival(prob, j, compiled.crosstalk)
-        singles_k = (s_in[0] * arr_i[k] + s_in[1] * arr_j[k]) * t_k
-        singles_l = (s_in[0] * arr_i[l] + s_in[1] * arr_j[l]) * t_l
-        acc_rate = accidentals(singles_k, singles_l, config.window_ns)
-        raw = (net_rate + acc_rate) * t_int
-        acc = acc_rate * t_int
-        singles = (singles_k * t_int, singles_l * t_int)
-        if rng is not None:
-            raw = float(rng.poisson(raw))
-            singles = tuple(float(rng.poisson(s)) for s in singles)
-        net = raw - acc if config.subtract_accidentals else raw
-        stderr = math.sqrt(max(raw, 0.0))
-        records.append(
-            MeasurementRecord(
-                scan_value=float(value),
-                raw=float(raw),
-                accidentals=float(acc),
-                net=float(net),
-                singles=singles,
-                stderr=stderr,
+    values = np.asarray(scan_values, dtype=float)
+    if values.ndim != 1:
+        raise InvalidInput(f"scan values must be one-dimensional, got {values.shape}")
+    n = len(values)
+    compiled = compile_circuit(circuit)
+    i, j = circuit.input_channels
+    k, l = circuit.output_channels
+    delay = np.asarray(_relative_delay_um(compiled, (i, j)), dtype=float)
+    for shape in (delay.shape, compiled.unitary.shape[:-2]):
+        if shape not in ((), (n,)):
+            raise InvalidInput(
+                f"a swept circuit setting has shape {shape}; the scan has {n} points"
             )
+    overlap = np.array(
+        [spectral_overlap(source, d) for d in delay.ravel().tolist()]
+    ).reshape(delay.shape)
+    p_routed = two_photon_coincidence(compiled.unitary, (i, j), (k, l), overlap)
+    prob = np.abs(compiled.unitary) ** 2
+    eps = compiled.crosstalk
+    arr_i, arr_j = _arrival(prob, i, eps), _arrival(prob, j, eps)
+    # A photon the multiplexer misroutes is distinguishable: unless both are
+    # routed, the pair splits by classical assignment probabilities. With no
+    # crosstalk the correction is exactly zero.
+    p_cross = arr_i[..., k] * arr_j[..., l] + arr_j[..., k] * arr_i[..., l]
+    p_routed_dist = (
+        prob[..., k, i] * prob[..., l, j] + prob[..., k, j] * prob[..., l, i]
+    ) * (1.0 - eps) ** 2
+    p_cc = (1.0 - eps) ** 2 * p_routed + (p_cross - p_routed_dist)
+    t_k = compiled.transmission[k]
+    t_l = compiled.transmission[l]
+    net_rate = source.pair_rate_hz * p_cc * t_k * t_l
+    s_in = source.singles_rates_hz
+    singles_k = (s_in[0] * arr_i[..., k] + s_in[1] * arr_j[..., k]) * t_k
+    singles_l = (s_in[0] * arr_i[..., l] + s_in[1] * arr_j[..., l]) * t_l
+    acc_rate = accidentals(singles_k, singles_l, config.window_ns)
+    t_int = config.integration_time_s
+    # one row per point, [raw, singles_k, singles_l]: a single Poisson draw
+    # over it takes the same stream as per-point draws in that order
+    counts = np.empty((n, 3))
+    counts[:, 0] = (net_rate + acc_rate) * t_int
+    counts[:, 1] = singles_k * t_int
+    counts[:, 2] = singles_l * t_int
+    if config.poisson:
+        counts = np.random.default_rng(config.seed).poisson(counts).astype(float)
+    raw = counts[:, 0]
+    acc = np.broadcast_to(acc_rate * t_int, (n,))
+    net = raw - acc if config.subtract_accidentals else raw
+    stderr = np.sqrt(np.maximum(raw, 0.0))
+    return [
+        MeasurementRecord(
+            scan_value=value,
+            raw=r,
+            accidentals=a,
+            net=d,
+            singles=(s_a, s_b),
+            stderr=e,
         )
-    return records
+        for value, r, a, d, s_a, s_b, e in zip(
+            values.tolist(), raw.tolist(), acc.tolist(), net.tolist(),
+            counts[:, 1].tolist(), counts[:, 2].tolist(), stderr.tolist(),
+        )
+    ]
 
 
 def records_to_csv(records: list[MeasurementRecord]) -> str:

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 reference-target failure, 2 usage/config error,
-3 computational error. Config values come from (lowest to highest
-precedence) the MODEWEAVER_DEFAULTS file, --config, then flags. All output
-numbers carry 12 significant digits so reruns are byte-identical.
+3 computational error, 141 (128 + SIGPIPE) when a write to stdout fails
+because its reader has closed it, as after `| head`. Config values come
+from (lowest to highest precedence) the MODEWEAVER_DEFAULTS file, --config,
+then flags. All output numbers carry 12 significant digits so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -446,7 +448,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit does not
+        # raise again on the closed pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -436,9 +436,7 @@ def _delay_scan(name, circuit, eta, source, config, delay_grid, metrics, **extra
     Gaussian; `metrics(fit)` gives the reported metrics and `extra` joins
     the recorded config."""
     grid = default_delay_grid() if delay_grid is None else np.asarray(delay_grid, float)
-    records = simulate_counts(
-        circuit, source, config, grid, lambda c, v: c.with_delay(0, v)
-    )
+    records = simulate_counts(circuit.with_delay(0, grid), source, config, grid)
     fit = fit_gaussian(grid, _observable(records, "net"))
     return _scan_result(
         name, ("delay", "um"), "net", records, fit, metrics(fit),
@@ -569,20 +567,14 @@ def run_noon(
     extracted period is exact.
     """
     grid = default_power_grid() if power_grid is None else np.asarray(power_grid, float)
-    circuit = _noon_circuit(eta1, eta2)
-
-    def set_power(c: Circuit, power: float) -> Circuit:
-        return c.with_phase("heater", heater_phase(heater, power))
-
+    circuit = _noon_circuit(eta1, eta2).with_phase("heater", heater_phase(heater, grid))
     classical_source = dataclasses.replace(
         source, singles_rates_hz=(source.singles_rates_hz[0], 0.0)
     )
-    classical_records = simulate_counts(
-        circuit, classical_source, config, grid, set_power
-    )
+    classical_records = simulate_counts(circuit, classical_source, config, grid)
     classical_fit = fit_sinusoid(grid, _observable(classical_records, "singles_a"))
 
-    quantum_records = simulate_counts(circuit, source, config, grid, set_power)
+    quantum_records = simulate_counts(circuit, source, config, grid)
     quantum_fit = fit_sinusoid(
         grid, _observable(quantum_records, "net"),
         leakage_start_period=classical_fit.period / 2.0,

@@ -2,11 +2,12 @@
 
 State evolution builds the image of every basis state photon by photon
 (creation operators transformed by the mode unitary, as in SLOS), so it
-needs no permanents. Single transition amplitudes and two-photon
-coincidences follow the standard linear-optics rule (permanent of the
-occupation-repeated submatrix); two-photon statistics with partial
-spectral distinguishability are a convex mixture of the indistinguishable
-and distinguishable cases, weighted by the delay-dependent overlap x(tau).
+needs no permanents. Single transition amplitudes follow the standard
+linear-optics rule (permanent of the occupation-repeated submatrix); the
+two-photon coincidence takes its 2x2 permanent in closed form, broadcast
+over a stack of unitaries. Two-photon statistics with partial spectral
+distinguishability are a convex mixture of the indistinguishable and
+distinguishable cases, weighted by the delay-dependent overlap x(tau).
 """
 
 from __future__ import annotations
@@ -282,29 +283,38 @@ def two_photon_coincidence(
     unitary: np.ndarray,
     in_channels: tuple[int, int],
     out_channels: tuple[int, int],
-    overlap: float,
-) -> float:
+    overlap,
+):
     """Coincidence probability for one photon in each input channel.
 
-    P = x * P_indistinguishable + (1 - x) * P_distinguishable.
+    P = x * P_indistinguishable + (1 - x) * P_distinguishable, with
+    P_indistinguishable = |U_ki U_lj + U_kj U_li|^2 (the 2x2 permanent) and
+    P_distinguishable = |U_ki|^2 |U_lj|^2 + |U_kj|^2 |U_li|^2. `unitary`
+    may be a stack (..., m, m) and `overlap` an array; they broadcast.
     """
     i, j = in_channels
     k, l = out_channels
     if i == j or k == l:
         raise InvalidInput("input and output channel pairs must be distinct")
-    if not 0.0 <= overlap <= 1.0:
+    x = np.asarray(overlap, dtype=float)
+    if not ((0.0 <= x) & (x <= 1.0)).all():
         raise InvalidInput("overlap must lie in [0, 1]")
     u = np.asarray(unitary, dtype=np.complex128)
-    m = u.shape[0]
-    occ_in = tuple(1 if c in (i, j) else 0 for c in range(m))
-    occ_out = tuple(1 if c in (k, l) else 0 for c in range(m))
-    amp = transition_amplitude(u, occ_in, occ_out)
-    p_indist = abs(amp) ** 2
-    p_dist = (
-        abs(u[k, i]) ** 2 * abs(u[l, j]) ** 2
-        + abs(u[k, j]) ** 2 * abs(u[l, i]) ** 2
-    )
-    return overlap * p_indist + (1.0 - overlap) * p_dist
+    m = u.shape[-1]
+    if not all(0 <= c < m for c in (i, j, k, l)):
+        raise InvalidInput(
+            f"channels {in_channels} -> {out_channels} outside 0..{m - 1}"
+        )
+    a, b, c, d = u[..., k, i], u[..., l, j], u[..., k, j], u[..., l, i]
+    # Real arithmetic and hypot round alike on every CPU, as Python's complex
+    # scalars do; numpy's complex multiply and abs over arrays may fuse
+    # multiply-adds, which moves the fringe fits at roundoff.
+    amp_re = (a.real * b.real - a.imag * b.imag) + (c.real * d.real - c.imag * d.imag)
+    amp_im = (a.real * b.imag + a.imag * b.real) + (c.real * d.imag + c.imag * d.real)
+    p_indist = np.hypot(amp_re, amp_im) ** 2
+    a2, b2, c2, d2 = (np.hypot(z.real, z.imag) ** 2 for z in (a, b, c, d))
+    p_dist = a2 * b2 + c2 * d2
+    return x * p_indist + (1.0 - x) * p_dist
 
 
 def hom_visibility(eta: float) -> float:

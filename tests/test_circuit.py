@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import haar_unitary
 from modeweaver.circuit import (
@@ -20,11 +23,17 @@ from modeweaver.circuit import (
     reck_decompose,
     reck_recompose,
     records_to_csv,
+    _arrival,
     simulate_counts,
 )
 from modeweaver.coupling import DirectionalCouplerSpec, coupler_unitary
 from modeweaver.errors import ChannelMismatch, InvalidInput, NotUnitary
-from modeweaver.fock import PhotonPairSource, spectral_overlap, two_photon_coincidence
+from modeweaver.fock import (
+    PhotonPairSource,
+    spectral_overlap,
+    transition_amplitude,
+    two_photon_coincidence,
+)
 
 
 def dip_circuit(eta=0.5):
@@ -37,8 +46,10 @@ def dip_circuit(eta=0.5):
     )
 
 
-def set_delay(circuit, value):
-    return circuit.with_delay(0, value)
+def delay_scan(circuit, source, config, delays):
+    """Counts with the delay on input arm 0 swept over `delays`."""
+    delays = np.asarray(delays, dtype=float)
+    return simulate_counts(circuit.with_delay(0, delays), source, config, delays)
 
 
 class TestCompile:
@@ -133,12 +144,36 @@ class TestCompile:
         assert compiled.unitary[1, 1] == pytest.approx(np.exp(1.5j))
 
 
+    def test_swept_settings_compile_to_arrays(self):
+        circuit = Circuit(
+            2,
+            (
+                RelativeDelay(arm=0),
+                GratingBS(channels=(0, 1), eta=0.3),
+                PhaseShifter(channels=(1,), name="heater"),
+                GratingBS(channels=(0, 1), eta=0.6),
+            ),
+        )
+        phases = np.linspace(0.0, 6.0, 7)
+        delays = np.linspace(-5.0, 5.0, 7)
+        compiled = compile_circuit(
+            circuit.with_phase("heater", phases).with_delay(0, delays)
+        )
+        assert compiled.unitary.shape == (7, 2, 2)
+        for phase, u in zip(phases, compiled.unitary):
+            single = compile_circuit(circuit.with_phase("heater", float(phase)))
+            assert np.array_equal(u, single.unitary)
+        assert np.array_equal(compiled.delays_um[0], delays)
+
+
 class TestHeaterAndAccidentals:
     def test_heater_linear(self):
         model = HeaterModel(p_2pi_w=1.3)
         assert heater_phase(model, 0.0) == 0.0
         assert heater_phase(model, 1.3) == pytest.approx(2 * math.pi)
         assert heater_phase(model, 0.65) == pytest.approx(math.pi)
+        phases = heater_phase(model, np.array([0.0, 0.65, 1.3]))
+        assert phases == pytest.approx([0.0, math.pi, 2 * math.pi])
 
     def test_heater_offset(self):
         model = HeaterModel(p_2pi_w=1.3, phi0_rad=0.4)
@@ -149,10 +184,16 @@ class TestHeaterAndAccidentals:
             HeaterModel(p_2pi_w=0.0)
         with pytest.raises(InvalidInput):
             heater_phase(HeaterModel(), -0.1)
+        with pytest.raises(InvalidInput):
+            heater_phase(HeaterModel(), np.array([0.1, -0.1]))
 
     def test_accidentals_value(self):
         assert accidentals(30000, 30000, 2.0) == pytest.approx(1.8)
         assert accidentals(0, 30000, 2.0) == 0.0
+        rates = np.array([0.0, 30000.0])
+        assert accidentals(rates, 30000, 2.0) == pytest.approx([0.0, 1.8])
+        with pytest.raises(InvalidInput):
+            accidentals(np.array([1.0, -1.0]), 30000, 2.0)
 
 
 class TestSimulateCounts:
@@ -160,23 +201,17 @@ class TestSimulateCounts:
     CONFIG = CoincidenceConfig()
 
     def test_perfect_dip_at_zero_delay(self):
-        records = simulate_counts(
-            dip_circuit(0.5), self.SOURCE, self.CONFIG, [0.0], set_delay
-        )
+        records = delay_scan(dip_circuit(0.5), self.SOURCE, self.CONFIG, [0.0])
         assert records[0].net == pytest.approx(0.0, abs=1e-9)
 
     def test_raw_is_net_plus_accidentals(self):
-        records = simulate_counts(
-            dip_circuit(0.55), self.SOURCE, self.CONFIG, [0.0, 200.0], set_delay
-        )
+        records = delay_scan(dip_circuit(0.55), self.SOURCE, self.CONFIG, [0.0, 200.0])
         for r in records:
             assert r.raw == pytest.approx(r.net + r.accidentals)
 
     def test_large_delay_closed_form(self):
         delay = 5000.0
-        records = simulate_counts(
-            dip_circuit(0.55), self.SOURCE, self.CONFIG, [delay], set_delay
-        )
+        records = delay_scan(dip_circuit(0.55), self.SOURCE, self.CONFIG, [delay])
         overlap = spectral_overlap(self.SOURCE, delay)
         u = coupler_unitary(0.55)
         p = two_photon_coincidence(u, (0, 1), (0, 1), overlap)
@@ -187,12 +222,10 @@ class TestSimulateCounts:
             2,
             dip_circuit(0.55).elements + (Loss(3.0),),
         )
-        r_lossless = simulate_counts(
-            dip_circuit(0.55), self.SOURCE, self.CONFIG, [5000.0], set_delay
+        r_lossless = delay_scan(
+            dip_circuit(0.55), self.SOURCE, self.CONFIG, [5000.0]
         )[0]
-        r_lossy = simulate_counts(
-            lossy, self.SOURCE, self.CONFIG, [5000.0], set_delay
-        )[0]
+        r_lossy = delay_scan(lossy, self.SOURCE, self.CONFIG, [5000.0])[0]
         t = 10 ** -0.3
         assert r_lossy.net == pytest.approx(r_lossless.net * t * t)
         assert r_lossy.singles[0] == pytest.approx(r_lossless.singles[0] * t)
@@ -200,7 +233,7 @@ class TestSimulateCounts:
     def test_crosstalk_fills_dip(self):
         spec = DirectionalCouplerSpec(target_channel=0, crosstalk=0.1)
         leaky = Circuit(2, (MultiplexerIn(spec),) + dip_circuit(0.5).elements)
-        r = simulate_counts(leaky, self.SOURCE, self.CONFIG, [0.0], set_delay)[0]
+        r = delay_scan(leaky, self.SOURCE, self.CONFIG, [0.0])[0]
         assert r.net > 1.0  # the x = 1 dip is no longer dark
 
     def test_crosstalk_reaches_singles(self):
@@ -211,44 +244,176 @@ class TestSimulateCounts:
             2, (MultiplexerIn(spec), GratingBS(channels=(0, 1), eta=0.3))
         )
         source = PhotonPairSource(singles_rates_hz=(30000.0, 0.0))
-        r = simulate_counts(circuit, source, self.CONFIG, [0.0], lambda c, v: c)[0]
+        r = simulate_counts(circuit, source, self.CONFIG, [0.0])[0]
         assert r.singles[0] == pytest.approx(30000.0 * (0.9 * 0.7 + 0.1 * 0.3))
         assert r.singles[1] == pytest.approx(30000.0 * (0.9 * 0.3 + 0.1 * 0.7))
 
     def test_seeded_poisson_reproducible(self):
         config = CoincidenceConfig(poisson=True, seed=11)
         grid = np.linspace(-300, 300, 21)
-        a = simulate_counts(dip_circuit(0.55), self.SOURCE, config, grid, set_delay)
-        b = simulate_counts(dip_circuit(0.55), self.SOURCE, config, grid, set_delay)
+        a = delay_scan(dip_circuit(0.55), self.SOURCE, config, grid)
+        b = delay_scan(dip_circuit(0.55), self.SOURCE, config, grid)
         assert [r.raw for r in a] == [r.raw for r in b]
         assert all(float(r.raw).is_integer() for r in a)
 
     def test_poisson_mean_matches_expectation(self):
-        expected = simulate_counts(
-            dip_circuit(0.55), self.SOURCE, self.CONFIG, [5000.0], set_delay
+        expected = delay_scan(
+            dip_circuit(0.55), self.SOURCE, self.CONFIG, [5000.0]
         )[0].raw
         config = CoincidenceConfig(poisson=True, seed=3)
-        draws = simulate_counts(
-            dip_circuit(0.55), self.SOURCE, config, [5000.0] * 400, set_delay
-        )
+        draws = delay_scan(dip_circuit(0.55), self.SOURCE, config, [5000.0] * 400)
         mean = np.mean([r.raw for r in draws])
         # 4 sigma band for the mean of 400 Poisson draws
         assert abs(mean - expected) < 4 * math.sqrt(expected / 400)
 
     def test_csv_round_trip_columns(self):
-        records = simulate_counts(
-            dip_circuit(0.5), self.SOURCE, self.CONFIG, [0.0, 10.0], set_delay
-        )
+        records = delay_scan(dip_circuit(0.5), self.SOURCE, self.CONFIG, [0.0, 10.0])
         lines = records_to_csv(records).splitlines()
         assert lines[0] == "scan_value,raw,accidentals,net,singles_a,singles_b,stderr"
         assert len(lines) == 3
         assert float(lines[2].split(",")[0]) == 10.0
+
+    @pytest.mark.parametrize("poisson", [False, True])
+    def test_record_fields_are_plain_floats(self, poisson):
+        config = CoincidenceConfig(poisson=poisson, seed=5)
+        for r in delay_scan(dip_circuit(0.55), self.SOURCE, config, [0.0, 100.0]):
+            values = (r.scan_value, r.raw, r.accidentals, r.net, *r.singles, r.stderr)
+            assert all(type(v) is float for v in values)
+
+    def test_swept_setting_must_match_grid(self):
+        swept = dip_circuit().with_delay(0, np.zeros(3))
+        with pytest.raises(InvalidInput, match="the scan has 2 points"):
+            simulate_counts(swept, self.SOURCE, self.CONFIG, [0.0, 1.0])
+        with pytest.raises(InvalidInput, match="one-dimensional"):
+            simulate_counts(dip_circuit(), self.SOURCE, self.CONFIG, [[0.0]])
 
     def test_record_validation(self):
         with pytest.raises(InvalidInput):
             MeasurementRecord(0.0, -1.0, 0.0, 0.0, (0.0, 0.0), 0.0)
         with pytest.raises(InvalidInput):
             CoincidenceConfig(window_ns=0.0)
+
+
+def reference_counts(circuit, source, config, delays, phases):
+    """Expected counts computed point by point: one compile, one permanent
+    and two arrival maps per scan point. Rows of (raw, accidentals, net,
+    singles_a, singles_b, stderr), and the pair coincidence probability."""
+    m = circuit.num_channels
+    i, j = circuit.input_channels
+    k, l = circuit.output_channels
+    occ_in = tuple(int(c in (i, j)) for c in range(m))
+    occ_out = tuple(int(c in (k, l)) for c in range(m))
+    t_int = config.integration_time_s
+    rows, probabilities = [], []
+    for delay, phase in zip(delays, phases):
+        point = circuit.with_delay(i, delay).with_phase("sweep", phase)
+        compiled = compile_circuit(point)
+        d = compiled.delays_um
+        x = spectral_overlap(source, d.get(i, 0.0) - d.get(j, 0.0))
+        u = compiled.unitary
+        eps = compiled.crosstalk
+        prob = np.abs(u) ** 2
+        p_dist = prob[k, i] * prob[l, j] + prob[k, j] * prob[l, i]
+        p_indist = abs(transition_amplitude(u, occ_in, occ_out)) ** 2
+        arr_i, arr_j = _arrival(prob, i, eps), _arrival(prob, j, eps)
+        p = (1 - eps) ** 2 * (x * p_indist + (1 - x) * p_dist)
+        p += arr_i[k] * arr_j[l] + arr_j[k] * arr_i[l] - (1 - eps) ** 2 * p_dist
+        t_k, t_l = compiled.transmission[k], compiled.transmission[l]
+        s_in = source.singles_rates_hz
+        singles_k = (s_in[0] * arr_i[k] + s_in[1] * arr_j[k]) * t_k
+        singles_l = (s_in[0] * arr_i[l] + s_in[1] * arr_j[l]) * t_l
+        acc = accidentals(singles_k, singles_l, config.window_ns) * t_int
+        raw = source.pair_rate_hz * p * t_k * t_l * t_int + acc
+        rows.append(
+            (raw, acc, raw - acc, singles_k * t_int, singles_l * t_int, math.sqrt(raw))
+        )
+        probabilities.append(p)
+    return np.array(rows), np.array(probabilities)
+
+
+class TestBatchedScanOracle:
+    """simulate_counts over a whole grid against the per-point loop."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(2, 4),
+        num_gratings=st.integers(1, 4),
+        crosstalk=st.floats(0.0, 0.5, exclude_max=True),
+        overlap=st.floats(0.0, 1.0),
+        points=st.integers(1, 25),
+        sweep_delay=st.booleans(),
+        sweep_phase=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_point_loop(
+        self, m, num_gratings, crosstalk, overlap, points, sweep_delay, sweep_phase,
+        seed,
+    ):
+        rng = np.random.default_rng(seed)
+        i, j = (int(c) for c in rng.choice(m, 2, replace=False))
+        k, l = (int(c) for c in rng.choice(m, 2, replace=False))
+        elements = [
+            MultiplexerIn(DirectionalCouplerSpec(i, crosstalk=crosstalk)),
+            RelativeDelay(arm=i),
+            RelativeDelay(arm=j, delay_um=float(rng.uniform(-50.0, 50.0))),
+        ]
+        for _ in range(num_gratings):
+            a, b = (int(c) for c in rng.choice(m, 2, replace=False))
+            elements.append(GratingBS(channels=(a, b), eta=float(rng.uniform())))
+            elements.append(
+                PhaseShifter(channels=(int(rng.integers(m)),), name="sweep")
+            )
+        elements += [
+            Loss(float(rng.uniform(0.0, 6.0)), channels=(c,)) for c in range(m)
+        ]
+        circuit = Circuit(m, tuple(elements), (i, j), (k, l))
+        source = PhotonPairSource(
+            intrinsic_overlap=overlap,
+            pair_rate_hz=float(rng.uniform(1.0, 1e4)),
+            singles_rates_hz=tuple(float(s) for s in rng.uniform(0.0, 5e4, 2)),
+        )
+        config = CoincidenceConfig()
+        delays = rng.uniform(-500.0, 500.0, points)
+        phases = rng.uniform(0.0, 2 * np.pi, points)
+        if not sweep_delay:
+            delays[:] = delays[0]
+        if not sweep_phase:
+            phases[:] = phases[0]
+        swept = circuit.with_delay(i, delays if sweep_delay else float(delays[0]))
+        swept = swept.with_phase("sweep", phases if sweep_phase else float(phases[0]))
+        labels = np.arange(points, dtype=float)
+
+        records = simulate_counts(swept, source, config, labels)
+        got = np.array(
+            [(r.raw, r.accidentals, r.net, *r.singles, r.stderr) for r in records]
+        )
+        want, probabilities = reference_counts(circuit, source, config, delays, phases)
+        assert [r.scan_value for r in records] == labels.tolist()
+        for columns in ((0, 1, 2), (3, 4), (5,)):
+            scale = np.abs(want[:, columns]).max()
+            np.testing.assert_allclose(
+                got[:, columns], want[:, columns], rtol=1e-12, atol=1e-12 * scale
+            )
+        # the batched probability itself, unscaled: unit pair rate, no singles
+        bare = dataclasses.replace(
+            source, pair_rate_hz=1.0, singles_rates_hz=(0.0, 0.0)
+        )
+        t = compile_circuit(circuit).transmission
+        p_batched = np.array(
+            [r.raw for r in simulate_counts(swept, bare, config, labels)]
+        ) / (t[k] * t[l])
+        np.testing.assert_allclose(p_batched, probabilities, rtol=1e-12, atol=1e-15)
+        assert np.all((p_batched >= -1e-15) & (p_batched <= 1.0 + 1e-12))
+
+        # one Poisson draw over the grid takes the per-point stream
+        noisy = dataclasses.replace(config, poisson=True, seed=seed)
+        draws = simulate_counts(swept, source, noisy, labels)
+        stream = np.random.default_rng(seed)
+        for expected, drawn in zip(records, draws):
+            assert drawn.raw == float(stream.poisson(expected.raw))
+            assert drawn.singles == tuple(
+                float(stream.poisson(s)) for s in expected.singles
+            )
 
 
 @pytest.mark.parametrize(

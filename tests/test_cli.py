@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -260,3 +264,43 @@ class TestTopLevel:
         assert all(l.startswith("pass") for l in lines)
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["all_passed"] is True
+
+    def test_seeded_poisson_reproduce_is_byte_identical(self, capsys, tmp_path):
+        runs = []
+        for name in ("run1", "run2"):
+            out_dir = tmp_path / name
+            code, out, err = run(
+                capsys, "reproduce-paper", "--seed", "7", "--poisson",
+                "--output", str(out_dir),
+            )
+            files = {
+                str(path.relative_to(out_dir)): path.read_bytes()
+                for path in sorted(out_dir.rglob("*"))
+                if path.is_file()
+            }
+            runs.append((code, out, err, files))
+        assert runs[0][3]
+        assert runs[0] == runs[1]
+
+    def test_closed_stdout_exits_141(self):
+        # Each arm's CSV (20001 rows) is far more than a pipe holds, so the
+        # reader goes away during the first write and the second one fails,
+        # as in `| head -3`.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "modeweaver.cli", "hom-peak",
+             "--delays=-500:500:0.05"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        try:
+            head = [proc.stdout.readline() for _ in range(3)]
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+            err = proc.stderr.read().decode()
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert head[0].startswith(b"scan_value,")
+        assert (code, err) == (141, "")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from modeweaver import circuit as circuit_mod
 from modeweaver import experiments
 from modeweaver.circuit import CoincidenceConfig
 from modeweaver.errors import (
@@ -270,6 +271,30 @@ class TestHomDip:
         assert d["fit_kind"] == "gaussian"
         assert d["config"]["eta"] == 0.55
         assert set(d["params"]) == {"amplitude", "center", "sigma", "offset"}
+
+
+class TestCompileOncePerScan:
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        calls = []
+        compile_circuit = circuit_mod.compile_circuit
+
+        def counting(circuit):
+            calls.append(circuit)
+            return compile_circuit(circuit)
+
+        monkeypatch.setattr(circuit_mod, "compile_circuit", counting)
+        return calls
+
+    def test_dip(self, compiles):
+        result = run_hom_dip(0.55, delay_grid=np.linspace(-500.0, 500.0, 101))
+        assert len(result.records) == 101
+        assert len(compiles) == 1
+
+    def test_noon_compiles_once_per_fringe(self, compiles):
+        classical, quantum = run_noon(0.66, 0.66)
+        assert len(classical.records) == len(quantum.records) == 53
+        assert len(compiles) == 2
 
 
 class TestSplittingTable:

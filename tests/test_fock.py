@@ -316,12 +316,36 @@ class TestTwoPhotonCoincidence:
         p1 = two_photon_coincidence(u, (0, 1), (0, 1), 1.0)
         assert p1 == pytest.approx((0.7 - 0.3) ** 2, abs=1e-12)
 
+    def test_stack_matches_permanent(self, rng):
+        # the closed form over a stack, against each matrix's permanent
+        for m in (2, 3, 4):
+            stack = np.array([haar_unitary(m, rng) for _ in range(6)])
+            overlap = rng.uniform(0.0, 1.0, 6)
+            for (i, j), (k, l) in itertools.product(
+                itertools.combinations(range(m), 2), repeat=2
+            ):
+                occ_in = tuple(int(c in (i, j)) for c in range(m))
+                occ_out = tuple(int(c in (k, l)) for c in range(m))
+                expected = [
+                    x * abs(transition_amplitude(u, occ_in, occ_out)) ** 2
+                    + (1 - x) * abs(u[k, i] * u[l, j]) ** 2
+                    + (1 - x) * abs(u[k, j] * u[l, i]) ** 2
+                    for u, x in zip(stack, overlap)
+                ]
+                got = two_photon_coincidence(stack, (i, j), (k, l), overlap)
+                assert got.shape == (6,)
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+
     def test_invalid(self):
         u = coupler_unitary(0.5)
         with pytest.raises(InvalidInput):
             two_photon_coincidence(u, (0, 0), (0, 1), 1.0)
         with pytest.raises(InvalidInput):
             two_photon_coincidence(u, (0, 1), (0, 1), 1.5)
+        with pytest.raises(InvalidInput):
+            two_photon_coincidence(u, (0, 1), (0, 1), np.array([0.5, math.nan]))
+        with pytest.raises(InvalidInput, match="outside"):
+            two_photon_coincidence(u, (0, 2), (0, 1), 1.0)
 
 
 class TestVisibilityAndCoalescence:

@@ -1,5 +1,5 @@
 """modeweaver: design and quantum-interference simulation of multimode
-waveguide circuits built from mode multiplexers and grating mode-beamsplitters.
+waveguide circuits built from grating mode-beamsplitters.
 """
 
 # The permanent algorithm behind every transition amplitude (see fock.permanent).

@@ -14,16 +14,11 @@ expressions over the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coupling import (
-    DirectionalCouplerSpec,
-    GratingSpec,
-    coupler_unitary,
-    multiplexer_transfer,
-)
+from .coupling import coupler_unitary
 from .errors import (
     ChannelMismatch,
     InvalidInput,
@@ -49,33 +44,11 @@ def _embed_two_mode(block: np.ndarray, channels: tuple[int, int], m: int) -> np.
 
 
 @dataclass(frozen=True)
-class MultiplexerIn:
-    """Maps a single-mode input port onto a mode channel of the circuit."""
-
-    spec: DirectionalCouplerSpec
-
-
-@dataclass(frozen=True)
-class MultiplexerOut:
-    """Maps a mode channel back out to a single-mode port."""
-
-    spec: DirectionalCouplerSpec
-
-
-@dataclass(frozen=True)
 class GratingBS:
     """Grating mode-beamsplitter acting on a channel pair."""
 
     channels: tuple[int, int]
-    spec: GratingSpec | None = None
-    eta: float | None = None  # direct splitting ratio, bypassing the spec
-
-    def splitting(self) -> float:
-        if self.eta is not None:
-            return self.eta
-        if self.spec is None:
-            raise InvalidInput("GratingBS needs a spec or an explicit eta")
-        return self.spec.eta
+    eta: float  # splitting ratio
 
 
 @dataclass(frozen=True)
@@ -108,7 +81,7 @@ class Loss:
             raise InvalidInput("loss must be >= 0 dB")
 
 
-Element = MultiplexerIn | MultiplexerOut | GratingBS | PhaseShifter | RelativeDelay | Loss
+Element = GratingBS | PhaseShifter | RelativeDelay | Loss
 
 
 @dataclass(frozen=True)
@@ -180,16 +153,12 @@ class CompiledCircuit:
     unitary: np.ndarray  # (m, m), or (N, m, m) when a phase is swept
     transmission: np.ndarray  # per-channel power factor
     delays_um: dict  # input arm -> accumulated delay (an array when swept)
-    crosstalk: float  # multiplexer leak fraction (incoherent)
 
 
 def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     """Multiply element matrices in order; factor out loss and delays.
 
-    Multiplexers with zero crosstalk contribute identity routing (channel
-    indexing is fixed by the circuit); nonzero crosstalk is recorded and
-    folded into the distinguishable paths by simulate_counts. A phase
-    shifter whose phase is an array of N values makes the unitary an
+    A phase shifter whose phase is an array of N values makes the unitary an
     (N, m, m) stack.
     """
     m = circuit.num_channels
@@ -198,16 +167,9 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     unitary = np.eye(m, dtype=np.complex128)
     transmission = np.ones(m)
     delays: dict[int, float] = {}
-    crosstalk = 0.0
     for element in circuit.elements:
-        if isinstance(element, (MultiplexerIn, MultiplexerOut)):
-            if element.spec.target_channel >= m:
-                raise ChannelMismatch(
-                    f"multiplexer channel {element.spec.target_channel} >= m"
-                )
-            crosstalk = max(crosstalk, element.spec.crosstalk)
-        elif isinstance(element, GratingBS):
-            block = coupler_unitary(element.splitting())
+        if isinstance(element, GratingBS):
+            block = coupler_unitary(element.eta)
             step = _embed_two_mode(block, element.channels, m)
             _check_element_unitary(step)
             unitary = step @ unitary
@@ -234,7 +196,7 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
                     transmission[ch] *= factor
         else:
             raise InvalidInput(f"unknown element {element!r}")
-    return CompiledCircuit(unitary, transmission, delays, crosstalk)
+    return CompiledCircuit(unitary, transmission, delays)
 
 
 def _check_element_unitary(matrix: np.ndarray, tol: float = 1e-12) -> None:
@@ -285,15 +247,6 @@ def _relative_delay_um(compiled: CompiledCircuit, arms: tuple[int, int]):
     return d.get(arms[0], 0.0) - d.get(arms[1], 0.0)
 
 
-def _arrival(prob: np.ndarray, channel: int, crosstalk: float) -> np.ndarray:
-    """Output power distribution of one photon entering `channel`, given
-    prob = |U|^2 (or a stack of them). The multiplexer routes it into
-    `channel` or leaks it into the other channels; with no crosstalk this is
-    a column of prob.
-    """
-    return prob @ multiplexer_transfer(channel, crosstalk, prob.shape[-1])
-
-
 def simulate_counts(
     circuit: Circuit,
     source: PhotonPairSource,
@@ -324,24 +277,14 @@ def simulate_counts(
     overlap = np.array(
         [spectral_overlap(source, d) for d in delay.ravel().tolist()]
     ).reshape(delay.shape)
-    p_routed = two_photon_coincidence(compiled.unitary, (i, j), (k, l), overlap)
+    p_cc = two_photon_coincidence(compiled.unitary, (i, j), (k, l), overlap)
     prob = np.abs(compiled.unitary) ** 2
-    eps = compiled.crosstalk
-    arr_i, arr_j = _arrival(prob, i, eps), _arrival(prob, j, eps)
-    # A photon the multiplexer misroutes is distinguishable: unless both are
-    # routed, the pair splits by classical assignment probabilities. With no
-    # crosstalk the correction is exactly zero.
-    p_cross = arr_i[..., k] * arr_j[..., l] + arr_j[..., k] * arr_i[..., l]
-    p_routed_dist = (
-        prob[..., k, i] * prob[..., l, j] + prob[..., k, j] * prob[..., l, i]
-    ) * (1.0 - eps) ** 2
-    p_cc = (1.0 - eps) ** 2 * p_routed + (p_cross - p_routed_dist)
     t_k = compiled.transmission[k]
     t_l = compiled.transmission[l]
     net_rate = source.pair_rate_hz * p_cc * t_k * t_l
     s_in = source.singles_rates_hz
-    singles_k = (s_in[0] * arr_i[..., k] + s_in[1] * arr_j[..., k]) * t_k
-    singles_l = (s_in[0] * arr_i[..., l] + s_in[1] * arr_j[..., l]) * t_l
+    singles_k = (s_in[0] * prob[..., k, i] + s_in[1] * prob[..., k, j]) * t_k
+    singles_l = (s_in[0] * prob[..., l, i] + s_in[1] * prob[..., l, j]) * t_l
     acc_rate = accidentals(singles_k, singles_l, config.window_ns)
     t_int = config.integration_time_s
     # one row per point, [raw, singles_k, singles_l]: a single Poisson draw
@@ -382,6 +325,10 @@ def records_to_csv(records: list[MeasurementRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Largest unitary reck_decompose factors.
+RECK_SIZE_CAP = 16
+
+
 @dataclass(frozen=True)
 class ReckStage:
     """One two-channel coupler of a triangular mesh."""
@@ -408,12 +355,13 @@ def reck_decompose(target: np.ndarray, tol: float = 1e-10) -> ReckDecomposition:
     """Factor a unitary into a triangular mesh of two-channel couplers.
 
     Adjacent-channel Givens-style rotations null the below-diagonal entries
-    column by column, leaving a diagonal phase matrix. Capped at m = 16.
+    column by column, leaving a diagonal phase matrix. Capped at
+    m = RECK_SIZE_CAP.
     """
     u = check_unitary(target, tol)
     m = u.shape[0]
-    if m > 16:
-        raise InvalidInput("decomposition capped at m = 16")
+    if m > RECK_SIZE_CAP:
+        raise InvalidInput(f"decomposition capped at m = {RECK_SIZE_CAP}")
     work = u.copy()
     givens: list[tuple[int, float, complex]] = []  # (upper row p, c, s)
     for col in range(m):

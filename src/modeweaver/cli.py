@@ -11,6 +11,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -137,7 +138,12 @@ def _emit(args, text: str, filename: str | None = None) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / filename).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        # A write larger than the buffer that meets a closed pipe comes back
+        # short and TextIOWrapper drops the rest silently; writes that fit
+        # the buffer raise BrokenPipeError instead.
+        step = io.DEFAULT_BUFFER_SIZE
+        for start in range(0, len(text), step):
+            sys.stdout.write(text[start:start + step])
 
 
 def _stack(settings: Settings) -> MaterialStack:
@@ -174,12 +180,10 @@ def cmd_dispersion(args) -> int:
     modes = _parse_modes(settings["modes"])
     if not modes:
         raise ConfigError("no modes requested")
-    curve = wgmodes.dispersion_sweep(
-        widths, modes, _stack(settings), "width", height
-    )
+    curve = wgmodes.dispersion_sweep(widths, modes, _stack(settings), height)
     if args.format == "json":
         payload = {
-            "sweep_param": curve.sweep_param,
+            "sweep_param": "width",
             "wavelength_nm": curve.wavelength_nm,
             "rows": [
                 {"sweep_value": v, "mode": str(m), "n_eff": n}
@@ -297,12 +301,18 @@ def cmd_decompose(args) -> int:
             matrix = np.array(
                 [[complex(c[0], c[1]) for c in row] for row in settings["unitary"]]
             )
-        except (TypeError, IndexError) as exc:
+        except (TypeError, ValueError, IndexError, KeyError, OverflowError) as exc:
             raise ConfigError(
                 "unitary must be a nested list of [re, im] pairs"
             ) from exc
+        if not np.isfinite(matrix).all():
+            raise ConfigError("unitary entries must be finite")
     elif args.seed is not None or "size" in settings.config:
         size = settings["size"]
+        if not 1 <= size <= circuit_mod.RECK_SIZE_CAP:
+            raise ConfigError(
+                f"size must lie in 1..{circuit_mod.RECK_SIZE_CAP}, got {size}"
+            )
         rng = np.random.default_rng(args.seed if args.seed is not None else 0)
         z = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
         q, r = np.linalg.qr(z)

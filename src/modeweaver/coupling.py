@@ -1,5 +1,5 @@
-"""Coupled-mode building blocks: grating mode-beamsplitters and asymmetric
-directional couplers, reduced to splitting ratios and 2x2 transfer matrices.
+"""Coupled-mode building blocks: grating mode-beamsplitters designed from
+waveguide geometry, reduced to splitting ratios and 2x2 transfer matrices.
 """
 
 from __future__ import annotations
@@ -25,22 +25,6 @@ def splitting_ratio(kappa_per_period: float, num_periods: float) -> float:
     if kappa_per_period < 0 or num_periods < 0:
         raise InvalidInput("kappa and N must be non-negative")
     return math.sin(kappa_per_period * num_periods) ** 2
-
-
-def detuned_splitting(
-    kappa_per_um: float, detuning_per_um: float, length_um: float
-) -> float:
-    """Two-mode coupled-mode cross power with phase mismatch.
-
-    eta = kappa^2/(kappa^2 + delta^2) * sin^2(sqrt(kappa^2 + delta^2) * L);
-    reduces to sin^2(kappa L) at delta = 0.
-    """
-    if kappa_per_um < 0 or length_um < 0:
-        raise InvalidInput("kappa and length must be non-negative")
-    g = math.hypot(kappa_per_um, detuning_per_um)
-    if g == 0.0:
-        return 0.0
-    return (kappa_per_um / g) ** 2 * math.sin(g * length_um) ** 2
 
 
 def coupler_unitary(eta: float) -> np.ndarray:
@@ -110,17 +94,6 @@ class GratingSpec:
             "length_um": self.length_um,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "GratingSpec":
-        return cls(
-            period_um=data["period_um"],
-            depth_nm=data["depth_nm"],
-            num_periods=data["num_periods"],
-            kappa_per_period=data["kappa_per_period"],
-            mode_pair=tuple(ModeId.parse(m) for m in data["mode_pair"]),
-            symmetry=data["symmetry"],
-        )
-
 
 def grating_from_geometry(
     geometry: WaveguideGeometry,
@@ -154,38 +127,3 @@ def grating_from_geometry(
         symmetry=_pair_symmetry(mode_pair),
     )
 
-
-@dataclass(frozen=True)
-class DirectionalCouplerSpec:
-    """Asymmetric directional coupler routing TE0 into a chosen mode channel."""
-
-    target_channel: int
-    coupling_length_um: float = 18.0
-    crosstalk: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.crosstalk < 1.0:
-            raise InvalidInput("crosstalk must lie in [0, 1)")
-        if self.target_channel < 0:
-            raise InvalidInput("target channel must be >= 0")
-        if self.coupling_length_um <= 0:
-            raise InvalidInput("coupling length must be positive")
-
-
-def multiplexer_transfer(
-    target_channel: int, crosstalk: float, num_channels: int
-) -> np.ndarray:
-    """Power routing map of one multiplexer port over the circuit channels.
-
-    Power (1 - crosstalk) lands in the target channel; the remainder leaks
-    equally into the other channels.
-    """
-    if target_channel >= num_channels:
-        raise InvalidInput(f"target channel {target_channel} >= m = {num_channels}")
-    powers = np.zeros(num_channels)
-    if num_channels == 1:
-        powers[0] = 1.0
-        return powers
-    powers[:] = crosstalk / (num_channels - 1)
-    powers[target_channel] = 1.0 - crosstalk
-    return powers

@@ -15,10 +15,6 @@ class ModeCutoff(ModeweaverError):
     """The requested mode order is not guided at this geometry/wavelength."""
 
 
-class NoPhaseMatch(ModeweaverError):
-    """No index crossing exists inside the searched parameter range."""
-
-
 class DegeneratePhaseMatch(ModeweaverError):
     """The effective-index difference is (numerically) zero; no grating is needed."""
 

@@ -398,16 +398,6 @@ class ScanResult:
         }
 
 
-def _observable(records, name):
-    if name == "net":
-        return [r.net for r in records]
-    if name == "singles_a":
-        return [r.singles[0] for r in records]
-    if name == "singles_b":
-        return [r.singles[1] for r in records]
-    raise InvalidInput(f"unknown observable {name!r}")
-
-
 def _scan_result(name, scan, observable, records, fit, metrics, config) -> ScanResult:
     """Package a fitted scan; `scan` is the swept quantity's (name, unit).
 
@@ -437,7 +427,7 @@ def _delay_scan(name, circuit, eta, source, config, delay_grid, metrics, **extra
     the recorded config."""
     grid = default_delay_grid() if delay_grid is None else np.asarray(delay_grid, float)
     records = simulate_counts(circuit.with_delay(0, grid), source, config, grid)
-    fit = fit_gaussian(grid, _observable(records, "net"))
+    fit = fit_gaussian(grid, [r.net for r in records])
     return _scan_result(
         name, ("delay", "um"), "net", records, fit, metrics(fit),
         {
@@ -572,11 +562,11 @@ def run_noon(
         source, singles_rates_hz=(source.singles_rates_hz[0], 0.0)
     )
     classical_records = simulate_counts(circuit, classical_source, config, grid)
-    classical_fit = fit_sinusoid(grid, _observable(classical_records, "singles_a"))
+    classical_fit = fit_sinusoid(grid, [r.singles[0] for r in classical_records])
 
     quantum_records = simulate_counts(circuit, source, config, grid)
     quantum_fit = fit_sinusoid(
-        grid, _observable(quantum_records, "net"),
+        grid, [r.net for r in quantum_records],
         leakage_start_period=classical_fit.period / 2.0,
     )
 

@@ -88,10 +88,6 @@ def fock_basis(num_photons: int, num_channels: int) -> list[tuple[int, ...]]:
     return states
 
 
-def format_fock(occupation: tuple[int, ...]) -> str:
-    return "|" + ",".join(str(n) for n in occupation) + ">"
-
-
 def check_unitary(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Validate unitarity to `tol`; returns the matrix as complex128."""
     u = np.asarray(matrix, dtype=np.complex128)
@@ -100,7 +96,7 @@ def check_unitary(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     gram = u.conj().T @ u
     gram.ravel()[:: u.shape[0] + 1] -= 1.0  # U^H U - I in place (a fresh array)
     dev = np.abs(gram).max()
-    if dev > tol:
+    if not dev <= tol:  # NaN fails this too
         raise NotUnitary(f"U^H U deviates from identity by {dev:.3e} > {tol}")
     return u
 
@@ -128,15 +124,6 @@ class PureState:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def __str__(self):
-        basis = fock_basis(self.num_photons, self.num_channels)
-        parts = [
-            f"{format_fock(occ)}: {amp:.6g}"
-            for occ, amp in zip(basis, self.amplitudes)
-            if abs(amp) > 1e-12
-        ]
-        return "\n".join(parts) if parts else "(zero state)"
 
 
 def transition_amplitude(

@@ -21,13 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import (
-    DegeneratePhaseMatch,
-    InvalidInput,
-    ModeCutoff,
-    NoPhaseMatch,
-    require_finite,
-)
+from .errors import DegeneratePhaseMatch, InvalidInput, ModeCutoff, require_finite
 
 # Sellmeier coefficients: Si3N4 from Luke et al. (LPCVD stoichiometric
 # nitride), SiO2 from Malitson (fused silica). Wavelength arguments in um.
@@ -192,23 +186,6 @@ def slab_neff(
     return n_eff
 
 
-def slab_dispersion_residual(
-    n_eff: float,
-    n_core: float,
-    n_clad: float,
-    thickness_nm: float,
-    wavelength_nm: float,
-    family: str = "TE",
-    order: int = 0,
-) -> float:
-    """Residual of the phase-form slab relation at a candidate n_eff."""
-    half_kt = math.pi * thickness_nm / wavelength_nm
-    v_number = half_kt * math.sqrt(n_core**2 - n_clad**2)
-    q = 1.0 if family == "TE" else (n_core / n_clad) ** 2
-    u = half_kt * math.sqrt(max(n_core**2 - n_eff**2, 0.0))
-    return _slab_phase_residual(u, v_number, q, order)
-
-
 def effective_index(geometry: WaveguideGeometry, mode: ModeId) -> float:
     """Effective index of a rectangular-waveguide mode (effective-index method).
 
@@ -238,63 +215,6 @@ def effective_index(geometry: WaveguideGeometry, mode: ModeId) -> float:
     )
 
 
-def phase_match_width(
-    single_mode_geometry: WaveguideGeometry,
-    target_mode: ModeId,
-    width_range_nm: tuple[float, float],
-    tol: float = 1e-6,
-) -> float:
-    """Width of a multimode waveguide whose target mode phase-matches TE0/TM0
-    of the given single-mode waveguide.
-
-    Finds the index crossing by a dense scan for a sign change followed by
-    bisection; raises NoPhaseMatch if no crossing lies in the range.
-    """
-    reference_mode = ModeId(target_mode.family, 0)
-    n_ref = effective_index(single_mode_geometry, reference_mode)
-    if target_mode.order == 0:
-        # matching a fundamental mode to itself: same width by construction
-        return single_mode_geometry.width_nm
-
-    lo, hi = width_range_nm
-    if not (hi > lo > 0):
-        raise InvalidInput(f"bad width range {width_range_nm}")
-
-    def delta(width: float) -> float | None:
-        try:
-            geom = WaveguideGeometry(width, single_mode_geometry.height_nm,
-                                     single_mode_geometry.stack)
-            return effective_index(geom, target_mode) - n_ref
-        except ModeCutoff:
-            return None
-
-    n_scan = 128
-    widths = [lo + (hi - lo) * i / (n_scan - 1) for i in range(n_scan)]
-    values = [delta(w) for w in widths]
-    bracket = None
-    for (w0, d0), (w1, d1) in zip(zip(widths, values), zip(widths[1:], values[1:])):
-        if d0 is not None and d1 is not None and d0 * d1 <= 0.0:
-            bracket = (w0, w1, d0)
-            break
-    if bracket is None:
-        raise NoPhaseMatch(
-            f"no index crossing for {target_mode} in [{lo}, {hi}] nm"
-        )
-    w_lo, w_hi, d_lo = bracket
-    for _ in range(200):
-        mid = 0.5 * (w_lo + w_hi)
-        d_mid = delta(mid)
-        if d_mid is None:
-            raise NoPhaseMatch("mode lost inside bracket during refinement")
-        if abs(d_mid) < tol * 1e-3 or w_hi - w_lo < 1e-9:
-            break
-        if d_lo * d_mid <= 0.0:
-            w_hi = mid
-        else:
-            w_lo, d_lo = mid, d_mid
-    return 0.5 * (w_lo + w_hi)
-
-
 def grating_period(wavelength_nm: float, delta_n: float, tol: float = 1e-9) -> float:
     """Grating period (um) bridging an effective-index difference.
 
@@ -312,17 +232,13 @@ def grating_period(wavelength_nm: float, delta_n: float, tol: float = 1e-9) -> f
 
 @dataclass(frozen=True)
 class DispersionCurve:
-    """Per-mode effective indices along a geometry sweep.
+    """Per-mode effective indices along a width sweep.
 
     Cutoff points are recorded as absent rows rather than errors.
     """
 
-    sweep_param: str  # "width" or "height"
-    rows: tuple  # of (sweep_value_nm, ModeId, n_eff)
+    rows: tuple  # of (width_nm, ModeId, n_eff)
     wavelength_nm: float
-
-    def neff_series(self, mode: ModeId) -> list[tuple[float, float]]:
-        return [(v, n) for v, m, n in self.rows if m == mode]
 
     def to_csv(self) -> str:
         lines = ["sweep_param,mode_family,mode_order,n_eff"]
@@ -335,29 +251,22 @@ def dispersion_sweep(
     values_nm: Sequence[float],
     modes: Iterable[ModeId],
     stack: MaterialStack = MaterialStack(),
-    sweep_param: str = "width",
-    fixed_nm: float = 190.0,
+    height_nm: float = 190.0,
 ) -> DispersionCurve:
-    """Sweep width (or height) and tabulate n_eff per mode.
+    """Sweep the width at a fixed height and tabulate n_eff per mode.
 
-    `fixed_nm` holds the non-swept dimension. Raises InvalidInput on an
-    empty sweep.
+    Raises InvalidInput on an empty sweep.
     """
     values = list(values_nm)
     if not values:
         raise InvalidInput("empty sweep")
-    if sweep_param not in ("width", "height"):
-        raise InvalidInput(f"unknown sweep parameter {sweep_param!r}")
     modes = list(modes)
     rows = []
     for value in values:
-        if sweep_param == "width":
-            geom = WaveguideGeometry(value, fixed_nm, stack)
-        else:
-            geom = WaveguideGeometry(fixed_nm, value, stack)
+        geom = WaveguideGeometry(value, height_nm, stack)
         for mode in modes:
             try:
                 rows.append((value, mode, effective_index(geom, mode)))
             except ModeCutoff:
                 pass
-    return DispersionCurve(sweep_param, tuple(rows), stack.wavelength_nm)
+    return DispersionCurve(tuple(rows), stack.wavelength_nm)

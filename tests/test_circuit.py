@@ -14,7 +14,6 @@ from modeweaver.circuit import (
     HeaterModel,
     Loss,
     MeasurementRecord,
-    MultiplexerIn,
     PhaseShifter,
     RelativeDelay,
     accidentals,
@@ -23,10 +22,9 @@ from modeweaver.circuit import (
     reck_decompose,
     reck_recompose,
     records_to_csv,
-    _arrival,
     simulate_counts,
 )
-from modeweaver.coupling import DirectionalCouplerSpec, coupler_unitary
+from modeweaver.coupling import coupler_unitary
 from modeweaver.errors import ChannelMismatch, InvalidInput, NotUnitary
 from modeweaver.fock import (
     PhotonPairSource,
@@ -58,7 +56,6 @@ class TestCompile:
         assert np.allclose(compiled.unitary, np.eye(3))
         assert np.allclose(compiled.transmission, 1.0)
         assert compiled.delays_um == {}
-        assert compiled.crosstalk == 0.0
 
     def test_grating_embedding(self):
         circuit = Circuit(3, (GratingBS(channels=(0, 2), eta=0.55),))
@@ -112,11 +109,6 @@ class TestCompile:
         assert compiled.transmission[0] == pytest.approx(10 ** -0.3)
         assert compiled.transmission[1] == pytest.approx(10 ** -0.4)
 
-    def test_multiplexer_crosstalk_recorded(self):
-        spec = DirectionalCouplerSpec(target_channel=0, crosstalk=0.02)
-        circuit = Circuit(2, (MultiplexerIn(spec),))
-        assert compile_circuit(circuit).crosstalk == 0.02
-
     def test_channel_mismatch(self):
         with pytest.raises(ChannelMismatch):
             compile_circuit(Circuit(2, (GratingBS(channels=(0, 5), eta=0.5),)))
@@ -124,10 +116,6 @@ class TestCompile:
             compile_circuit(Circuit(2, (GratingBS(channels=(1, 1), eta=0.5),)))
         with pytest.raises(ChannelMismatch):
             compile_circuit(Circuit(2, (PhaseShifter(channels=(3,), phase_rad=1.0),)))
-        with pytest.raises(ChannelMismatch):
-            compile_circuit(
-                Circuit(2, (MultiplexerIn(DirectionalCouplerSpec(target_channel=4)),))
-            )
 
     def test_with_phase_and_delay_are_copies(self):
         circuit = Circuit(
@@ -230,24 +218,6 @@ class TestSimulateCounts:
         assert r_lossy.net == pytest.approx(r_lossless.net * t * t)
         assert r_lossy.singles[0] == pytest.approx(r_lossless.singles[0] * t)
 
-    def test_crosstalk_fills_dip(self):
-        spec = DirectionalCouplerSpec(target_channel=0, crosstalk=0.1)
-        leaky = Circuit(2, (MultiplexerIn(spec),) + dip_circuit(0.5).elements)
-        r = delay_scan(leaky, self.SOURCE, self.CONFIG, [0.0])[0]
-        assert r.net > 1.0  # the x = 1 dip is no longer dark
-
-    def test_crosstalk_reaches_singles(self):
-        # 10 % of the photon entering channel 0 leaks into channel 1 before
-        # a 0.3 coupler; only input arm 0 is lit
-        spec = DirectionalCouplerSpec(target_channel=0, crosstalk=0.1)
-        circuit = Circuit(
-            2, (MultiplexerIn(spec), GratingBS(channels=(0, 1), eta=0.3))
-        )
-        source = PhotonPairSource(singles_rates_hz=(30000.0, 0.0))
-        r = simulate_counts(circuit, source, self.CONFIG, [0.0])[0]
-        assert r.singles[0] == pytest.approx(30000.0 * (0.9 * 0.7 + 0.1 * 0.3))
-        assert r.singles[1] == pytest.approx(30000.0 * (0.9 * 0.3 + 0.1 * 0.7))
-
     def test_seeded_poisson_reproducible(self):
         config = CoincidenceConfig(poisson=True, seed=11)
         grid = np.linspace(-300, 300, 21)
@@ -295,8 +265,8 @@ class TestSimulateCounts:
 
 
 def reference_counts(circuit, source, config, delays, phases):
-    """Expected counts computed point by point: one compile, one permanent
-    and two arrival maps per scan point. Rows of (raw, accidentals, net,
+    """Expected counts computed point by point: one compile and one
+    permanent per scan point. Rows of (raw, accidentals, net,
     singles_a, singles_b, stderr), and the pair coincidence probability."""
     m = circuit.num_channels
     i, j = circuit.input_channels
@@ -311,17 +281,14 @@ def reference_counts(circuit, source, config, delays, phases):
         d = compiled.delays_um
         x = spectral_overlap(source, d.get(i, 0.0) - d.get(j, 0.0))
         u = compiled.unitary
-        eps = compiled.crosstalk
         prob = np.abs(u) ** 2
         p_dist = prob[k, i] * prob[l, j] + prob[k, j] * prob[l, i]
         p_indist = abs(transition_amplitude(u, occ_in, occ_out)) ** 2
-        arr_i, arr_j = _arrival(prob, i, eps), _arrival(prob, j, eps)
-        p = (1 - eps) ** 2 * (x * p_indist + (1 - x) * p_dist)
-        p += arr_i[k] * arr_j[l] + arr_j[k] * arr_i[l] - (1 - eps) ** 2 * p_dist
+        p = x * p_indist + (1 - x) * p_dist
         t_k, t_l = compiled.transmission[k], compiled.transmission[l]
         s_in = source.singles_rates_hz
-        singles_k = (s_in[0] * arr_i[k] + s_in[1] * arr_j[k]) * t_k
-        singles_l = (s_in[0] * arr_i[l] + s_in[1] * arr_j[l]) * t_l
+        singles_k = (s_in[0] * prob[k, i] + s_in[1] * prob[k, j]) * t_k
+        singles_l = (s_in[0] * prob[l, i] + s_in[1] * prob[l, j]) * t_l
         acc = accidentals(singles_k, singles_l, config.window_ns) * t_int
         raw = source.pair_rate_hz * p * t_k * t_l * t_int + acc
         rows.append(
@@ -338,7 +305,6 @@ class TestBatchedScanOracle:
     @given(
         m=st.integers(2, 4),
         num_gratings=st.integers(1, 4),
-        crosstalk=st.floats(0.0, 0.5, exclude_max=True),
         overlap=st.floats(0.0, 1.0),
         points=st.integers(1, 25),
         sweep_delay=st.booleans(),
@@ -346,14 +312,12 @@ class TestBatchedScanOracle:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_per_point_loop(
-        self, m, num_gratings, crosstalk, overlap, points, sweep_delay, sweep_phase,
-        seed,
+        self, m, num_gratings, overlap, points, sweep_delay, sweep_phase, seed,
     ):
         rng = np.random.default_rng(seed)
         i, j = (int(c) for c in rng.choice(m, 2, replace=False))
         k, l = (int(c) for c in rng.choice(m, 2, replace=False))
         elements = [
-            MultiplexerIn(DirectionalCouplerSpec(i, crosstalk=crosstalk)),
             RelativeDelay(arm=i),
             RelativeDelay(arm=j, delay_um=float(rng.uniform(-50.0, 50.0))),
         ]
@@ -445,12 +409,15 @@ class TestReck:
         assert np.max(np.abs(reck_recompose(decomposition) - u)) < 1e-12
 
     def test_random_unitaries_round_trip(self, rng):
-        for m in (2, 3, 4, 6):
-            u = haar_unitary(m, rng)
-            decomposition = reck_decompose(u)
-            assert len(decomposition.stages) <= m * (m - 1) // 2
-            err = np.max(np.abs(reck_recompose(decomposition) - u))
-            assert err < 1e-10
+        # Haar, permutation, diagonal-phase and permutation x phase inputs
+        for m in (2, 3, 4, 6, 8, 12, 16):
+            permutation = np.eye(m)[rng.permutation(m)]
+            phases = np.diag(np.exp(1j * rng.uniform(0.0, 2 * np.pi, m)))
+            for u in (haar_unitary(m, rng), permutation, phases, permutation @ phases):
+                decomposition = reck_decompose(u)
+                assert len(decomposition.stages) <= m * (m - 1) // 2
+                err = np.max(np.abs(reck_recompose(decomposition) - u))
+                assert err < 1e-10
 
     def test_stages_are_adjacent_channel(self, rng):
         u = haar_unitary(5, rng)

@@ -143,6 +143,18 @@ class TestDecompose:
         assert code == 2
         assert "decompose needs" in err
 
+    @pytest.mark.parametrize(
+        "unitary",
+        [[[{"re": 1}]], [[[10**400, 0]]], [[[1, 0], [0, 0]], [[0, 0]]]],
+        ids=["dict_pair", "int_overflow", "ragged_rows"],
+    )
+    def test_malformed_unitary_is_usage_error(self, capsys, tmp_path, unitary):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"unitary": unitary}))
+        code, _, err = run(capsys, "decompose", "--config", str(config))
+        assert code == 2
+        assert err == "config error: unitary must be a nested list of [re, im] pairs\n"
+
 
 class TestConfigPrecedence:
     def test_env_defaults(self, capsys, monkeypatch, tmp_path):
@@ -207,6 +219,12 @@ class TestNonFiniteInput:
             ("hom-scan", '{"eta": "nan"}'),
             ("design-grating", '{"periods": NaN}'),
             ("decompose", '{"size": "abc"}'),
+            ("decompose", '{"size": 0}'),
+            ("decompose", '{"size": -1}'),
+            ("decompose", '{"size": 17}'),
+            ("decompose", '{"size": 3000}'),
+            ("decompose", '{"unitary": [[[NaN, 0]]]}'),
+            ("decompose", '{"unitary": [[[Infinity, 0]]]}'),
         ],
     )
     def test_config_value(self, capsys, tmp_path, command, text):
@@ -283,24 +301,25 @@ class TestTopLevel:
         assert runs[0] == runs[1]
 
     def test_closed_stdout_exits_141(self):
-        # Each arm's CSV (20001 rows) is far more than a pipe holds, so the
-        # reader goes away during the first write and the second one fails,
-        # as in `| head -3`.
+        # A 20001-row CSV is far more than a pipe holds, so the reader goes
+        # away during the write, as in `| head -3`: hom-peak writes two such
+        # CSVs, hom-scan only one.
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "modeweaver.cli", "hom-peak",
-             "--delays=-500:500:0.05"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=path),
-        )
-        try:
-            head = [proc.stdout.readline() for _ in range(3)]
-            proc.stdout.close()
-            code = proc.wait(timeout=120)
-            err = proc.stderr.read().decode()
-        finally:
-            proc.kill()
-            proc.stderr.close()
-        assert head[0].startswith(b"scan_value,")
-        assert (code, err) == (141, "")
+        for command in ("hom-peak", "hom-scan"):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "modeweaver.cli", command,
+                 "--delays=-500:500:0.05"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=path),
+            )
+            try:
+                head = [proc.stdout.readline() for _ in range(3)]
+                proc.stdout.close()
+                code = proc.wait(timeout=120)
+                err = proc.stderr.read().decode()
+            finally:
+                proc.kill()
+                proc.stderr.close()
+            assert head[0].startswith(b"scan_value,")
+            assert (command, code, err) == (command, 141, "")

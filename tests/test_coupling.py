@@ -6,12 +6,9 @@ import pytest
 from modeweaver.coupling import (
     REFERENCE_GRATING_DEPTH_NM,
     REFERENCE_KAPPA_PER_PERIOD,
-    DirectionalCouplerSpec,
     GratingSpec,
     coupler_unitary,
-    detuned_splitting,
     grating_from_geometry,
-    multiplexer_transfer,
     splitting_ratio,
 )
 from modeweaver.errors import InvalidInput
@@ -46,53 +43,6 @@ class TestSplittingRatio:
             splitting_ratio(-0.01, 10)
         with pytest.raises(InvalidInput):
             splitting_ratio(0.041, -1)
-
-
-class TestDetunedSplitting:
-    def test_zero_detuning_reduces(self):
-        for kappa, length in [(0.006, 133.5), (0.02, 40.0)]:
-            assert detuned_splitting(kappa, 0.0, length) == pytest.approx(
-                splitting_ratio(kappa * length, 1), abs=1e-12
-            )
-
-    def test_large_detuning_suppresses(self):
-        assert detuned_splitting(0.006, 10.0, 133.5) < 1e-5
-
-    def test_envelope_bound(self):
-        kappa, delta = 0.006, 0.004
-        bound = kappa**2 / (kappa**2 + delta**2)
-        for length in np.linspace(0, 500, 40):
-            assert detuned_splitting(kappa, delta, length) <= bound + 1e-12
-
-    def test_against_rk4_oracle(self):
-        # integrate the two-mode coupled equations directly:
-        # A' = i k B exp(+2 i d z), B' = i k A exp(-2 i d z)
-        kappa, delta, length = 0.006, 0.003, 133.5
-
-        def deriv(z, y):
-            a, b = y
-            return np.array(
-                [
-                    1j * kappa * b * np.exp(2j * delta * z),
-                    1j * kappa * a * np.exp(-2j * delta * z),
-                ]
-            )
-
-        steps = 4000
-        h = length / steps
-        y = np.array([1.0 + 0j, 0.0 + 0j])
-        z = 0.0
-        for _ in range(steps):
-            k1 = deriv(z, y)
-            k2 = deriv(z + h / 2, y + h / 2 * k1)
-            k3 = deriv(z + h / 2, y + h / 2 * k2)
-            k4 = deriv(z + h, y + h * k3)
-            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            z += h
-        cross_power = abs(y[1]) ** 2
-        assert detuned_splitting(kappa, delta, length) == pytest.approx(
-            cross_power, abs=1e-6
-        )
 
 
 class TestCouplerUnitary:
@@ -140,10 +90,6 @@ class TestGratingSpec:
             self.make(mode_pair=(TE0, TE1))
         self.make(mode_pair=(TE0, TE1), symmetry="asymmetric")
 
-    def test_dict_round_trip(self):
-        spec = self.make()
-        assert GratingSpec.from_dict(spec.to_dict()) == spec
-
     def test_validation(self):
         with pytest.raises(InvalidInput):
             self.make(period_um=0.0)
@@ -186,26 +132,3 @@ class TestGratingFromGeometry:
         assert grating_from_geometry(self.GEOM, (TE0, TE2)).symmetry == "symmetric"
         assert grating_from_geometry(self.GEOM, (TE0, TE1)).symmetry == "asymmetric"
 
-
-class TestMultiplexer:
-    def test_leak_split(self):
-        powers = multiplexer_transfer(1, 0.01, 3)
-        assert powers[1] == pytest.approx(0.99)
-        assert powers[0] == pytest.approx(0.005)
-        assert powers[2] == pytest.approx(0.005)
-        assert powers.sum() == pytest.approx(1.0)
-
-    def test_no_crosstalk(self):
-        powers = multiplexer_transfer(2, 0.0, 4)
-        assert powers[2] == 1.0
-        assert powers.sum() == 1.0
-
-    def test_channel_bounds(self):
-        with pytest.raises(InvalidInput):
-            multiplexer_transfer(5, 0.0, 3)
-
-    def test_spec_validation(self):
-        with pytest.raises(InvalidInput):
-            DirectionalCouplerSpec(target_channel=0, crosstalk=1.0)
-        with pytest.raises(InvalidInput):
-            DirectionalCouplerSpec(target_channel=-1)

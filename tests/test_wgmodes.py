@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from modeweaver import wgmodes
-from modeweaver.errors import (
-    DegeneratePhaseMatch,
-    InvalidInput,
-    ModeCutoff,
-    NoPhaseMatch,
-)
+from modeweaver.errors import DegeneratePhaseMatch, InvalidInput, ModeCutoff
 from modeweaver.wgmodes import (
     MaterialStack,
     ModeId,
@@ -17,8 +12,6 @@ from modeweaver.wgmodes import (
     dispersion_sweep,
     effective_index,
     grating_period,
-    phase_match_width,
-    slab_dispersion_residual,
     slab_neff,
 )
 
@@ -56,7 +49,7 @@ class TestSlab:
     def test_phase_residual_tight(self):
         for order in (0, 1, 2):
             n = slab_neff(1.98, 1.45, 900, 808, "TE", order)
-            r = slab_dispersion_residual(n, 1.98, 1.45, 900, 808, "TE", order)
+            r = tangent_form_residual(n, 1.98, 1.45, 900, 808, order)
             assert abs(r) < 1e-10
 
     def test_tm_differs_from_te(self):
@@ -101,35 +94,6 @@ class TestEffectiveIndex:
         assert n - geom.stack.n_clad < 1e-3
 
 
-class TestPhaseMatch:
-    def test_te2_multimode_width(self):
-        sm = WaveguideGeometry(420, 190)
-        w = phase_match_width(sm, TE2, (800, 3000))
-        assert w == pytest.approx(1600, rel=0.15)
-
-    def test_round_trip(self):
-        sm = WaveguideGeometry(420, 190)
-        w = phase_match_width(sm, TE2, (800, 3000))
-        n_target = effective_index(WaveguideGeometry(w, 190), TE2)
-        n_ref = effective_index(sm, TE0)
-        assert abs(n_target - n_ref) < 1e-6
-
-    def test_identity_case(self):
-        sm = WaveguideGeometry(420, 190)
-        assert phase_match_width(sm, TE0, (100, 5000)) == 420
-
-    def test_te1_against_dense_scan_oracle(self):
-        # 25001-point scan of the index difference brackets [1059.5, 1059.6]
-        sm = WaveguideGeometry(420, 190)
-        w = phase_match_width(sm, TE1, (500, 3000))
-        assert 1059.5 <= w <= 1059.6
-
-    def test_no_phase_match(self):
-        sm = WaveguideGeometry(420, 190)
-        with pytest.raises(NoPhaseMatch):
-            phase_match_width(sm, TE2, (800, 900))
-
-
 class TestGratingPeriod:
     def test_published_value(self):
         assert grating_period(808, 0.12105) == pytest.approx(6.675, abs=5e-4)
@@ -155,18 +119,17 @@ class TestDispersionSweep:
         widths = np.arange(400, 2001, 100)
         curve = dispersion_sweep(widths, [TE0, TE1, TE2])
         for mode in (TE0, TE1, TE2):
-            series = curve.neff_series(mode)
-            values = [n for _, n in series]
+            values = [n for _, m, n in curve.rows if m == mode]
             assert values == sorted(values)
 
     def test_single_point_consistency(self):
         curve = dispersion_sweep([1600], [TE2])
-        ((_, n),) = curve.neff_series(TE2)
+        ((_, _, n),) = curve.rows
         assert n == effective_index(WaveguideGeometry(1600, 190), TE2)
 
     def test_cutoff_recorded_as_absent(self):
         curve = dispersion_sweep([400, 1600], [TE2])
-        assert len(curve.neff_series(TE2)) == 1
+        assert [w for w, _, _ in curve.rows] == [1600]
 
     def test_csv_format(self):
         curve = dispersion_sweep([420, 1600], [TE0])

@@ -7,8 +7,8 @@ source overlap, not on the mode unitary.
 
 A scan compiles once: its swept delay or phase is an array with one value
 per scan point, a swept phase compiles to a stack of unitaries, and
-`simulate_counts` computes every column of every record as array
-expressions over the grid.
+`simulate_counts` computes every count column as an array expression over
+the grid.
 """
 
 from __future__ import annotations
@@ -105,7 +105,14 @@ def heater_phase(model: HeaterModel, power_w):
         raise InvalidInput(f"power_w must be finite, got {power[~finite][0]}")
     if (power < 0).any():
         raise InvalidInput("heater power must be >= 0")
-    return 2.0 * math.pi * power / model.p_2pi_w + model.phi0_rad
+    with np.errstate(over="ignore"):
+        phase = 2.0 * math.pi * power / model.p_2pi_w + model.phi0_rad
+    if not np.isfinite(phase).all():
+        raise InvalidInput(
+            f"heater phase overflows: power up to {power.max()} W, "
+            f"P_2pi {model.p_2pi_w} W"
+        )
+    return phase
 
 
 def accidentals(singles_1_hz, singles_2_hz, window_ns: float):
@@ -226,22 +233,6 @@ class CoincidenceConfig:
             raise InvalidInput("integration time must be positive")
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Counts at one scan point (expected values, or Poisson samples)."""
-
-    scan_value: float
-    raw: float
-    accidentals: float
-    net: float
-    singles: tuple[float, float]
-    stderr: float
-
-    def __post_init__(self):
-        if min(self.raw, self.accidentals) < 0 or min(self.singles) < 0:
-            raise InvalidInput("counts must be non-negative")
-
-
 def _relative_delay_um(compiled: CompiledCircuit, arms: tuple[int, int]):
     d = compiled.delays_um
     return d.get(arms[0], 0.0) - d.get(arms[1], 0.0)
@@ -252,14 +243,16 @@ def simulate_counts(
     source: PhotonPairSource,
     config: CoincidenceConfig,
     scan_values,
-) -> list[MeasurementRecord]:
-    """Expected (or Poisson-sampled) counts over a scan.
+) -> dict[str, np.ndarray]:
+    """Expected (or Poisson-sampled) counts over a scan, as columns.
 
     `circuit` holds the whole scan: its swept delay or phase is an array
-    with one value per entry of `scan_values`, which label the records
-    (see `Circuit.with_delay` and `Circuit.with_phase`). The circuit
-    compiles once and every column is computed over the grid at once.
-    Deterministic without a seed; bitwise reproducible with one.
+    with one value per entry of `scan_values` (see `Circuit.with_delay` and
+    `Circuit.with_phase`). The circuit compiles once and every column is
+    computed over the grid at once. Returns one float array per column,
+    keyed scan_value, raw, accidentals, net, singles_a, singles_b, stderr;
+    every count column but net is non-negative. Deterministic without a seed;
+    bitwise reproducible with one.
     """
     values = np.asarray(scan_values, dtype=float)
     if values.ndim != 1:
@@ -274,9 +267,7 @@ def simulate_counts(
             raise InvalidInput(
                 f"a swept circuit setting has shape {shape}; the scan has {n} points"
             )
-    overlap = np.array(
-        [spectral_overlap(source, d) for d in delay.ravel().tolist()]
-    ).reshape(delay.shape)
+    overlap = spectral_overlap(source, delay)
     p_cc = two_photon_coincidence(compiled.unitary, (i, j), (k, l), overlap)
     prob = np.abs(compiled.unitary) ** 2
     t_k = compiled.transmission[k]
@@ -296,33 +287,16 @@ def simulate_counts(
     if config.poisson:
         counts = np.random.default_rng(config.seed).poisson(counts).astype(float)
     raw = counts[:, 0]
-    acc = np.broadcast_to(acc_rate * t_int, (n,))
-    net = raw - acc if config.subtract_accidentals else raw
-    stderr = np.sqrt(np.maximum(raw, 0.0))
-    return [
-        MeasurementRecord(
-            scan_value=value,
-            raw=r,
-            accidentals=a,
-            net=d,
-            singles=(s_a, s_b),
-            stderr=e,
-        )
-        for value, r, a, d, s_a, s_b, e in zip(
-            values.tolist(), raw.tolist(), acc.tolist(), net.tolist(),
-            counts[:, 1].tolist(), counts[:, 2].tolist(), stderr.tolist(),
-        )
-    ]
-
-
-def records_to_csv(records: list[MeasurementRecord]) -> str:
-    lines = ["scan_value,raw,accidentals,net,singles_a,singles_b,stderr"]
-    for r in records:
-        lines.append(
-            f"{r.scan_value:.12g},{r.raw:.12g},{r.accidentals:.12g},"
-            f"{r.net:.12g},{r.singles[0]:.12g},{r.singles[1]:.12g},{r.stderr:.12g}"
-        )
-    return "\n".join(lines) + "\n"
+    acc = np.full(n, acc_rate * t_int)
+    return {
+        "scan_value": values,
+        "raw": raw,
+        "accidentals": acc,
+        "net": raw - acc if config.subtract_accidentals else raw,
+        "singles_a": counts[:, 1],
+        "singles_b": counts[:, 2],
+        "stderr": np.sqrt(np.maximum(raw, 0.0)),
+    }
 
 
 # Largest unitary reck_decompose factors.
@@ -358,7 +332,13 @@ def reck_decompose(target: np.ndarray, tol: float = 1e-10) -> ReckDecomposition:
     column by column, leaving a diagonal phase matrix. Capped at
     m = RECK_SIZE_CAP.
     """
-    u = check_unitary(target, tol)
+    # A huge entry overflows U^H U to inf or NaN, which check_unitary
+    # rejects. Its warnings are silenced here, for a matrix from outside,
+    # rather than in check_unitary, which every evolve and compile calls:
+    # np.errstate adds about 2.5 us a call (numpy 2.4, 2-core x86 host),
+    # a tenth of a two-photon evolve.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = check_unitary(target, tol)
     m = u.shape[0]
     if m > RECK_SIZE_CAP:
         raise InvalidInput(f"decomposition capped at m = {RECK_SIZE_CAP}")

@@ -4,8 +4,8 @@ Exit codes: 0 success, 1 reference-target failure, 2 usage/config error,
 3 computational error, 141 (128 + SIGPIPE) when a write to stdout fails
 because its reader has closed it, as after `| head`. Config values come
 from (lowest to highest precedence) the MODEWEAVER_DEFAULTS file, --config,
-then flags. All output numbers carry 12 significant digits so reruns are
-byte-identical.
+then flags. Every CSV table and JSON document is formatted here, and all
+output numbers carry 12 significant digits so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -44,6 +44,18 @@ def _round12(obj):
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
     return obj
+
+
+def _csv(header, rows) -> str:
+    """CSV text with a header line: floats to 12 significant digits, every
+    other value by str."""
+    # column by column: one comprehension per column is faster than a join
+    # over a generator per row
+    columns = [
+        [f"{v:.12g}" if isinstance(v, float) else str(v) for v in column]
+        for column in zip(*rows)
+    ]
+    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
 
 
 def _dump_json(obj) -> str:
@@ -180,19 +192,23 @@ def cmd_dispersion(args) -> int:
     modes = _parse_modes(settings["modes"])
     if not modes:
         raise ConfigError("no modes requested")
-    curve = wgmodes.dispersion_sweep(widths, modes, _stack(settings), height)
+    stack = _stack(settings)
+    rows = wgmodes.dispersion_sweep(widths, modes, stack, height)
     if args.format == "json":
         payload = {
             "sweep_param": "width",
-            "wavelength_nm": curve.wavelength_nm,
+            "wavelength_nm": stack.wavelength_nm,
             "rows": [
-                {"sweep_value": v, "mode": str(m), "n_eff": n}
-                for v, m, n in curve.rows
+                {"sweep_value": v, "mode": str(m), "n_eff": n} for v, m, n in rows
             ],
         }
         _emit(args, _dump_json(payload), "dispersion.json")
     else:
-        _emit(args, curve.to_csv(), "dispersion.csv")
+        table = _csv(
+            ("sweep_param", "mode_family", "mode_order", "n_eff"),
+            ((v, m.family, m.order, n) for v, m, n in rows),
+        )
+        _emit(args, table, "dispersion.csv")
     return 0
 
 
@@ -233,13 +249,9 @@ def cmd_splitting(args) -> int:
     if args.format == "json":
         _emit(args, _dump_json(rows), "splitting.json")
     else:
-        lines = ["N,eta,visibility_ideal,visibility_measured"]
-        for r in rows:
-            lines.append(
-                f"{r['N']},{r['eta']:.12g},{r['visibility_ideal']:.12g},"
-                f"{r['visibility_measured']:.12g}"
-            )
-        _emit(args, "\n".join(lines) + "\n", "splitting.csv")
+        header = ("N", "eta", "visibility_ideal", "visibility_measured")
+        table = _csv(header, ([r[key] for key in header] for r in rows))
+        _emit(args, table, "splitting.csv")
     return 0
 
 
@@ -247,13 +259,13 @@ def _emit_scans(args, results) -> None:
     """Serialise every result, then write: a failing result writes nothing."""
     texts = []
     for result in results:
-        if args.output:
-            texts.append((result.to_csv(), f"{result.name}.csv"))
+        if args.output or args.format == "csv":
+            counts = result.counts
+            columns = (column.tolist() for column in counts.values())
+            table = _csv(counts.keys(), zip(*columns))
+            texts.append((table, f"{result.name}.csv"))
+        if args.output or args.format == "json":
             texts.append((_dump_json(result.fit_dict()), f"{result.name}.fit.json"))
-        elif args.format == "json":
-            texts.append((_dump_json(result.fit_dict()), None))
-        else:
-            texts.append((result.to_csv(), None))
     for text, filename in texts:
         _emit(args, text, filename)
 
@@ -429,8 +441,24 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line, without the usage text."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _seed(text: str) -> int:
+    """A --seed value: numpy's generators take non-negative integers only."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {text!r}"
+        )
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="modeweaver",
         description="Design and simulate multimode-waveguide quantum circuits.",
     )
@@ -439,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--output", help="output directory (default: stdout)")
-        p.add_argument("--seed", type=int, help="random seed")
+        p.add_argument("--seed", type=_seed, help="random seed")
         p.add_argument("--poisson", action="store_true", default=None,
                        help="sample Poisson counts instead of expectations")
         p.add_argument("--format", choices=("csv", "json"), default="csv")

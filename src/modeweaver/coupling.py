@@ -24,7 +24,13 @@ def splitting_ratio(kappa_per_period: float, num_periods: float) -> float:
     """Cross-coupling (mode-exchange) probability sin^2(kappa * N)."""
     if kappa_per_period < 0 or num_periods < 0:
         raise InvalidInput("kappa and N must be non-negative")
-    return math.sin(kappa_per_period * num_periods) ** 2
+    try:
+        phase = kappa_per_period * num_periods
+    except OverflowError:  # an integer N too large for a float
+        phase = math.inf
+    if not math.isfinite(phase):
+        raise InvalidInput(f"kappa * N = {phase} is not finite")
+    return math.sin(phase) ** 2
 
 
 def coupler_unitary(eta: float) -> np.ndarray:

@@ -23,7 +23,6 @@ from .circuit import (
     PhaseShifter,
     RelativeDelay,
     heater_phase,
-    records_to_csv,
     simulate_counts,
 )
 from .coupling import splitting_ratio
@@ -87,7 +86,7 @@ def _damped_gauss_newton(residual, jacobian, p0, max_iter=200, tol=1e-13):
             if cost < 1e-18:
                 converged = True
                 break
-    if not converged and cost > 1e-18:
+    if not converged and not cost <= 1e-18:  # a NaN cost fails this too
         raise FitDiverged(
             f"no convergence after {max_iter} iterations "
             f"(final cost {cost:.3e}, damping lambda {lam:.3e})"
@@ -122,6 +121,10 @@ class GaussianFit:
         return GAUSS_FWHM_FACTOR * abs(self.sigma)
 
 
+# The fits run with numpy's floating-point warnings off: an overflowing trial
+# step has a non-finite cost and is rejected, and a fit that never reaches a
+# finite cost raises FitDiverged.
+@np.errstate(all="ignore")
 def fit_gaussian(x, y) -> GaussianFit:
     """Fit offset + amplitude * exp(-(x - center)^2 / (2 sigma^2)).
 
@@ -259,6 +262,7 @@ def _best_frequency(x, y, freqs):
     return best_index
 
 
+@np.errstate(all="ignore")
 def fit_sinusoid(x, y, leakage_start_period=None) -> SinusoidFit:
     """Fit C + A cos(2 pi x / P + theta), starting from the best period of a
     2000-point frequency grid.
@@ -367,58 +371,34 @@ def default_power_grid() -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """A fitted scan: sampled records plus derived metrics and its config."""
+    """A fitted scan: its count columns, the fit with its derived metrics,
+    and the scan's config."""
 
     name: str
-    scan_name: str
-    scan_unit: str
-    observable: str  # which record column was fitted
-    records: tuple
-    fit_kind: str
-    params: dict
-    stderr: dict
+    scan: tuple[str, str]  # the swept quantity's (name, unit)
+    observable: str  # the key of the fitted column in `counts`
+    counts: dict  # column name -> array, as simulate_counts returns them
+    fit: GaussianFit | SinusoidFit
     metrics: dict
-    residual_norm: float
     config: dict
 
-    def to_csv(self) -> str:
-        return records_to_csv(list(self.records))
-
     def fit_dict(self) -> dict:
+        """The fit as a plain dict: `params` holds the fit's fields other
+        than its stderr and residual norm."""
+        params = dataclasses.asdict(self.fit)
+        stderr = params.pop("stderr")
+        residual_norm = params.pop("residual_norm")
         return {
             "name": self.name,
-            "scan": {"name": self.scan_name, "unit": self.scan_unit},
+            "scan": {"name": self.scan[0], "unit": self.scan[1]},
             "observable": self.observable,
-            "fit_kind": self.fit_kind,
-            "params": self.params,
-            "stderr": self.stderr,
+            "fit_kind": self.fit.kind,
+            "params": params,
+            "stderr": stderr,
             "metrics": self.metrics,
-            "residual_norm": self.residual_norm,
+            "residual_norm": residual_norm,
             "config": self.config,
         }
-
-
-def _scan_result(name, scan, observable, records, fit, metrics, config) -> ScanResult:
-    """Package a fitted scan; `scan` is the swept quantity's (name, unit).
-
-    `params` holds the fit's fields other than its stderr and residual norm.
-    """
-    params = dataclasses.asdict(fit)
-    stderr = params.pop("stderr")
-    residual_norm = params.pop("residual_norm")
-    return ScanResult(
-        name=name,
-        scan_name=scan[0],
-        scan_unit=scan[1],
-        observable=observable,
-        records=tuple(records),
-        fit_kind=fit.kind,
-        params=params,
-        stderr=stderr,
-        metrics=metrics,
-        residual_norm=residual_norm,
-        config=config,
-    )
 
 
 def _delay_scan(name, circuit, eta, source, config, delay_grid, metrics, **extra):
@@ -426,10 +406,10 @@ def _delay_scan(name, circuit, eta, source, config, delay_grid, metrics, **extra
     Gaussian; `metrics(fit)` gives the reported metrics and `extra` joins
     the recorded config."""
     grid = default_delay_grid() if delay_grid is None else np.asarray(delay_grid, float)
-    records = simulate_counts(circuit.with_delay(0, grid), source, config, grid)
-    fit = fit_gaussian(grid, [r.net for r in records])
-    return _scan_result(
-        name, ("delay", "um"), "net", records, fit, metrics(fit),
+    counts = simulate_counts(circuit.with_delay(0, grid), source, config, grid)
+    fit = fit_gaussian(grid, counts["net"])
+    return ScanResult(
+        name, ("delay", "um"), "net", counts, fit, metrics(fit),
         {
             "eta": eta,
             **extra,
@@ -561,12 +541,12 @@ def run_noon(
     classical_source = dataclasses.replace(
         source, singles_rates_hz=(source.singles_rates_hz[0], 0.0)
     )
-    classical_records = simulate_counts(circuit, classical_source, config, grid)
-    classical_fit = fit_sinusoid(grid, [r.singles[0] for r in classical_records])
+    classical_counts = simulate_counts(circuit, classical_source, config, grid)
+    classical_fit = fit_sinusoid(grid, classical_counts["singles_a"])
 
-    quantum_records = simulate_counts(circuit, source, config, grid)
+    quantum_counts = simulate_counts(circuit, source, config, grid)
     quantum_fit = fit_sinusoid(
-        grid, [r.net for r in quantum_records],
+        grid, quantum_counts["net"],
         leakage_start_period=classical_fit.period / 2.0,
     )
 
@@ -579,16 +559,16 @@ def run_noon(
         "power_grid": [float(v) for v in grid],
     }
     scan = ("heater_power", "W")
-    classical = _scan_result(
-        f"{name}_classical", scan, "singles_a", classical_records, classical_fit,
+    classical = ScanResult(
+        f"{name}_classical", scan, "singles_a", classical_counts, classical_fit,
         {
             "visibility": classical_fit.visibility,
             "period_w": classical_fit.period,
         },
         shared_config,
     )
-    quantum = _scan_result(
-        f"{name}_quantum", scan, "net", quantum_records, quantum_fit,
+    quantum = ScanResult(
+        f"{name}_quantum", scan, "net", quantum_counts, quantum_fit,
         {
             "visibility": quantum_fit.visibility,
             "period_w": quantum_fit.period,

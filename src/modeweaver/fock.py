@@ -252,18 +252,31 @@ class PhotonPairSource:
         return fwhm_s * SPEED_OF_LIGHT_UM_PER_S
 
 
-def spectral_overlap(source: PhotonPairSource, delay_um: float) -> float:
+def spectral_overlap(source: PhotonPairSource, delay_um):
     """Distinguishability overlap x(delay) for a free-space path difference.
 
     Both photons carry identical Gaussian spectra (intensity FWHM from the
     filter), so x(tau) = x0 * exp(-tau^2 / (2 tau_c^2)) with tau_c the
-    inverse spectral standard deviation.
+    inverse spectral standard deviation. `delay_um` may be an array; the
+    overlap then has its shape.
     """
-    if not math.isfinite(delay_um):
+    delay = np.asarray(delay_um, dtype=float)
+    if not np.isfinite(delay).all():
         raise InvalidInput("delay must be finite")
-    tau = delay_um / SPEED_OF_LIGHT_UM_PER_S
     tau_c = source.coherence_time_s()
-    return source.intrinsic_overlap * math.exp(-0.5 * (tau / tau_c) ** 2)
+    x0 = source.intrinsic_overlap
+
+    def overlap(d):
+        # math.exp, not np.exp: the two differ in the last bit on some
+        # arguments, which moves the fitted fields at roundoff
+        try:
+            return x0 * math.exp(-0.5 * (d / SPEED_OF_LIGHT_UM_PER_S / tau_c) ** 2)
+        except OverflowError:  # the exponent's limit is -inf
+            return 0.0
+
+    if delay.ndim == 0:
+        return overlap(float(delay))
+    return np.array([overlap(d) for d in delay.ravel().tolist()]).reshape(delay.shape)
 
 
 def two_photon_coincidence(

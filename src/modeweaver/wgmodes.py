@@ -230,32 +230,16 @@ def grating_period(wavelength_nm: float, delta_n: float, tol: float = 1e-9) -> f
     return wavelength_nm / delta_n * 1e-3
 
 
-@dataclass(frozen=True)
-class DispersionCurve:
-    """Per-mode effective indices along a width sweep.
-
-    Cutoff points are recorded as absent rows rather than errors.
-    """
-
-    rows: tuple  # of (width_nm, ModeId, n_eff)
-    wavelength_nm: float
-
-    def to_csv(self) -> str:
-        lines = ["sweep_param,mode_family,mode_order,n_eff"]
-        for value, mode, n_eff in self.rows:
-            lines.append(f"{value:.12g},{mode.family},{mode.order},{n_eff:.12g}")
-        return "\n".join(lines) + "\n"
-
-
 def dispersion_sweep(
     values_nm: Sequence[float],
     modes: Iterable[ModeId],
     stack: MaterialStack = MaterialStack(),
     height_nm: float = 190.0,
-) -> DispersionCurve:
+) -> list[tuple[float, ModeId, float]]:
     """Sweep the width at a fixed height and tabulate n_eff per mode.
 
-    Raises InvalidInput on an empty sweep.
+    Returns (width_nm, mode, n_eff) rows; a mode cut off at a width has no
+    row there. Raises InvalidInput on an empty sweep.
     """
     values = list(values_nm)
     if not values:
@@ -269,4 +253,4 @@ def dispersion_sweep(
                 rows.append((value, mode, effective_index(geom, mode)))
             except ModeCutoff:
                 pass
-    return DispersionCurve(tuple(rows), stack.wavelength_nm)
+    return rows

@@ -13,7 +13,6 @@ from modeweaver.circuit import (
     GratingBS,
     HeaterModel,
     Loss,
-    MeasurementRecord,
     PhaseShifter,
     RelativeDelay,
     accidentals,
@@ -21,7 +20,6 @@ from modeweaver.circuit import (
     heater_phase,
     reck_decompose,
     reck_recompose,
-    records_to_csv,
     simulate_counts,
 )
 from modeweaver.coupling import coupler_unitary
@@ -189,66 +187,62 @@ class TestSimulateCounts:
     CONFIG = CoincidenceConfig()
 
     def test_perfect_dip_at_zero_delay(self):
-        records = delay_scan(dip_circuit(0.5), self.SOURCE, self.CONFIG, [0.0])
-        assert records[0].net == pytest.approx(0.0, abs=1e-9)
+        counts = delay_scan(dip_circuit(0.5), self.SOURCE, self.CONFIG, [0.0])
+        assert counts["net"][0] == pytest.approx(0.0, abs=1e-9)
 
     def test_raw_is_net_plus_accidentals(self):
-        records = delay_scan(dip_circuit(0.55), self.SOURCE, self.CONFIG, [0.0, 200.0])
-        for r in records:
-            assert r.raw == pytest.approx(r.net + r.accidentals)
+        counts = delay_scan(dip_circuit(0.55), self.SOURCE, self.CONFIG, [0.0, 200.0])
+        assert counts["raw"] == pytest.approx(counts["net"] + counts["accidentals"])
 
     def test_large_delay_closed_form(self):
         delay = 5000.0
-        records = delay_scan(dip_circuit(0.55), self.SOURCE, self.CONFIG, [delay])
+        counts = delay_scan(dip_circuit(0.55), self.SOURCE, self.CONFIG, [delay])
         overlap = spectral_overlap(self.SOURCE, delay)
         u = coupler_unitary(0.55)
         p = two_photon_coincidence(u, (0, 1), (0, 1), overlap)
-        assert records[0].net == pytest.approx(self.SOURCE.pair_rate_hz * p)
+        assert counts["net"][0] == pytest.approx(self.SOURCE.pair_rate_hz * p)
 
     def test_loss_scales_rates(self):
         lossy = Circuit(
             2,
             dip_circuit(0.55).elements + (Loss(3.0),),
         )
-        r_lossless = delay_scan(
-            dip_circuit(0.55), self.SOURCE, self.CONFIG, [5000.0]
-        )[0]
-        r_lossy = delay_scan(lossy, self.SOURCE, self.CONFIG, [5000.0])[0]
+        lossless = delay_scan(dip_circuit(0.55), self.SOURCE, self.CONFIG, [5000.0])
+        lossy = delay_scan(lossy, self.SOURCE, self.CONFIG, [5000.0])
         t = 10 ** -0.3
-        assert r_lossy.net == pytest.approx(r_lossless.net * t * t)
-        assert r_lossy.singles[0] == pytest.approx(r_lossless.singles[0] * t)
+        assert lossy["net"][0] == pytest.approx(lossless["net"][0] * t * t)
+        assert lossy["singles_a"][0] == pytest.approx(lossless["singles_a"][0] * t)
 
     def test_seeded_poisson_reproducible(self):
         config = CoincidenceConfig(poisson=True, seed=11)
         grid = np.linspace(-300, 300, 21)
         a = delay_scan(dip_circuit(0.55), self.SOURCE, config, grid)
         b = delay_scan(dip_circuit(0.55), self.SOURCE, config, grid)
-        assert [r.raw for r in a] == [r.raw for r in b]
-        assert all(float(r.raw).is_integer() for r in a)
+        assert a["raw"].tolist() == b["raw"].tolist()
+        assert all(raw.is_integer() for raw in a["raw"].tolist())
 
     def test_poisson_mean_matches_expectation(self):
         expected = delay_scan(
             dip_circuit(0.55), self.SOURCE, self.CONFIG, [5000.0]
-        )[0].raw
+        )["raw"][0]
         config = CoincidenceConfig(poisson=True, seed=3)
         draws = delay_scan(dip_circuit(0.55), self.SOURCE, config, [5000.0] * 400)
-        mean = np.mean([r.raw for r in draws])
+        mean = np.mean(draws["raw"])
         # 4 sigma band for the mean of 400 Poisson draws
         assert abs(mean - expected) < 4 * math.sqrt(expected / 400)
 
-    def test_csv_round_trip_columns(self):
-        records = delay_scan(dip_circuit(0.5), self.SOURCE, self.CONFIG, [0.0, 10.0])
-        lines = records_to_csv(records).splitlines()
-        assert lines[0] == "scan_value,raw,accidentals,net,singles_a,singles_b,stderr"
-        assert len(lines) == 3
-        assert float(lines[2].split(",")[0]) == 10.0
-
     @pytest.mark.parametrize("poisson", [False, True])
-    def test_record_fields_are_plain_floats(self, poisson):
+    def test_columns_are_float_arrays(self, poisson):
         config = CoincidenceConfig(poisson=poisson, seed=5)
-        for r in delay_scan(dip_circuit(0.55), self.SOURCE, config, [0.0, 100.0]):
-            values = (r.scan_value, r.raw, r.accidentals, r.net, *r.singles, r.stderr)
-            assert all(type(v) is float for v in values)
+        counts = delay_scan(dip_circuit(0.55), self.SOURCE, config, [0.0, 100.0])
+        assert list(counts) == [
+            "scan_value", "raw", "accidentals", "net", "singles_a", "singles_b",
+            "stderr",
+        ]
+        for column in counts.values():
+            assert isinstance(column, np.ndarray)
+            assert (column.dtype, column.shape) == (np.float64, (2,))
+        assert counts["scan_value"].tolist() == [0.0, 100.0]
 
     def test_swept_setting_must_match_grid(self):
         swept = dip_circuit().with_delay(0, np.zeros(3))
@@ -257,11 +251,13 @@ class TestSimulateCounts:
         with pytest.raises(InvalidInput, match="one-dimensional"):
             simulate_counts(dip_circuit(), self.SOURCE, self.CONFIG, [[0.0]])
 
-    def test_record_validation(self):
-        with pytest.raises(InvalidInput):
-            MeasurementRecord(0.0, -1.0, 0.0, 0.0, (0.0, 0.0), 0.0)
+    def test_config_validation(self):
         with pytest.raises(InvalidInput):
             CoincidenceConfig(window_ns=0.0)
+
+
+# The count columns of simulate_counts in the row order of reference_counts.
+ROW_COLUMNS = ("raw", "accidentals", "net", "singles_a", "singles_b", "stderr")
 
 
 def reference_counts(circuit, source, config, delays, phases):
@@ -347,12 +343,10 @@ class TestBatchedScanOracle:
         swept = swept.with_phase("sweep", phases if sweep_phase else float(phases[0]))
         labels = np.arange(points, dtype=float)
 
-        records = simulate_counts(swept, source, config, labels)
-        got = np.array(
-            [(r.raw, r.accidentals, r.net, *r.singles, r.stderr) for r in records]
-        )
+        counts = simulate_counts(swept, source, config, labels)
+        got = np.column_stack([counts[name] for name in ROW_COLUMNS])
         want, probabilities = reference_counts(circuit, source, config, delays, phases)
-        assert [r.scan_value for r in records] == labels.tolist()
+        assert counts["scan_value"].tolist() == labels.tolist()
         for columns in ((0, 1, 2), (3, 4), (5,)):
             scale = np.abs(want[:, columns]).max()
             np.testing.assert_allclose(
@@ -363,9 +357,7 @@ class TestBatchedScanOracle:
             source, pair_rate_hz=1.0, singles_rates_hz=(0.0, 0.0)
         )
         t = compile_circuit(circuit).transmission
-        p_batched = np.array(
-            [r.raw for r in simulate_counts(swept, bare, config, labels)]
-        ) / (t[k] * t[l])
+        p_batched = simulate_counts(swept, bare, config, labels)["raw"] / (t[k] * t[l])
         np.testing.assert_allclose(p_batched, probabilities, rtol=1e-12, atol=1e-15)
         assert np.all((p_batched >= -1e-15) & (p_batched <= 1.0 + 1e-12))
 
@@ -373,11 +365,16 @@ class TestBatchedScanOracle:
         noisy = dataclasses.replace(config, poisson=True, seed=seed)
         draws = simulate_counts(swept, source, noisy, labels)
         stream = np.random.default_rng(seed)
-        for expected, drawn in zip(records, draws):
-            assert drawn.raw == float(stream.poisson(expected.raw))
-            assert drawn.singles == tuple(
-                float(stream.poisson(s)) for s in expected.singles
-            )
+        for point in range(points):
+            for name in ("raw", "singles_a", "singles_b"):
+                expected = counts[name][point]
+                assert draws[name][point] == float(stream.poisson(expected))
+
+        # counts are never negative; only net subtracts the accidentals
+        for table in (counts, draws):
+            for name in ROW_COLUMNS:
+                if name != "net":
+                    assert (table[name] >= 0).all(), name
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modeweaver.cli import _dump_json, main
+from modeweaver.cli import COMMANDS, _dump_json, main
 from modeweaver.errors import InvalidInput
 
 
@@ -78,6 +83,45 @@ class TestSplitting:
         assert lines[0] == "N,eta,visibility_ideal,visibility_measured"
         n20 = dict(zip(lines[0].split(","), lines[2].split(",")))
         assert float(n20["eta"]) == pytest.approx(0.534574224327, abs=1e-9)
+
+
+class TestCsvTables:
+    """Every CSV table comes from one writer: a header line, then floats to
+    12 significant digits and every other value as text."""
+
+    def test_scan_columns(self, capsys):
+        code, out, _ = run(capsys, "hom-scan")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "scan_value,raw,accidentals,net,singles_a,singles_b,stderr"
+        assert len(lines) == 102
+        assert float(lines[1].split(",")[0]) == -500.0
+        assert float(lines[-1].split(",")[0]) == 500.0
+
+    def test_dispersion_rows(self, capsys):
+        code, out, _ = run(
+            capsys, "dispersion", "--widths", "420:1600:1180", "--modes", "TE0"
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "sweep_param,mode_family,mode_order,n_eff"
+        assert lines[1].startswith("420,TE,0,")
+        assert len(lines) == 3
+
+    def test_cut_off_rows_are_absent(self, capsys):
+        code, out, _ = run(
+            capsys, "dispersion", "--widths", "400:1600:1200", "--modes", "TE2"
+        )
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()[1:]] == ["1600"]
+
+    def test_integers_are_not_rounded(self, capsys):
+        code, out, _ = run(capsys, "splitting", "--periods", "0:1e13:1e12")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1] == "0,0,0,0"
+        assert lines[2].startswith("1000000000000,0.987670559549,")
+        assert len(lines) == 12
 
 
 class TestScans:
@@ -156,6 +200,16 @@ class TestDecompose:
         assert err == "config error: unitary must be a nested list of [re, im] pairs\n"
 
 
+    def test_overflowing_unitary_is_one_line_error(self, capsys, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({
+            "unitary": [[[1e308, 0], [0, 0]], [[0, 0], [1, 0]]],
+        }))
+        code, out, err = run(capsys, "decompose", "--config", str(config))
+        assert (code, out) == (3, "")
+        assert err == "error: NotUnitary: U^H U deviates from identity by inf > 1e-10\n"
+
+
 class TestConfigPrecedence:
     def test_env_defaults(self, capsys, monkeypatch, tmp_path):
         defaults = tmp_path / "defaults.json"
@@ -202,6 +256,9 @@ class TestNonFiniteInput:
             ("hom-scan", "--delays=0:1e9:1e-3"),
             ("dispersion", "--widths", "0:1e308:1e-308"),
             ("splitting", "--periods", "15,abc"),
+            ("hom-scan", "--eta", "abc"),
+            ("hom-scan", "--poisson", "--seed=-1"),
+            ("decompose", "--seed", "x"),
         ],
     )
     def test_usage_error(self, capsys, argv):
@@ -243,6 +300,44 @@ class TestNonFiniteInput:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("error: InvalidInput: ")
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (("hom-scan", "--delays=-1e300:1e300:1e298"), 0),
+            (("hom-peak", "--delays=-1e300:1e300:1e298"), 0),
+            (("hom-scan", "--delays=-1e157:1e157:1e155"), 3),
+            (("hom-peak", "--delays=-1e157:1e157:1e155"), 3),
+        ],
+    )
+    def test_huge_delay_grid(self, capsys, argv, expected):
+        # the overlap of a huge delay is 0; the fit of a grid whose squared
+        # span overflows has no finite cost
+        code, _, err = run(capsys, *argv)
+        assert code == expected
+        if expected == 0:
+            assert err == ""
+        else:
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error: FitDiverged: ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("design-grating", f"--periods={10**400}"), "kappa * N = inf"),
+            (("design-grating", "--kappa=1e300", "--periods=10000000000"),
+             "kappa * N = inf"),
+            (("splitting", "--kappa=1e300", "--periods=0:1e13:1e12"),
+             "kappa * N = inf"),
+            (("noon-scan", "--powers=1e300:1e300:1", "--p2pi=1e-300"),
+             "heater phase overflows"),
+        ],
+    )
+    def test_overflow_is_compute_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: InvalidInput: {message}")
 
     @pytest.mark.parametrize("command", ["dispersion", "design-grating"])
     def test_sellmeier_overflow_is_compute_error(self, capsys, command):
@@ -323,3 +418,87 @@ class TestTopLevel:
                 proc.stderr.close()
             assert head[0].startswith(b"scan_value,")
             assert (command, code, err) == (command, 141, "")
+
+
+# Values every drawn option may take, beside ordinary ones.
+EXTREMES = ("nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e-300", "-1e-300")
+GRID_EXTREMES = (
+    "5:0:1",  # reversed
+    "0:1:0",
+    "0:1:-1",
+    "0:nan:1",
+    "-inf:0:1",
+    "0:1e9:1e-3",  # more points than the cap
+    "-1e300:1e300:1e298",
+    "-1e157:1e157:1e155",
+    "1e300:1e300:1",
+    "1:2",
+    "",
+)
+MODE_LISTS = ("TE0", "TE0,TE2", "TE0,TE1,TE2", "TM0,TM1", "TE0,TE0", "TX9", ",", "TE99")
+
+
+def _finite_number():
+    return st.floats(-1e4, 1e4, allow_nan=False).map(repr)
+
+
+@st.composite
+def _grid(draw):
+    """start:stop:step text of at most 30 points, or an extreme one."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(GRID_EXTREMES))
+    scale = draw(st.sampled_from((1e-300, 1e-3, 1.0, 100.0, 1e150, 1e300)))
+    start = draw(st.floats(-5.0, 5.0)) * scale
+    step = draw(st.floats(0.01, 1.0)) * scale
+    stop = start + step * draw(st.integers(0, 29))
+    return f"{start!r}:{stop!r}:{step!r}"
+
+
+def _value(option):
+    """A flag value for `option`: extreme, ordinary or its default."""
+    if option.key == "modes":
+        return st.sampled_from(MODE_LISTS)
+    if option.kind is str:
+        lists = st.lists(st.integers(-3, 60), max_size=4).map(
+            lambda ns: ",".join(map(str, ns))
+        )
+        return st.one_of(_grid(), lists) if option.key == "periods" else _grid()
+    ordinary = (
+        st.integers(-3, 60).map(str) if option.kind is int else _finite_number()
+    )
+    default = [] if option.default is None else [st.just(str(option.default))]
+    return st.one_of(st.sampled_from(EXTREMES + (str(10**400),)), ordinary, *default)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command]
+    for option in COMMANDS[command][2]:
+        if option.help and draw(st.booleans()):
+            argv.append(f"--{option.key.replace('_', '-')}={draw(_value(option))}")
+    if draw(st.booleans()):
+        argv.append(f"--seed={draw(st.sampled_from(('-1', '0', '7', str(2**70))))}")
+    if draw(st.booleans()):
+        argv.append("--poisson")
+    argv.append(f"--format={draw(st.sampled_from(('csv', 'json')))}")
+    return argv
+
+
+class TestArgvProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(argv=_argv())
+    def test_exit_code_and_one_line_error(self, argv):
+        """Any argv built from the option table exits 0-3 without a
+        traceback, and a failure says why in at most one stderr line."""
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            if argv[0] == "reproduce-paper":  # it writes files by default
+                argv = argv + ["--output", tmp]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if code:
+            assert len(err.splitlines()) <= 1, err

@@ -265,12 +265,13 @@ class TestHomDip:
 
     def test_scan_result_round_trip(self):
         result = run_hom_dip(0.55)
-        header = result.to_csv().splitlines()[0]
-        assert header.startswith("scan_value,")
+        assert result.observable in result.counts
         d = result.fit_dict()
         assert d["fit_kind"] == "gaussian"
         assert d["config"]["eta"] == 0.55
         assert set(d["params"]) == {"amplitude", "center", "sigma", "offset"}
+        assert set(d["stderr"]) == set(d["params"])
+        assert d["residual_norm"] == result.fit.residual_norm
 
 
 class TestCompileOncePerScan:
@@ -288,12 +289,12 @@ class TestCompileOncePerScan:
 
     def test_dip(self, compiles):
         result = run_hom_dip(0.55, delay_grid=np.linspace(-500.0, 500.0, 101))
-        assert len(result.records) == 101
+        assert len(result.counts["scan_value"]) == 101
         assert len(compiles) == 1
 
     def test_noon_compiles_once_per_fringe(self, compiles):
         classical, quantum = run_noon(0.66, 0.66)
-        assert len(classical.records) == len(quantum.records) == 53
+        assert len(classical.counts["net"]) == len(quantum.counts["net"]) == 53
         assert len(compiles) == 2
 
 

@@ -278,6 +278,23 @@ class TestSource:
                 0.92 * x_numeric, abs=1e-6
             )
 
+    def test_overlap_of_array_is_per_delay(self, monkeypatch):
+        src = PhotonPairSource()
+        delays = np.array([[0.0, -150.0], [1e157, -1e300]])
+        expected = [[spectral_overlap(src, d) for d in row] for row in delays]
+        calls = []
+        coherence_time_s = PhotonPairSource.coherence_time_s
+
+        def counting(source):
+            calls.append(source)
+            return coherence_time_s(source)
+
+        monkeypatch.setattr(PhotonPairSource, "coherence_time_s", counting)
+        overlap = spectral_overlap(src, delays)
+        assert overlap.tolist() == expected
+        assert expected[1] == [0.0, 0.0]  # the limit of a huge delay
+        assert len(calls) == 1  # tau_c once per call, not once per delay
+
     def test_validation(self):
         with pytest.raises(InvalidInput):
             PhotonPairSource(intrinsic_overlap=1.1)
@@ -285,6 +302,8 @@ class TestSource:
             PhotonPairSource(filter_fwhm_nm=0.0)
         with pytest.raises(InvalidInput):
             spectral_overlap(PhotonPairSource(), math.inf)
+        with pytest.raises(InvalidInput):
+            spectral_overlap(PhotonPairSource(), np.array([0.0, math.nan]))
 
 
 class TestTwoPhotonCoincidence:

@@ -117,26 +117,18 @@ class TestGratingPeriod:
 class TestDispersionSweep:
     def test_monotone_in_width(self):
         widths = np.arange(400, 2001, 100)
-        curve = dispersion_sweep(widths, [TE0, TE1, TE2])
+        rows = dispersion_sweep(widths, [TE0, TE1, TE2])
         for mode in (TE0, TE1, TE2):
-            values = [n for _, m, n in curve.rows if m == mode]
+            values = [n for _, m, n in rows if m == mode]
             assert values == sorted(values)
 
     def test_single_point_consistency(self):
-        curve = dispersion_sweep([1600], [TE2])
-        ((_, _, n),) = curve.rows
+        ((_, _, n),) = dispersion_sweep([1600], [TE2])
         assert n == effective_index(WaveguideGeometry(1600, 190), TE2)
 
     def test_cutoff_recorded_as_absent(self):
-        curve = dispersion_sweep([400, 1600], [TE2])
-        assert [w for w, _, _ in curve.rows] == [1600]
-
-    def test_csv_format(self):
-        curve = dispersion_sweep([420, 1600], [TE0])
-        lines = curve.to_csv().splitlines()
-        assert lines[0] == "sweep_param,mode_family,mode_order,n_eff"
-        assert lines[1].startswith("420,TE,0,")
-        assert len(lines) == 3
+        rows = dispersion_sweep([400, 1600], [TE2])
+        assert [w for w, _, _ in rows] == [1600]
 
     def test_empty_sweep(self):
         with pytest.raises(InvalidInput):

@@ -44,7 +44,8 @@ class FitDiverged(ModeweaverError):
 
 
 class InsufficientSpan(ModeweaverError):
-    """Scan data do not span enough periods for a reliable sinusoid fit."""
+    """Scan data do not span enough periods, or sample them too coarsely,
+    for a reliable sinusoid fit."""
 
 
 def require_finite(**values: float) -> None:

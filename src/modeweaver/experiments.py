@@ -42,11 +42,14 @@ def _damped_gauss_newton(residual, jacobian, p0, max_iter=200, tol=1e-13):
 
     Levenberg damping: the step solves (J^T J + lam diag(J^T J)) d = -J^T r,
     with lam shrinking on accepted steps. Raises FitDiverged if the
-    iteration cap is hit without convergence.
+    starting cost is not finite, or if the iteration cap is hit without
+    convergence.
     """
     p = np.asarray(p0, dtype=float).copy()
     r = residual(p)
     cost = float(r @ r)
+    if not math.isfinite(cost):
+        raise FitDiverged(f"starting cost is not finite ({cost})")
     lam = 1e-3
     converged = False
     for _ in range(max_iter):
@@ -534,10 +537,18 @@ def run_noon(
     Classical: singles of one output with a single input arm lit. Quantum:
     coincidences with a photon pair at zero delay; its fringe is fitted with
     the half-frequency leakage term, from half the classical period, so the
-    extracted period is exact.
+    extracted period is exact. Raises InsufficientSpan unless every power
+    step is below P_2pi/4, the Nyquist limit of the two-photon fringe.
     """
     grid = default_power_grid() if power_grid is None else np.asarray(power_grid, float)
     circuit = _noon_circuit(eta1, eta2).with_phase("heater", heater_phase(heater, grid))
+    step = float(np.max(np.diff(np.sort(grid)), initial=0.0))
+    if not step < heater.p_2pi_w / 4:
+        raise InsufficientSpan(
+            f"power step {step:.6g} W is not below P_2pi/4 = "
+            f"{heater.p_2pi_w / 4:.6g} W, the Nyquist limit of the P_2pi/2 "
+            "two-photon fringe"
+        )
     classical_source = dataclasses.replace(
         source, singles_rates_hz=(source.singles_rates_hz[0], 0.0)
     )

@@ -13,6 +13,17 @@ The slab relation is solved in its phase form
 
 which is monotonic in u, so bracketing bisection converges to machine
 precision and the residual of the relation is directly meaningful.
+
+There are two bisection loops with the same bracket, residual and
+arithmetic order. ``slab_neff`` solves one slab in scalar Python, for
+single solves such as ``effective_index``. ``dispersion_sweep`` solves the
+vertical slab once per polarisation family and then each requested mode
+over its whole width grid in one numpy bisection, every element stopping at
+its own break. ``np.arctan2`` and ``math.atan2`` differ in the last bit on
+a few percent of arguments, so the two loops can end one bisection step
+apart: on a dense sweep about one n_eff in a thousand moves by an ulp or
+two, and near a cut-off, where n_eff is most sensitive to u, by up to
+about 1e-15 relative.
 """
 
 from __future__ import annotations
@@ -20,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DegeneratePhaseMatch, InvalidInput, ModeCutoff, require_finite
 
@@ -169,9 +182,13 @@ def slab_neff(
 
     lo = 0.5 * order * math.pi
     hi = min(v_number, 0.5 * (order + 1) * math.pi)
-    # residual is negative at lo (atan2 > 0 there) and positive at hi
+    # residual is negative at lo (atan2 > 0 there) and positive at hi; once
+    # u >= 8 an ulp of u exceeds the 1e-15 stop width, and the bracket ends
+    # when the midpoint rounds onto one of its ends
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if _slab_phase_residual(mid, v_number, q, order) < 0.0:
             lo = mid
         else:
@@ -183,6 +200,55 @@ def slab_neff(
     n_eff = math.sqrt(n_eff_sq)
     if not (n_clad < n_eff < n_core):
         raise ModeCutoff(f"{family}{order} solution left the guided interval")
+    return n_eff
+
+
+def _slab_neff_over_widths(
+    n_core: float,
+    n_clad: float,
+    widths_nm: np.ndarray,
+    wavelength_nm: float,
+    family: str,
+    order: int,
+) -> np.ndarray:
+    """slab_neff at each of an array of valid thicknesses, NaN where the
+    order is not guided, in one bisection over the array.
+
+    Bracket, residual and arithmetic order are those of slab_neff; an
+    element stops updating at its own break, so only the last bit of
+    np.arctan2 can make an element differ from the scalar solve.
+    """
+    # a thickness near the float maximum overflows k0*t/2 to inf, which the
+    # scalar arithmetic does silently too
+    with np.errstate(over="ignore"):
+        half_kt = math.pi * widths_nm / wavelength_nm
+        v_number = half_kt * math.sqrt(n_core**2 - n_clad**2)
+        n_eff = np.full(len(widths_nm), math.nan)
+        guided = v_number > 0.5 * order * math.pi
+        half_kt, v_number = half_kt[guided], v_number[guided]
+        q = 1.0 if family == "TE" else (n_core / n_clad) ** 2
+
+        lo = np.full(len(v_number), 0.5 * order * math.pi)
+        hi = np.minimum(v_number, 0.5 * (order + 1) * math.pi)
+        v_squared = v_number * v_number
+        active = np.ones(len(v_number), dtype=bool)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            active &= (lo < mid) & (mid < hi)
+            if not active.any():
+                break
+            w = np.sqrt(np.maximum(v_squared - mid * mid, 0.0))
+            below = mid - 0.5 * order * math.pi - np.arctan2(q * w, mid) < 0.0
+            np.copyto(lo, mid, where=active & below)
+            np.copyto(hi, mid, where=active & ~below)
+            active &= hi - lo >= 1e-15
+        u = 0.5 * (lo + hi)
+        # float_power squares through libm pow, as Python's ** does; the
+        # array ** 2 is x * x, which differs in the last bit for about one
+        # argument in a thousand and moves n_eff across n_clad at cut-off
+        solved = np.sqrt(n_core**2 - np.float_power(u / half_kt, 2.0))
+    solved[~((n_clad < solved) & (solved < n_core))] = math.nan
+    n_eff[guided] = solved
     return n_eff
 
 
@@ -238,19 +304,48 @@ def dispersion_sweep(
 ) -> list[tuple[float, ModeId, float]]:
     """Sweep the width at a fixed height and tabulate n_eff per mode.
 
-    Returns (width_nm, mode, n_eff) rows; a mode cut off at a width has no
-    row there. Raises InvalidInput on an empty sweep.
+    Returns (width_nm, mode, n_eff) rows, width-major in the requested mode
+    order; a mode cut off at a width has no row there. Each width is
+    validated as a WaveguideGeometry. Raises InvalidInput on an empty sweep.
     """
     values = list(values_nm)
     if not values:
         raise InvalidInput("empty sweep")
-    modes = list(modes)
-    rows = []
-    for value in values:
-        geom = WaveguideGeometry(value, height_nm, stack)
-        for mode in modes:
+    WaveguideGeometry(values[0], height_nm, stack)  # validates the height
+    widths = np.array(values, dtype=float)
+    invalid = ~((widths > 0.0) & (widths < math.inf))
+    if invalid.any():  # raises, naming the first invalid width
+        WaveguideGeometry(values[int(invalid.argmax())], height_nm, stack)
+
+    n_vertical = {}
+    columns = []
+    for mode in modes:
+        if mode.family not in n_vertical:
             try:
-                rows.append((value, mode, effective_index(geom, mode)))
+                n_vertical[mode.family] = slab_neff(
+                    stack.n_core,
+                    stack.n_clad,
+                    height_nm,
+                    stack.wavelength_nm,
+                    mode.family,
+                    0,
+                )
             except ModeCutoff:
-                pass
+                n_vertical[mode.family] = None
+        if n_vertical[mode.family] is None:
+            continue
+        n_eff = _slab_neff_over_widths(
+            n_vertical[mode.family],
+            stack.n_clad,
+            widths,
+            stack.wavelength_nm,
+            "TM" if mode.family == "TE" else "TE",
+            mode.order,
+        )
+        columns.append((mode, n_eff.tolist()))
+    rows = []
+    for i, value in enumerate(values):
+        for mode, column in columns:
+            if not math.isnan(column[i]):
+                rows.append((value, mode, column[i]))
     return rows

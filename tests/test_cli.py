@@ -319,7 +319,7 @@ class TestNonFiniteInput:
             assert err == ""
         else:
             assert len(err.splitlines()) == 1
-            assert err.startswith("error: FitDiverged: ")
+            assert err.startswith("error: FitDiverged: starting cost is not finite")
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -339,6 +339,13 @@ class TestNonFiniteInput:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: InvalidInput: {message}")
 
+    @pytest.mark.parametrize("p2pi", ["1e-300", "0.1"])
+    def test_undersampled_fringe_is_compute_error(self, capsys, p2pi):
+        code, out, err = run(capsys, "noon-scan", f"--p2pi={p2pi}")
+        assert (code, out) == (3, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: InsufficientSpan: power step 0.05 W")
+
     @pytest.mark.parametrize("command", ["dispersion", "design-grating"])
     def test_sellmeier_overflow_is_compute_error(self, capsys, command):
         code, out, err = run(capsys, command, "--wavelength", "1e300")
@@ -348,12 +355,11 @@ class TestNonFiniteInput:
         assert err.startswith("error: InvalidInput: ")
 
     def test_failed_scan_writes_nothing(self, capsys, tmp_path):
-        # the classical fringe fits; the quantum fit of a 0.1 W period
-        # sampled every 0.05 W is not finite
+        # a 0.05 W power step cannot resolve the 0.05 W two-photon period
         argv = ("noon-scan", "--p2pi", "0.1")
         code, out, err = run(capsys, *argv, "--format", "json")
         assert (code, out) == (3, "")
-        assert err.startswith("error: InvalidInput: non-finite number")
+        assert err.startswith("error: InsufficientSpan: ")
         code, out, _ = run(capsys, *argv, "--output", str(tmp_path / "run"))
         assert (code, out) == (3, "")
         assert not (tmp_path / "run").exists()

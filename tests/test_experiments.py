@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from modeweaver import circuit as circuit_mod
 from modeweaver import experiments
-from modeweaver.circuit import CoincidenceConfig
+from modeweaver.circuit import CoincidenceConfig, HeaterModel
 from modeweaver.errors import (
     FitDiverged,
     InsufficientSpan,
@@ -217,6 +217,22 @@ class TestGaussNewton:
         assert "\n" not in message
 
 
+    def test_non_finite_start_fails_at_once(self):
+        calls = []
+
+        def residual(p):
+            calls.append(p)
+            return np.array([np.nan, 1.0])
+
+        def jacobian(p):
+            raise AssertionError("no iteration from a non-finite cost")
+
+        with pytest.raises(FitDiverged) as info:
+            experiments._damped_gauss_newton(residual, jacobian, [0.0])
+        assert len(calls) == 1
+        assert str(info.value) == "starting cost is not finite (nan)"
+
+
 class TestLeakageFit:
     def test_pure_fundamental(self):
         x = np.arange(0.0, 2.6001, 0.05)
@@ -350,6 +366,12 @@ class TestNoon:
         assert classical.metrics["visibility"] == pytest.approx(1.0, abs=1e-6)
         # two-photon fringe visibility is limited by the source overlap
         assert quantum.metrics["visibility"] == pytest.approx(0.92, abs=0.01)
+
+    @pytest.mark.parametrize("p_2pi_w", [1e-300, 0.1])
+    def test_power_step_must_resolve_the_fringe(self, p_2pi_w):
+        # the 0.05 W default step against P_2pi/4, the two-photon Nyquist limit
+        with pytest.raises(InsufficientSpan, match="not below P_2pi/4"):
+            run_noon(0.66, 0.66, HeaterModel(p_2pi_w=p_2pi_w))
 
     def test_unbalanced_visibilities(self):
         classical, quantum = run_noon(0.66, 0.66)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modeweaver import wgmodes
 from modeweaver.errors import DegeneratePhaseMatch, InvalidInput, ModeCutoff
@@ -64,6 +66,60 @@ class TestSlab:
             slab_neff(1.98, 1.45, -5, 808)
         with pytest.raises(InvalidInput):
             slab_neff(1.98, 1.45, 190, 808, "TX", 0)
+
+
+def capped_slab_neff(n_core, n_clad, thickness_nm, wavelength_nm, family, order):
+    """slab_neff's bisection without the midpoint stop: it ends only at a
+    1e-15 bracket or after 200 residual evaluations."""
+    half_kt = math.pi * thickness_nm / wavelength_nm
+    v_number = half_kt * math.sqrt(n_core**2 - n_clad**2)
+    q = 1.0 if family == "TE" else (n_core / n_clad) ** 2
+    lo = 0.5 * order * math.pi
+    hi = min(v_number, 0.5 * (order + 1) * math.pi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if wgmodes._slab_phase_residual(mid, v_number, q, order) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-15:
+            break
+    u = 0.5 * (lo + hi)
+    return math.sqrt(n_core**2 - (u / half_kt) ** 2)
+
+
+@pytest.fixture
+def residual_calls(monkeypatch):
+    calls = []
+    residual = wgmodes._slab_phase_residual
+
+    def counted(*args):
+        calls.append(args)
+        return residual(*args)
+
+    monkeypatch.setattr(wgmodes, "_slab_phase_residual", counted)
+    return calls
+
+
+class TestBisectionStop:
+    @pytest.mark.parametrize("order", [5, 6, 7, 8])
+    def test_high_orders_stop_at_the_ulp_of_u(self, residual_calls, order):
+        # u >= 8 here, where an ulp of u exceeds the 1e-15 stop width
+        args = (1.9, 1.45, 3000, 808, "TM", order)
+        expected = capped_slab_neff(*args)
+        assert len(residual_calls) == 200
+        residual_calls.clear()
+        assert slab_neff(*args).hex() == expected.hex()
+        assert len(residual_calls) <= 55
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_low_orders_unchanged(self, residual_calls, order):
+        args = (1.9, 1.45, 3000, 808, "TM", order)
+        expected = capped_slab_neff(*args)
+        capped_calls = len(residual_calls)
+        residual_calls.clear()
+        assert slab_neff(*args).hex() == expected.hex()
+        assert len(residual_calls) == capped_calls
 
 
 class TestEffectiveIndex:
@@ -133,6 +189,120 @@ class TestDispersionSweep:
     def test_empty_sweep(self):
         with pytest.raises(InvalidInput):
             dispersion_sweep([], [TE0])
+
+    @pytest.mark.parametrize(
+        "widths, height, message",
+        [
+            ([400, 0, math.nan], 190, "width and height must be positive"),
+            ([400, -5], 190, "width and height must be positive"),
+            ([400, 800, math.nan], 190, "width_nm must be finite, got nan"),
+            ([1e300, math.inf], 190, "width_nm must be finite, got inf"),
+            ([400, math.nan], math.nan, "height_nm must be finite, got nan"),
+            ([math.nan], math.nan, "width_nm must be finite, got nan"),
+            ([400, 800], 0, "width and height must be positive"),
+        ],
+    )
+    def test_first_invalid_width_raises(self, widths, height, message):
+        with pytest.raises(InvalidInput) as info:
+            dispersion_sweep(widths, [TE0], height_nm=height)
+        assert str(info.value) == message
+
+    def test_vertical_slab_solved_once_per_family(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return slab_neff(*args)
+
+        monkeypatch.setattr(wgmodes, "slab_neff", counted)
+        widths = np.arange(400, 3001, 50)
+        modes = [TE0, ModeId("TM", 1), TE2, ModeId("TM", 0), TE1]
+        dispersion_sweep(widths, modes)
+        assert [args[4:] for args in calls] == [("TE", 0), ("TM", 0)]
+        assert {args[2] for args in calls} == {190.0}
+
+    def test_cut_off_edge_matches_per_point_solve(self):
+        # these widths sit about 1e-9 above TE2's cut-off width, where n_eff
+        # rounds onto n_clad; there x ** 2 and x * x of u / (k0 t / 2)
+        # differ in the last bit, which decides whether the row exists
+        wavelength = 1046.1721846727482
+        stack = MaterialStack(
+            wgmodes.silicon_nitride_index(wavelength),
+            wgmodes.silica_index(wavelength),
+            wavelength,
+        )
+        height = 948.3669491714678
+        widths = [790.1977399001582, 790.1977444655257, 790.1977502449289]
+        reference = []
+        for width in widths:
+            try:
+                n = effective_index(WaveguideGeometry(width, height, stack), TE2)
+            except ModeCutoff:
+                continue
+            reference.append((width, TE2, n))
+        assert dispersion_sweep(widths, [TE2], stack, height) == reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(sweep=st.data())
+    def test_matches_per_point_solves(self, sweep):
+        """Rows, their order and the guided set equal those of one
+        effective_index solve per (width, mode); n_eff agrees to 1e-14
+        relative (np.arctan2 and math.atan2 differ in the last bit)."""
+        draw = sweep.draw
+        wavelength = draw(st.floats(600.0, 1800.0), label="wavelength")
+        height = draw(
+            st.one_of(st.floats(80.0, 1000.0), st.sampled_from([1e-3, 1.0, 10.0])),
+            label="height",
+        )
+        modes = draw(
+            st.lists(
+                st.builds(ModeId, st.sampled_from(["TE", "TM"]), st.integers(0, 8)),
+                min_size=1,
+                max_size=4,
+            ),
+            label="modes",
+        )
+        stack = MaterialStack(
+            wgmodes.silicon_nitride_index(wavelength),
+            wgmodes.silica_index(wavelength),
+            wavelength,
+        )
+        widths = draw(
+            st.lists(st.floats(20.0, 8000.0), min_size=1, max_size=20), label="widths"
+        )
+        for mode in modes:
+            # widths just either side of the lateral cut-off, V = order*pi/2
+            try:
+                n_vertical = slab_neff(
+                    stack.n_core, stack.n_clad, height, wavelength, mode.family, 0
+                )
+            except ModeCutoff:
+                continue
+            aperture = math.sqrt(n_vertical**2 - stack.n_clad**2)
+            if mode.order == 0 or aperture == 0.0:
+                continue
+            cutoff = mode.order * wavelength / (2.0 * aperture)
+            offsets = draw(
+                st.lists(
+                    st.tuples(st.floats(-1.0, 1.0), st.integers(-16, -2)), max_size=6
+                ),
+                label=f"{mode} offsets",
+            )
+            widths += [cutoff * (1.0 + m * 10.0**e) for m, e in offsets]
+
+        reference = []
+        for width in widths:
+            geometry = WaveguideGeometry(width, height, stack)
+            for mode in modes:
+                try:
+                    reference.append((width, mode, effective_index(geometry, mode)))
+                except ModeCutoff:
+                    pass
+        rows = dispersion_sweep(widths, modes, stack, height)
+        assert [row[:2] for row in rows] == [row[:2] for row in reference]
+        for (_, _, n), (_, _, n_ref) in zip(rows, reference):
+            assert type(n) is float
+            assert abs(n - n_ref) <= 1e-14 * n_ref
 
 
 class TestMaterials:

@@ -232,16 +232,26 @@ def _slab_neff_over_widths(
         hi = np.minimum(v_number, 0.5 * (order + 1) * math.pi)
         v_squared = v_number * v_number
         active = np.ones(len(v_number), dtype=bool)
+        # the loop works in these buffers and allocates no temporaries
+        mid, w, residual = np.empty((3, len(v_number)))
+        below, update = np.empty((2, len(v_number)), dtype=bool)
         for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            active &= (lo < mid) & (mid < hi)
+            np.multiply(0.5, np.add(lo, hi, out=mid), out=mid)
+            active &= np.less(lo, mid, out=update)
+            active &= np.less(mid, hi, out=update)
             if not active.any():
                 break
-            w = np.sqrt(np.maximum(v_squared - mid * mid, 0.0))
-            below = mid - 0.5 * order * math.pi - np.arctan2(q * w, mid) < 0.0
-            np.copyto(lo, mid, where=active & below)
-            np.copyto(hi, mid, where=active & ~below)
-            active &= hi - lo >= 1e-15
+            # below: mid - order*pi/2 - atan2(q*w, mid) < 0, w = sqrt(V^2 - mid^2)
+            np.subtract(v_squared, np.multiply(mid, mid, out=w), out=w)
+            np.sqrt(np.maximum(w, 0.0, out=w), out=w)
+            np.arctan2(np.multiply(q, w, out=w), mid, out=w)
+            np.subtract(mid, 0.5 * order * math.pi, out=residual)
+            np.less(np.subtract(residual, w, out=residual), 0.0, out=below)
+            np.copyto(lo, mid, where=np.logical_and(active, below, out=update))
+            np.logical_not(below, out=below)
+            np.copyto(hi, mid, where=np.logical_and(active, below, out=update))
+            np.subtract(hi, lo, out=residual)
+            active &= np.greater_equal(residual, 1e-15, out=update)
         u = 0.5 * (lo + hi)
         # float_power squares through libm pow, as Python's ** does; the
         # array ** 2 is x * x, which differs in the last bit for about one
@@ -311,11 +321,9 @@ def dispersion_sweep(
     values = list(values_nm)
     if not values:
         raise InvalidInput("empty sweep")
-    WaveguideGeometry(values[0], height_nm, stack)  # validates the height
+    for value in values:
+        WaveguideGeometry(value, height_nm, stack)
     widths = np.array(values, dtype=float)
-    invalid = ~((widths > 0.0) & (widths < math.inf))
-    if invalid.any():  # raises, naming the first invalid width
-        WaveguideGeometry(values[int(invalid.argmax())], height_nm, stack)
 
     n_vertical = {}
     columns = []

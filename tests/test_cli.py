@@ -1,6 +1,8 @@
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modeweaver import experiments
 from modeweaver.cli import COMMANDS, _dump_json, main
 from modeweaver.errors import InvalidInput
 
@@ -354,7 +357,7 @@ class TestNonFiniteInput:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("error: InvalidInput: ")
 
-    def test_failed_scan_writes_nothing(self, capsys, tmp_path):
+    def test_undersampled_scan_writes_nothing(self, capsys, tmp_path):
         # a 0.05 W power step cannot resolve the 0.05 W two-photon period
         argv = ("noon-scan", "--p2pi", "0.1")
         code, out, err = run(capsys, *argv, "--format", "json")
@@ -362,6 +365,22 @@ class TestNonFiniteInput:
         assert err.startswith("error: InsufficientSpan: ")
         code, out, _ = run(capsys, *argv, "--output", str(tmp_path / "run"))
         assert (code, out) == (3, "")
+        assert not (tmp_path / "run").exists()
+
+    def test_failed_scan_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        # the classical result serialises, then the quantum one fails
+        run_noon = experiments.run_noon
+
+        def non_finite_second(*args):
+            classical, quantum = run_noon(*args)
+            return classical, dataclasses.replace(quantum, metrics={"x": math.nan})
+
+        monkeypatch.setattr(experiments, "run_noon", non_finite_second)
+        for output in (("--format", "json"), ("--output", str(tmp_path / "run"))):
+            code, out, err = run(capsys, "noon-scan", *output)
+            assert (code, out) == (3, "")
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error: InvalidInput: non-finite number in output")
         assert not (tmp_path / "run").exists()
 
     def test_non_finite_output_is_compute_error(self):

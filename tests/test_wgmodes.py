@@ -207,6 +207,12 @@ class TestDispersionSweep:
             dispersion_sweep(widths, [TE0], height_nm=height)
         assert str(info.value) == message
 
+    def test_every_width_is_a_geometry(self):
+        # a width WaveguideGeometry rejects is rejected even where a float
+        # array would accept it
+        with pytest.raises(TypeError):
+            dispersion_sweep([400.0, "500"], [TE0])
+
     def test_vertical_slab_solved_once_per_family(self, monkeypatch):
         calls = []
 

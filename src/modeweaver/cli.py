@@ -11,6 +11,7 @@ output numbers carry 12 significant digits so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -108,8 +109,9 @@ class Option(NamedTuple):
 
 class Settings:
     """The settings of the parsed command: flag beats config file beats the
-    option's default. Indexing converts with the option's kind; a float
-    must be finite."""
+    option's default. Indexing converts with the option's kind, and only
+    where nothing is lost: a bool takes only true or false, an int only an
+    integral number, no other kind a bool, and a float must be finite."""
 
     def __init__(self, args):
         self.args = args
@@ -135,6 +137,13 @@ class Settings:
         flag = getattr(self.args, key, None)
         value = flag if flag is not None else self.config.get(key, option.default)
         if option.kind is not None and value is not None:
+            integral = isinstance(value, int) or (
+                isinstance(value, float) and value.is_integer()
+            )
+            if isinstance(value, bool) != (option.kind is bool) or (
+                option.kind is int and not integral
+            ):
+                raise ConfigError(f"bad value for {key}: {value!r}")
             try:
                 value = option.kind(value)
             except (TypeError, ValueError, OverflowError) as exc:
@@ -243,8 +252,13 @@ def cmd_splitting(args) -> int:
             n_values = [int(p) for p in periods_text.split(",") if p.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad period count: {exc}") from exc
+        if not n_values:
+            raise ConfigError(f"no period count in periods={periods_text!r}")
     else:
-        n_values = [int(v) for v in _parse_range(periods_text, "periods")]
+        grid = _parse_range(periods_text, "periods")
+        if not all(v.is_integer() for v in grid):
+            raise ConfigError(f"periods={periods_text!r} has a non-integer count")
+        n_values = [int(v) for v in grid]
     rows = experiments.run_splitting_vs_N(kappa, n_values, settings["overlap"])
     if args.format == "json":
         _emit(args, _dump_json(rows), "splitting.json")
@@ -457,7 +471,10 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing fills a new
+    namespace each time and leaves the parser unchanged."""
     parser = _Parser(
         prog="modeweaver",
         description="Design and simulate multimode-waveguide quantum circuits.",

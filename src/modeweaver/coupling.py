@@ -115,8 +115,7 @@ def grating_from_geometry(
     """
     if depth_nm < 0:
         raise InvalidInput("depth must be non-negative")
-    n_a = wgmodes.effective_index(geometry, mode_pair[0])
-    n_b = wgmodes.effective_index(geometry, mode_pair[1])
+    n_a, n_b = wgmodes.effective_indices(geometry, mode_pair)
     period_um = wgmodes.grating_period(
         geometry.stack.wavelength_nm, abs(n_a - n_b)
     )

@@ -14,16 +14,12 @@ The slab relation is solved in its phase form
 which is monotonic in u, so bracketing bisection converges to machine
 precision and the residual of the relation is directly meaningful.
 
-There are two bisection loops with the same bracket, residual and
-arithmetic order. ``slab_neff`` solves one slab in scalar Python, for
-single solves such as ``effective_index``. ``dispersion_sweep`` solves the
-vertical slab once per polarisation family and then each requested mode
-over its whole width grid in one numpy bisection, every element stopping at
-its own break. ``np.arctan2`` and ``math.atan2`` differ in the last bit on
-a few percent of arguments, so the two loops can end one bisection step
-apart: on a dense sweep about one n_eff in a thousand moves by an ulp or
-two, and near a cut-off, where n_eff is most sensitive to u, by up to
-about 1e-15 relative.
+``slab_neff`` is the one solver: a numpy bisection over any set of slabs
+that share a cladding and a wavelength, each element stopping at its own
+break. A dispersion sweep calls it twice, once for the vertical slab of
+every requested family and once for every (width, mode) pair.
+``effective_index`` is the row of a one-width sweep, so a single solve and
+a sweep row of the same waveguide agree bit for bit.
 """
 
 from __future__ import annotations
@@ -145,90 +141,64 @@ class ModeId:
         return cls(text[:2], int(text[2:]))
 
 
-def _slab_phase_residual(u: float, v_number: float, q: float, order: int) -> float:
-    w = math.sqrt(max(v_number * v_number - u * u, 0.0))
-    return u - 0.5 * order * math.pi - math.atan2(q * w, u)
-
-
 def slab_neff(
-    n_core: float,
+    n_core,
     n_clad: float,
-    thickness_nm: float,
+    thickness_nm,
     wavelength_nm: float,
-    family: str = "TE",
-    order: int = 0,
-) -> float:
-    """Effective index of a symmetric slab waveguide mode.
+    family="TE",
+    order=0,
+) -> np.ndarray:
+    """Effective indices of symmetric-slab modes, NaN where a mode is not
+    guided, from one bisection over all of them.
 
-    Raises ModeCutoff when the order is not guided, InvalidInput for
-    non-physical arguments.
+    ``n_core``, ``thickness_nm``, ``family`` and ``order`` broadcast against
+    each other, so the slabs may differ in all four; they share the
+    cladding and the wavelength. Each element stops updating at its own
+    break. Raises InvalidInput for non-physical arguments.
     """
-    if not (n_core > n_clad > 0):
+    n_core, thickness_nm, family, order = np.broadcast_arrays(
+        np.asarray(n_core, dtype=float),
+        np.asarray(thickness_nm, dtype=float),
+        np.asarray(family),
+        np.asarray(order),
+    )
+    if not (np.all(n_core > n_clad) and n_clad > 0):
         raise InvalidInput("need n_core > n_clad > 0")
-    if thickness_nm <= 0 or wavelength_nm <= 0:
+    if not (np.all(thickness_nm > 0) and wavelength_nm > 0):
         raise InvalidInput("thickness and wavelength must be positive")
-    if family not in ("TE", "TM"):
-        raise InvalidInput(f"unknown family {family!r}")
-    if order < 0:
+    te = family == "TE"
+    if not np.all(te | (family == "TM")):
+        raise InvalidInput(f"unknown family in {family.ravel().tolist()}")
+    if np.any(order < 0):
         raise InvalidInput("order must be >= 0")
 
-    half_kt = math.pi * thickness_nm / wavelength_nm  # k0 * t / 2
-    v_number = half_kt * math.sqrt(n_core**2 - n_clad**2)
-    if v_number <= 0.5 * order * math.pi:
-        raise ModeCutoff(
-            f"{family}{order} not guided: V={v_number:.4f} <= {order}*pi/2"
-        )
-    q = 1.0 if family == "TE" else (n_core / n_clad) ** 2
-
-    lo = 0.5 * order * math.pi
-    hi = min(v_number, 0.5 * (order + 1) * math.pi)
-    # residual is negative at lo (atan2 > 0 there) and positive at hi; once
-    # u >= 8 an ulp of u exceeds the 1e-15 stop width, and the bracket ends
-    # when the midpoint rounds onto one of its ends
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if _slab_phase_residual(mid, v_number, q, order) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    u = 0.5 * (lo + hi)
-    n_eff_sq = n_core**2 - (u / half_kt) ** 2
-    n_eff = math.sqrt(n_eff_sq)
-    if not (n_clad < n_eff < n_core):
-        raise ModeCutoff(f"{family}{order} solution left the guided interval")
-    return n_eff
-
-
-def _slab_neff_over_widths(
-    n_core: float,
-    n_clad: float,
-    widths_nm: np.ndarray,
-    wavelength_nm: float,
-    family: str,
-    order: int,
-) -> np.ndarray:
-    """slab_neff at each of an array of valid thicknesses, NaN where the
-    order is not guided, in one bisection over the array.
-
-    Bracket, residual and arithmetic order are those of slab_neff; an
-    element stops updating at its own break, so only the last bit of
-    np.arctan2 can make an element differ from the scalar solve.
-    """
-    # a thickness near the float maximum overflows k0*t/2 to inf, which the
-    # scalar arithmetic does silently too
+    shape = n_core.shape
+    n_core, thickness_nm, te, order = (
+        a.ravel() for a in (n_core, thickness_nm, te, order)
+    )
+    n_eff = np.full(n_core.shape, math.nan)
+    # a thickness near the float maximum overflows k0*t/2 to inf; such a
+    # slab ends with n_eff = n_core, which is not guided
     with np.errstate(over="ignore"):
-        half_kt = math.pi * widths_nm / wavelength_nm
-        v_number = half_kt * math.sqrt(n_core**2 - n_clad**2)
-        n_eff = np.full(len(widths_nm), math.nan)
-        guided = v_number > 0.5 * order * math.pi
-        half_kt, v_number = half_kt[guided], v_number[guided]
-        q = 1.0 if family == "TE" else (n_core / n_clad) ** 2
+        # float_power squares through libm pow, as Python's ** does; the
+        # array ** 2 is x * x, which differs in the last bit for about one
+        # argument in a thousand and, just above a cut-off, decides whether
+        # n_eff rounds onto n_clad
+        core_squared = np.float_power(n_core, 2.0)
+        half_kt = math.pi * thickness_nm / wavelength_nm  # k0 * t / 2
+        v_number = half_kt * np.sqrt(core_squared - n_clad**2)
+        phase = 0.5 * order * math.pi
+        guided = v_number > phase
+        n_core, te, order, core_squared, half_kt, v_number, phase = (
+            a[guided]
+            for a in (n_core, te, order, core_squared, half_kt, v_number, phase)
+        )
+        q = np.where(te, 1.0, np.float_power(n_core / n_clad, 2.0))
 
-        lo = np.full(len(v_number), 0.5 * order * math.pi)
+        # the residual u - order*pi/2 - atan2(q*w, u) is negative at lo
+        # (atan2 > 0 there) and positive at hi
+        lo = phase.copy()
         hi = np.minimum(v_number, 0.5 * (order + 1) * math.pi)
         v_squared = v_number * v_number
         active = np.ones(len(v_number), dtype=bool)
@@ -237,58 +207,55 @@ def _slab_neff_over_widths(
         below, update = np.empty((2, len(v_number)), dtype=bool)
         for _ in range(200):
             np.multiply(0.5, np.add(lo, hi, out=mid), out=mid)
+            # once u >= 8 an ulp of u exceeds the 1e-15 stop width, and an
+            # element stops when its midpoint rounds onto an end
             active &= np.less(lo, mid, out=update)
             active &= np.less(mid, hi, out=update)
-            if not active.any():
+            if not np.count_nonzero(active):
                 break
-            # below: mid - order*pi/2 - atan2(q*w, mid) < 0, w = sqrt(V^2 - mid^2)
+            # below: mid - order*pi/2 < atan2(q*w, mid), w = sqrt(V^2 - mid^2);
+            # mid <= hi <= V, so V^2 - mid^2 >= 0, and a - b < 0 iff a < b
             np.subtract(v_squared, np.multiply(mid, mid, out=w), out=w)
-            np.sqrt(np.maximum(w, 0.0, out=w), out=w)
-            np.arctan2(np.multiply(q, w, out=w), mid, out=w)
-            np.subtract(mid, 0.5 * order * math.pi, out=residual)
-            np.less(np.subtract(residual, w, out=residual), 0.0, out=below)
+            np.arctan2(np.multiply(q, np.sqrt(w, out=w), out=w), mid, out=w)
+            np.less(np.subtract(mid, phase, out=residual), w, out=below)
             np.copyto(lo, mid, where=np.logical_and(active, below, out=update))
-            np.logical_not(below, out=below)
-            np.copyto(hi, mid, where=np.logical_and(active, below, out=update))
+            np.copyto(hi, mid, where=np.greater(active, below, out=update))
             np.subtract(hi, lo, out=residual)
             active &= np.greater_equal(residual, 1e-15, out=update)
         u = 0.5 * (lo + hi)
-        # float_power squares through libm pow, as Python's ** does; the
-        # array ** 2 is x * x, which differs in the last bit for about one
-        # argument in a thousand and moves n_eff across n_clad at cut-off
-        solved = np.sqrt(n_core**2 - np.float_power(u / half_kt, 2.0))
+        solved = np.sqrt(core_squared - np.float_power(u / half_kt, 2.0))
     solved[~((n_clad < solved) & (solved < n_core))] = math.nan
     n_eff[guided] = solved
-    return n_eff
+    return n_eff.reshape(shape)
+
+
+def effective_indices(
+    geometry: WaveguideGeometry, modes: Sequence[ModeId]
+) -> list[float]:
+    """Effective index of each mode of a rectangular waveguide, from a
+    one-width dispersion sweep. Raises ModeCutoff naming the first mode
+    that is not guided.
+    """
+    rows = dispersion_sweep(
+        [geometry.width_nm], modes, geometry.stack, geometry.height_nm
+    )
+    n_eff = {mode: n for _, mode, n in rows}
+    for mode in modes:
+        if mode not in n_eff:
+            raise ModeCutoff(
+                f"{mode} not guided at width {geometry.width_nm:g} nm, "
+                f"height {geometry.height_nm:g} nm"
+            )
+    return [n_eff[mode] for mode in modes]
 
 
 def effective_index(geometry: WaveguideGeometry, mode: ModeId) -> float:
-    """Effective index of a rectangular-waveguide mode (effective-index method).
-
-    Vertical slab first (fundamental order, thickness = height), then a
-    horizontal slab (requested lateral order, thickness = width) whose core
-    index is the vertical result. Raises ModeCutoff if either step has no
-    guided solution.
+    """Effective index of a rectangular-waveguide mode (effective-index
+    method): the single row of a one-width dispersion sweep. Raises
+    ModeCutoff if the mode is not guided.
     """
-    stack = geometry.stack
-    vertical_family = "TE" if mode.family == "TE" else "TM"
-    horizontal_family = "TM" if mode.family == "TE" else "TE"
-    n_vertical = slab_neff(
-        stack.n_core,
-        stack.n_clad,
-        geometry.height_nm,
-        stack.wavelength_nm,
-        vertical_family,
-        0,
-    )
-    return slab_neff(
-        n_vertical,
-        stack.n_clad,
-        geometry.width_nm,
-        stack.wavelength_nm,
-        horizontal_family,
-        mode.order,
-    )
+    (n_eff,) = effective_indices(geometry, [mode])
+    return n_eff
 
 
 def grating_period(wavelength_nm: float, delta_n: float, tol: float = 1e-9) -> float:
@@ -323,37 +290,26 @@ def dispersion_sweep(
         raise InvalidInput("empty sweep")
     for value in values:
         WaveguideGeometry(value, height_nm, stack)
-    widths = np.array(values, dtype=float)
-
-    n_vertical = {}
-    columns = []
-    for mode in modes:
-        if mode.family not in n_vertical:
-            try:
-                n_vertical[mode.family] = slab_neff(
-                    stack.n_core,
-                    stack.n_clad,
-                    height_nm,
-                    stack.wavelength_nm,
-                    mode.family,
-                    0,
-                )
-            except ModeCutoff:
-                n_vertical[mode.family] = None
-        if n_vertical[mode.family] is None:
-            continue
-        n_eff = _slab_neff_over_widths(
-            n_vertical[mode.family],
-            stack.n_clad,
-            widths,
-            stack.wavelength_nm,
-            "TM" if mode.family == "TE" else "TE",
-            mode.order,
-        )
-        columns.append((mode, n_eff.tolist()))
-    rows = []
-    for i, value in enumerate(values):
-        for mode, column in columns:
-            if not math.isnan(column[i]):
-                rows.append((value, mode, column[i]))
-    return rows
+    modes = list(modes)
+    # vertical step: the fundamental slab of the height, once per family
+    families = list(dict.fromkeys(mode.family for mode in modes))
+    vertical = slab_neff(
+        stack.n_core, stack.n_clad, height_nm, stack.wavelength_nm, families, 0
+    )
+    n_vertical = dict(zip(families, vertical.tolist()))
+    modes = [mode for mode in modes if not math.isnan(n_vertical[mode.family])]
+    # lateral step: every (width, mode) pair, the width down the first axis
+    n_eff = slab_neff(
+        [n_vertical[mode.family] for mode in modes],
+        stack.n_clad,
+        np.array(values, dtype=float)[:, np.newaxis],
+        stack.wavelength_nm,
+        ["TM" if mode.family == "TE" else "TE" for mode in modes],
+        [mode.order for mode in modes],
+    )
+    return [
+        (value, mode, n)
+        for value, row in zip(values, n_eff.tolist())
+        for mode, n in zip(modes, row)
+        if not math.isnan(n)
+    ]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modeweaver import experiments
+from modeweaver import cli, experiments
 from modeweaver.cli import COMMANDS, _dump_json, main
 from modeweaver.errors import InvalidInput
 
@@ -72,6 +72,26 @@ class TestDesignGrating:
         code, _, err = run(capsys, "design-grating", "--modes", "TE0,TE0")
         assert code == 3
         assert "DegeneratePhaseMatch" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--modes", "TE0,TE9"), "TE9 not guided at width 1600 nm, height 190 nm"),
+            (("--width", "1e308"), "TE0 not guided at width 1e+308 nm, height 190 nm"),
+        ],
+    )
+    def test_cutoff_names_the_requested_mode(self, capsys, argv, message):
+        code, out, err = run(capsys, "design-grating", *argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: ModeCutoff: {message}\n"
+
+    def test_integral_config_values_accepted(self, capsys, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text('{"periods": 25.0, "depth": 12}')
+        code, out, _ = run(capsys, "design-grating", "--config", str(config))
+        assert code == 0
+        spec = json.loads(out)
+        assert (spec["num_periods"], spec["depth_nm"]) == (25, 12.0)
 
     def test_needs_two_modes(self, capsys):
         code, _, _ = run(capsys, "design-grating", "--modes", "TE0,TE1,TE2")
@@ -259,6 +279,8 @@ class TestNonFiniteInput:
             ("hom-scan", "--delays=0:1e9:1e-3"),
             ("dispersion", "--widths", "0:1e308:1e-308"),
             ("splitting", "--periods", "15,abc"),
+            ("splitting", "--periods", "0:3:0.5"),
+            ("splitting", "--periods", ",,"),
             ("hom-scan", "--eta", "abc"),
             ("hom-scan", "--poisson", "--seed=-1"),
             ("decompose", "--seed", "x"),
@@ -285,6 +307,13 @@ class TestNonFiniteInput:
             ("decompose", '{"size": 3000}'),
             ("decompose", '{"unitary": [[[NaN, 0]]]}'),
             ("decompose", '{"unitary": [[[Infinity, 0]]]}'),
+            ("reproduce-paper", '{"poisson": "false"}'),
+            ("reproduce-paper", '{"poisson": 0}'),
+            ("design-grating", '{"periods": 20.7}'),
+            ("design-grating", '{"periods": true}'),
+            ("design-grating", '{"periods": "20"}'),
+            ("hom-scan", '{"eta": true}'),
+            ("decompose", '{"size": 3.9}'),
         ],
     )
     def test_config_value(self, capsys, tmp_path, command, text):
@@ -389,6 +418,27 @@ class TestNonFiniteInput:
 
 
 class TestTopLevel:
+    def test_shared_parser_keeps_no_parsed_value(self, capsys):
+        """One parser serves every main() call of a process: a value parsed
+        for one call never reaches the next."""
+        calls = [
+            ("hom-scan", "--poisson", "--seed", "3", "--format", "json"),
+            ("hom-scan",),
+            ("splitting", "--periods", "15,20", "--format", "json"),
+            ("splitting", "--periods", "15,20"),
+            ("decompose", "--seed", "5"),
+            ("decompose",),
+        ]
+        fresh = []
+        for argv in calls:
+            cli.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert [run(capsys, *argv) for argv in calls] == fresh
+        assert fresh[1][1].startswith("scan_value,")
+        assert fresh[5][0] == 2
+        args = cli.build_parser().parse_args(["hom-scan"])
+        assert (args.poisson, args.seed, args.format) == (None, None, "csv")
+
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 

@@ -227,20 +227,17 @@ def _harmonic_ls(x, y, freq, harmonics):
     return coef, sse
 
 
-def _best_frequency(x, y, freqs):
-    """Index of the first frequency in `freqs` at which a least-squares fit
-    of y on [1, cos(2 pi f x), sin(2 pi f x)] leaves the least residual.
+_BLOCK = 64  # frequencies per exactly scored block: 0.5 MB per temporary at 1000 points
+_SCREEN_ELEMENTS = 1 << 18  # head exponentials per chunk of x in the screen: 4 MB
+_ONE_THREAD_MACS = 1 << 15  # OpenBLAS threads a complex product from 2^16 multiply-adds
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
-    Generalised Lomb-Scargle periodogram (Zechmeister & Kuerster, A&A 496,
-    577, 2009) in explained-variance form: with centred y and centred
-    columns, the cos column c and the sin column orthogonalised against it,
-    s, a frequency explains (y.c)^2/|c|^2 + (y.s)^2/|s|^2 of |y|^2. A column
-    whose squared norm is below 1e-12 N is roundoff and explains nothing,
-    such as the sin column at exactly Nyquist on a uniform grid.
-    """
-    block = 64  # frequencies per pass: 0.5 MB per temporary at 1000 points
-    y = y - np.mean(y)
-    negligible = 1e-12 * len(x)
+
+def _block_scores(x, y, freqs, negligible):
+    """Explained variance of the centred y at each frequency of one block,
+    computed from the centred cos column c and the sin column
+    orthogonalised against it, s: (y.c)^2/|c|^2 + (y.s)^2/|s|^2. A column
+    whose squared norm is not above `negligible` explains nothing."""
 
     def kept_norm2(column):
         # zero a negligible column; its norm becomes 1 so its term is 0
@@ -249,26 +246,164 @@ def _best_frequency(x, y, freqs):
         column *= kept[:, None]
         return np.where(kept, norm2, 1.0)
 
+    arg = (2 * np.pi * freqs)[:, None] * x
+    cos, sin = np.cos(arg), np.sin(arg)
+    cos -= np.mean(cos, axis=1, keepdims=True)
+    sin -= np.mean(sin, axis=1, keepdims=True)
+    cos_norm2 = kept_norm2(cos)
+    sin -= cos * (np.einsum("fn,fn->f", sin, cos) / cos_norm2)[:, None]
+    sin_norm2 = kept_norm2(sin)
+    return (cos @ y) ** 2 / cos_norm2 + (sin @ y) ** 2 / sin_norm2
+
+
+def _cis(phase):
+    """exp(i phase), from one cos and one sin call."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
+def _screen(x, y, freqs, negligible):
+    """Scores of every frequency in the linspace `freqs` from three complex
+    matrix products, with a bound on their distance from `_block_scores`.
+
+    Frequency k = 64 a + b is head a plus offset b, with heads freqs[::64]
+    and offsets freqs[:64] - freqs[0], so with E = exp(2 pi i f x) over the
+    points, (E_heads) @ E_offsets^T holds sum cos and sum sin at every
+    frequency, (E_heads y) @ E_offsets^T holds y.cos and y.sin, and
+    (E_heads^2) @ (E_offsets^2)^T holds sum cos 2wx and sum sin 2wx. The
+    products accumulate over chunks of x, so the working set stays bounded.
+    The column norms and their inner product follow in closed form:
+    |c|^2 = N/2 + sum cos2/2 - (sum cos)^2/N, |s|^2 = N/2 - sum cos2/2 -
+    (sum sin)^2/N and c.s = sum sin2/2 - sum cos sum sin/N; the score then
+    takes the negligible-column rule and Gram-Schmidt form of
+    `_block_scores`.
+
+    Error bound. Let u be the unit roundoff and Phi = 2 pi max|f| max|x|.
+    Each term exp(i w x) of a sum, here or in `_block_scores`, is off by at
+    most tau = u (12 Phi + 2 N + 16): its phase by at most 9 u Phi here
+    (head and offset phases, the head + offset split of the linspace) and
+    2 u Phi there, cos and sin and the product by at most 16 u, and worst-
+    case summation of N terms by N u per term. So the Gram matrix G of
+    (c, s) is within ||dG|| <= 6 N tau (Frobenius; a double angle doubles
+    the phase error) and the projections b = (y.c, y.s) within |db| <=
+    2 sqrt(2) tau sum|y|, both taken between the two computations. With
+    lambda the smallest eigenvalue of G, the score S = b^T G^-1 b then
+    differs by at most 2 sqrt(S) |db| / sqrt(lambda) + S ||dG|| / lambda
+    to first order, the margin, evaluated at lambda - ||dG|| (below the
+    other computation's lambda, by Weyl's inequality). A frequency whose
+    lambda is not above `negligible` + 4 ||dG|| is uncertain, since either
+    computation may drop a column there (|c|^2 and |s|^2 are both at least
+    lambda): on a uniform grid, the Nyquist frequency, whose sin column
+    vanishes.
+
+    Returns (score, margin, certain), one value per frequency.
+    """
+    n = len(x)
+    heads = 2 * np.pi * freqs[::_BLOCK]
+    offsets = 2 * np.pi * (freqs[:_BLOCK] - freqs[0])
+    sums = np.zeros((3, len(heads), len(offsets)), dtype=complex)
+    # Up to 2048 frequencies, chunks of 16 points keep every product below
+    # the size from which OpenBLAS hands it to worker threads, which then
+    # spin for about 0.1 s and slow whatever runs next. Larger grids are
+    # worth the threads and take as many points as the memory budget allows.
+    chunk = _ONE_THREAD_MACS // (len(heads) * len(offsets))
+    if chunk < 16:
+        chunk = max(_SCREEN_ELEMENTS // len(heads), 1)
+    for start in range(0, n, chunk):
+        xc = x[start:start + chunk]
+        e_heads = _cis(np.multiply.outer(heads, xc))
+        e_offsets = _cis(np.multiply.outer(xc, offsets))
+        sums[0] += e_heads @ e_offsets
+        sums[1] += (e_heads * y[start:start + chunk]) @ e_offsets
+        sums[2] += (e_heads * e_heads) @ (e_offsets * e_offsets)
+    total, projection, double = sums.reshape(3, -1)[:, :len(freqs)]
+
+    sum_cos, sum_sin = total.real, total.imag
+    y_mean = np.sum(y) / n  # the centred y sums to roundoff, not to 0
+    y_cos = projection.real - sum_cos * y_mean
+    y_sin = projection.imag - sum_sin * y_mean
+    cc = n / 2 + double.real / 2 - sum_cos * sum_cos / n
+    ss = n / 2 - double.real / 2 - sum_sin * sum_sin / n
+    cs = double.imag / 2 - sum_cos * sum_sin / n
+
+    kept_cos = cc > negligible
+    cos_norm2 = np.where(kept_cos, cc, 1.0)
+    slope = np.where(kept_cos, cs / cos_norm2, 0.0)
+    sin_norm2 = ss - slope * cs
+    y_sin -= slope * y_cos
+    kept_sin = sin_norm2 > negligible
+    score = np.where(kept_cos, y_cos * y_cos / cos_norm2, 0.0) + np.where(
+        kept_sin, y_sin * y_sin / np.where(kept_sin, sin_norm2, 1.0), 0.0
+    )
+
+    phase = 2 * np.pi * np.max(np.abs(freqs)) * np.max(np.abs(x))
+    tau = _UNIT_ROUNDOFF * (12 * phase + 2 * n + 16)
+    d_gram = 6 * n * tau
+    d_projection = 2 * math.sqrt(2) * tau * float(np.sum(np.abs(y)))
+    smallest = (cc + ss) / 2 - np.hypot((cc - ss) / 2, cs)
+    certain = smallest > negligible + 4 * d_gram
+    floor = np.maximum(smallest - d_gram, d_gram)
+    margin = 2 * np.sqrt(score) * d_projection / np.sqrt(floor) + score * d_gram / floor
+    return score, margin, certain
+
+
+def _frequency_grid(xs):
+    """Frequencies searched for the start period of sorted scan points xs:
+    from half a cycle over the span up to the Nyquist frequency of the
+    smallest nonzero spacing, two per periodogram peak width 1/span, at
+    least 2000 and at most 2N of them."""
+    span = xs[-1] - xs[0]
+    steps = np.diff(xs)
+    min_spacing = float(np.min(steps[steps > 0]))  # repeated x add no resolution
+    f_lo = 0.5 / span
+    f_hi = 0.5 / max(min_spacing, 1e-12)
+    wanted = min(2.0 * (f_hi - f_lo) * span, 2 * len(xs))
+    return np.linspace(f_lo, f_hi, math.ceil(wanted) if wanted > 2000 else 2000)
+
+
+def _best_frequency(x, y, freqs):
+    """Index of the first frequency in the linspace `freqs` at which a
+    least-squares fit of y on [1, cos(2 pi f x), sin(2 pi f x)] leaves the
+    least residual.
+
+    Generalised Lomb-Scargle periodogram (Zechmeister & Kuerster, A&A 496,
+    577, 2009) in explained-variance form: with centred y and centred
+    columns, the cos column c and the sin column orthogonalised against it,
+    s, a frequency explains (y.c)^2/|c|^2 + (y.s)^2/|s|^2 of |y|^2. A column
+    whose squared norm is below 1e-12 N is roundoff and explains nothing,
+    such as the sin column at exactly Nyquist on a uniform grid.
+
+    `_screen` scores every frequency from three matrix products, with a
+    bound on its error; `_block_scores` then rescores each 64-frequency
+    block holding a candidate: a frequency whose screened score may reach
+    the best screened lower bound, or whose columns lie near the
+    negligible threshold. The first maximum among the rescored blocks is
+    the first maximum over all of `freqs`, as if every block were scored.
+    """
+    y = y - np.mean(y)
+    negligible = 1e-12 * len(x)
+    score, margin, certain = _screen(x, y, freqs, negligible)
+    best_lower = np.max(score - margin, where=certain, initial=-np.inf)
+    candidate = ~(certain & (score + margin < best_lower))  # NaN: a candidate
     best_index, best_score = 0, -np.inf
-    for start in range(0, len(freqs), block):
-        arg = (2 * np.pi * freqs[start:start + block])[:, None] * x
-        cos, sin = np.cos(arg), np.sin(arg)
-        cos -= np.mean(cos, axis=1, keepdims=True)
-        sin -= np.mean(sin, axis=1, keepdims=True)
-        cos_norm2 = kept_norm2(cos)
-        sin -= cos * (np.einsum("fn,fn->f", sin, cos) / cos_norm2)[:, None]
-        sin_norm2 = kept_norm2(sin)
-        score = (cos @ y) ** 2 / cos_norm2 + (sin @ y) ** 2 / sin_norm2
-        i = int(np.argmax(score))
-        if score[i] > best_score:
-            best_index, best_score = start + i, score[i]
+    starts = np.arange(0, len(freqs), _BLOCK)
+    for start in starts[np.logical_or.reduceat(candidate, starts)]:
+        block_score = _block_scores(x, y, freqs[start:start + _BLOCK], negligible)
+        i = int(np.argmax(block_score))
+        if block_score[i] > best_score:
+            best_index, best_score = int(start) + i, block_score[i]
     return best_index
 
 
 @np.errstate(all="ignore")
 def fit_sinusoid(x, y, leakage_start_period=None) -> SinusoidFit:
     """Fit C + A cos(2 pi x / P + theta), starting from the best period of a
-    2000-point frequency grid.
+    frequency grid (`_frequency_grid`: 2000 frequencies, or two per
+    periodogram peak width when the grid is denser). The periodogram is
+    screened with three matrix products and only the 64-frequency blocks
+    that can hold its peak are scored column by column (`_best_frequency`).
 
     An unbalanced two-photon fringe also carries a component at half its
     frequency. Given `leakage_start_period`, the fit starts from that period
@@ -293,11 +428,7 @@ def fit_sinusoid(x, y, leakage_start_period=None) -> SinusoidFit:
     ys = ys / y_scale
     if leakage_start_period is None:
         harmonics = (1.0,)
-        steps = np.diff(xs)
-        min_spacing = float(np.min(steps[steps > 0]))  # repeated x add no resolution
-        f_lo = 0.5 / span
-        f_hi = 0.5 / max(min_spacing, 1e-12)
-        freqs = np.linspace(f_lo, f_hi, 2000)
+        freqs = _frequency_grid(xs)
         f0 = freqs[_best_frequency(xs, ys, freqs)]
         coef0, _ = _harmonic_ls(xs, ys, f0, harmonics)
         start_period = 1.0 / f0

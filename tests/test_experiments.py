@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -198,6 +199,132 @@ class TestFrequencySearch:
         assert index == reference
 
 
+def _block_best_frequency(x, y, freqs):
+    """Reference: the periodogram scored column by column, every block of
+    64 frequencies, first maximum. Returns (index, scores)."""
+    block = 64
+    y = y - np.mean(y)
+    negligible = 1e-12 * len(x)
+
+    def kept_norm2(column):
+        norm2 = np.einsum("fn,fn->f", column, column)
+        kept = norm2 > negligible
+        column *= kept[:, None]
+        return np.where(kept, norm2, 1.0)
+
+    best_index, best_score, scores = 0, -np.inf, []
+    for start in range(0, len(freqs), block):
+        arg = (2 * np.pi * freqs[start:start + block])[:, None] * x
+        cos, sin = np.cos(arg), np.sin(arg)
+        cos -= np.mean(cos, axis=1, keepdims=True)
+        sin -= np.mean(sin, axis=1, keepdims=True)
+        cos_norm2 = kept_norm2(cos)
+        sin -= cos * (np.einsum("fn,fn->f", sin, cos) / cos_norm2)[:, None]
+        sin_norm2 = kept_norm2(sin)
+        score = (cos @ y) ** 2 / cos_norm2 + (sin @ y) ** 2 / sin_norm2
+        scores.append(score)
+        i = int(np.argmax(score))
+        if score[i] > best_score:
+            best_index, best_score = start + i, score[i]
+    return best_index, np.concatenate(scores)
+
+
+def _scan_points(n, layout, rng):
+    """Sorted scan points: uniform, non-uniform, or uniform with every point
+    repeated, over a span of 1-10 that may start away from 0."""
+    start, span = rng.uniform(-5.0, 5.0), rng.uniform(1.0, 10.0)
+    if layout == "uniform":
+        return np.linspace(start, start + span, n)
+    if layout == "nonuniform":
+        return np.sort(rng.uniform(start, start + span, n))
+    return np.repeat(np.linspace(start, start + span, (n + 1) // 2), 2)[:n]
+
+
+@st.composite
+def periodogram_inputs(draw):
+    """(x, y, freqs) as fit_sinusoid passes them: a noisy, possibly
+    Poisson-counted fringe, with a possible Nyquist-rate component."""
+    n = draw(st.integers(8, 3000))
+    layout = draw(st.sampled_from(["uniform", "nonuniform", "repeated"]))
+    cycles = draw(st.floats(1.5, 20.0))
+    noise = draw(st.floats(0.0, 0.5))
+    nyquist = draw(st.sampled_from([0.0, 0.3, 2.0]))
+    poisson = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = _scan_points(n, layout, rng)
+    y = 2.0 + np.cos(2 * np.pi * cycles * (x - x[0]) / (x[-1] - x[0]) + rng.uniform(0, 7))
+    y = y + nyquist * np.cos(np.pi * np.arange(n)) + noise * rng.normal(size=n)
+    if poisson:
+        y = rng.poisson(50.0 * np.abs(y)).astype(float)
+    y = y / max(float(np.max(np.abs(y))), 1e-30)
+    return x, y, experiments._frequency_grid(x)
+
+
+def _blocks_scored(run):
+    """Call `run()` and return the first frequency of every block that the
+    frequency searches scored column by column."""
+    starts = []
+    block_scores = experiments._block_scores
+
+    def counting(x, y, freqs, negligible):
+        starts.append(freqs[0])
+        return block_scores(x, y, freqs, negligible)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "_block_scores", counting)
+        run()
+    return starts
+
+
+class TestScreenedSearch:
+    """The screened periodogram returns the index that scoring every block
+    returns, and its error stays well inside its stated bound."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(inputs=periodogram_inputs())
+    def test_same_index_as_every_block(self, inputs):
+        # up to 2048 frequencies the screen takes x 16 points at a time, so
+        # most inputs span many chunks
+        x, y, freqs = inputs
+        index = experiments._best_frequency(x, y, freqs)
+        y_c = y - np.mean(y)
+        score, margin, certain = experiments._screen(x, y_c, freqs, 1e-12 * len(x))
+        reference, exact = _block_best_frequency(x, y, freqs)
+        assert index == reference
+        assert np.all(np.abs(score - exact)[certain] <= margin[certain] / 10)
+
+    def test_nyquist_is_uncertain_on_uniform_grids(self):
+        x = np.linspace(0.0, 2.6, 53)
+        y = np.cos(2 * np.pi * x / 1.3)
+        freqs = experiments._frequency_grid(x)
+        _, _, certain = experiments._screen(x, y - np.mean(y), freqs, 53e-12)
+        assert not certain[-1]
+        assert np.all(certain[:-1])
+
+    @pytest.mark.parametrize("grid", [None, np.arange(0.0, 5.2 + 1e-9, 0.005)])
+    def test_two_blocks_scored_on_the_fringes(self, grid):
+        # the peak's block and the Nyquist block
+        starts = _blocks_scored(lambda: run_noon(0.66, 0.66, power_grid=grid))
+        assert len(starts) == 2
+
+    def test_screen_memory_is_bounded(self):
+        # The chunk loop holds 2^18 phases (8 B) and three 2^18-element
+        # complex arrays (16 B each), 14.7 MB whatever the number of points;
+        # the sums and the score arithmetic add at most 128 B per frequency.
+        x = np.linspace(0.0, 5.2, 20001)
+        y = np.cos(2 * np.pi * x / 1.3)
+        freqs = experiments._frequency_grid(x)
+        assert len(freqs) == 20000
+        budget = (1 << 18) * (8 + 3 * 16) + 128 * len(freqs)
+        tracemalloc.start()
+        try:
+            experiments._screen(x, y, freqs, 20001e-12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
+
+
 class TestGaussNewton:
     def test_divergence_reports_cost_and_damping(self):
         x = np.linspace(0.0, 1.0, 20)
@@ -360,6 +487,14 @@ class TestNoon:
     def test_classical_period_is_p2pi(self):
         classical, _ = run_noon(0.66, 0.66)
         assert classical.metrics["period_w"] == pytest.approx(1.3, abs=1e-6)
+
+    def test_dense_grid_resolves_the_fringe(self):
+        # 10 401 points: 2000 frequencies would be spaced wider than a peak
+        grid = np.arange(0.0, 5.2 + 1e-9, 0.0005)
+        assert len(grid) == 10401
+        classical, quantum = run_noon(0.66, 0.66, power_grid=grid)
+        assert classical.metrics["period_w"] == pytest.approx(1.3, abs=1e-6)
+        assert quantum.metrics["period_ratio"] == pytest.approx(0.5, abs=1e-6)
 
     def test_balanced_visibilities(self):
         classical, quantum = run_noon(0.5, 0.5)

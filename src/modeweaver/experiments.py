@@ -228,8 +228,7 @@ def _harmonic_ls(x, y, freq, harmonics):
 
 
 _BLOCK = 64  # frequencies per exactly scored block: 0.5 MB per temporary at 1000 points
-_SCREEN_ELEMENTS = 1 << 18  # head exponentials per chunk of x in the screen: 4 MB
-_ONE_THREAD_MACS = 1 << 15  # OpenBLAS threads a complex product from 2^16 multiply-adds
+_CHUNK = 16  # points of x per screen product: 32 heads x 16 x 64 = 2^15 multiply-adds
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
@@ -289,14 +288,17 @@ def _screen(x, y, freqs, negligible):
     (c, s) is within ||dG|| <= 6 N tau (Frobenius; a double angle doubles
     the phase error) and the projections b = (y.c, y.s) within |db| <=
     2 sqrt(2) tau sum|y|, both taken between the two computations. With
-    lambda the smallest eigenvalue of G, the score S = b^T G^-1 b then
-    differs by at most 2 sqrt(S) |db| / sqrt(lambda) + S ||dG|| / lambda
-    to first order, the margin, evaluated at lambda - ||dG|| (below the
-    other computation's lambda, by Weyl's inequality). A frequency whose
-    lambda is not above `negligible` + 4 ||dG|| is uncertain, since either
-    computation may drop a column there (|c|^2 and |s|^2 are both at least
-    lambda): on a uniform grid, the Nyquist frequency, whose sin column
-    vanishes.
+    lambda the smallest eigenvalue of G here and floor = lambda - ||dG||
+    (at most the other computation's, by Weyl's inequality), the other
+    G is at least (floor / lambda) G, and splitting the difference of the
+    scores S = b^T G^-1 b into a change of b and a change of G bounds it,
+    to all orders, by the margin
+    (2 |db| sqrt(S lambda) + |db|^2 + S ||dG||) / floor.
+    Rounding the score from G and b adds a few u S N / lambda, well inside
+    the last term. A frequency whose lambda is not above `negligible` +
+    4 ||dG|| is uncertain, since either computation may drop a column
+    there (|c|^2 and |s|^2 are both at least lambda): on a uniform grid,
+    the Nyquist frequency, whose sin column vanishes.
 
     Returns (score, margin, certain), one value per frequency.
     """
@@ -304,19 +306,16 @@ def _screen(x, y, freqs, negligible):
     heads = 2 * np.pi * freqs[::_BLOCK]
     offsets = 2 * np.pi * (freqs[:_BLOCK] - freqs[0])
     sums = np.zeros((3, len(heads), len(offsets)), dtype=complex)
-    # Up to 2048 frequencies, chunks of 16 points keep every product below
-    # the size from which OpenBLAS hands it to worker threads, which then
-    # spin for about 0.1 s and slow whatever runs next. Larger grids are
-    # worth the threads and take as many points as the memory budget allows.
-    chunk = _ONE_THREAD_MACS // (len(heads) * len(offsets))
-    if chunk < 16:
-        chunk = max(_SCREEN_ELEMENTS // len(heads), 1)
-    for start in range(0, n, chunk):
-        xc = x[start:start + chunk]
+    # On grids of up to 2048 frequencies (32 heads), 16 points keep every
+    # product below the 2^16 multiply-adds from which OpenBLAS hands it to
+    # worker threads, which then spin for about 0.1 s and slow whatever
+    # runs next.
+    for start in range(0, n, _CHUNK):
+        xc = x[start:start + _CHUNK]
         e_heads = _cis(np.multiply.outer(heads, xc))
         e_offsets = _cis(np.multiply.outer(xc, offsets))
         sums[0] += e_heads @ e_offsets
-        sums[1] += (e_heads * y[start:start + chunk]) @ e_offsets
+        sums[1] += (e_heads * y[start:start + _CHUNK]) @ e_offsets
         sums[2] += (e_heads * e_heads) @ (e_offsets * e_offsets)
     total, projection, double = sums.reshape(3, -1)[:, :len(freqs)]
 
@@ -345,7 +344,11 @@ def _screen(x, y, freqs, negligible):
     smallest = (cc + ss) / 2 - np.hypot((cc - ss) / 2, cs)
     certain = smallest > negligible + 4 * d_gram
     floor = np.maximum(smallest - d_gram, d_gram)
-    margin = 2 * np.sqrt(score) * d_projection / np.sqrt(floor) + score * d_gram / floor
+    margin = (
+        2 * d_projection * np.sqrt(score * np.maximum(smallest, d_gram))
+        + d_projection * d_projection
+        + score * d_gram
+    ) / floor
     return score, margin, certain
 
 

@@ -283,8 +283,8 @@ class TestScreenedSearch:
     @settings(max_examples=25, deadline=None)
     @given(inputs=periodogram_inputs())
     def test_same_index_as_every_block(self, inputs):
-        # up to 2048 frequencies the screen takes x 16 points at a time, so
-        # most inputs span many chunks
+        # the screen takes x 16 points at a time, so most inputs span many
+        # chunks
         x, y, freqs = inputs
         index = experiments._best_frequency(x, y, freqs)
         y_c = y - np.mean(y)
@@ -308,14 +308,15 @@ class TestScreenedSearch:
         assert len(starts) == 2
 
     def test_screen_memory_is_bounded(self):
-        # The chunk loop holds 2^18 phases (8 B) and three 2^18-element
-        # complex arrays (16 B each), 14.7 MB whatever the number of points;
-        # the sums and the score arithmetic add at most 128 B per frequency.
+        # Per frequency, whatever the number of points: the three complex
+        # sums (48 B), one 16-point chunk's head phases, three head
+        # exponential arrays and one product (30 B) and the score
+        # arithmetic (at most 16 float arrays, 128 B).
         x = np.linspace(0.0, 5.2, 20001)
         y = np.cos(2 * np.pi * x / 1.3)
         freqs = experiments._frequency_grid(x)
         assert len(freqs) == 20000
-        budget = (1 << 18) * (8 + 3 * 16) + 128 * len(freqs)
+        budget = (48 + 30 + 128) * len(freqs)
         tracemalloc.start()
         try:
             experiments._screen(x, y, freqs, 20001e-12)

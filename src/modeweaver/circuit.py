@@ -1,31 +1,25 @@
 """Circuit composition over spatial-mode channels.
 
 Elements compile to an m x m unitary plus a per-channel power transmission
-and an input-arm delay map. Loss is uniform-or-per-channel scalar power
-transmission applied to rates, never to amplitudes; delays act on the
-source overlap, not on the mode unitary.
+and the relative delay of the photon pair. Loss is uniform-or-per-channel
+scalar power transmission applied to rates, never to amplitudes; the delay
+acts on the source overlap, not on the mode unitary.
 
-A scan compiles once: its swept delay or phase is an array with one value
-per scan point, a swept phase compiles to a stack of unitaries, and
-`simulate_counts` computes every count column as an array expression over
-the grid.
+A scan's circuit is built with its sweep in place: a swept delay or phase
+is an element holding an array with one value per scan point. It compiles
+once, a swept phase to a stack of unitaries, and `simulate_counts`
+computes every count column as an array expression over the grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coupling import coupler_unitary
-from .errors import (
-    ChannelMismatch,
-    InvalidInput,
-    NonUnitaryElement,
-    NotUnitary,
-    require_finite,
-)
+from .errors import ChannelMismatch, InvalidInput, require_finite
 from .fock import PhotonPairSource, check_unitary, spectral_overlap, two_photon_coincidence
 
 
@@ -57,14 +51,14 @@ class PhaseShifter:
 
     channels: tuple[int, ...]
     phase_rad: float | np.ndarray = 0.0  # an array sweeps it, one per scan point
-    name: str = "phase"
 
 
 @dataclass(frozen=True)
 class RelativeDelay:
-    """Free-space path delay on one input arm (affects distinguishability)."""
+    """Free-space path delay of the photon entering input_channels[0]
+    relative to the one entering input_channels[1]; it sets their
+    distinguishability, not the mode unitary."""
 
-    arm: int
     delay_um: float | np.ndarray = 0.0  # an array sweeps it, one per scan point
 
 
@@ -132,38 +126,16 @@ class Circuit:
     input_channels: tuple[int, int] = (0, 1)
     output_channels: tuple[int, int] = (0, 1)
 
-    def with_phase(self, name: str, phase_rad) -> "Circuit":
-        """Copy of the circuit with the named phase shifter set; an array of
-        phases sweeps it."""
-        new_elements = tuple(
-            replace(e, phase_rad=phase_rad)
-            if isinstance(e, PhaseShifter) and e.name == name
-            else e
-            for e in self.elements
-        )
-        return replace(self, elements=new_elements)
-
-    def with_delay(self, arm: int, delay_um) -> "Circuit":
-        """Copy of the circuit with the delay on `arm` set; an array of
-        delays sweeps it."""
-        new_elements = tuple(
-            replace(e, delay_um=delay_um)
-            if isinstance(e, RelativeDelay) and e.arm == arm
-            else e
-            for e in self.elements
-        )
-        return replace(self, elements=new_elements)
-
 
 @dataclass(frozen=True)
 class CompiledCircuit:
     unitary: np.ndarray  # (m, m), or (N, m, m) when a phase is swept
     transmission: np.ndarray  # per-channel power factor
-    delays_um: dict  # input arm -> accumulated delay (an array when swept)
+    delay_um: float | np.ndarray  # summed relative delay (an array when swept)
 
 
 def compile_circuit(circuit: Circuit) -> CompiledCircuit:
-    """Multiply element matrices in order; factor out loss and delays.
+    """Multiply element matrices in order; factor out loss and the delay.
 
     A phase shifter whose phase is an array of N values makes the unitary an
     (N, m, m) stack.
@@ -173,13 +145,11 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
         raise ChannelMismatch("need at least one channel")
     unitary = np.eye(m, dtype=np.complex128)
     transmission = np.ones(m)
-    delays: dict[int, float] = {}
+    delay = 0.0
     for element in circuit.elements:
         if isinstance(element, GratingBS):
             block = coupler_unitary(element.eta)
-            step = _embed_two_mode(block, element.channels, m)
-            _check_element_unitary(step)
-            unitary = step @ unitary
+            unitary = _embed_two_mode(block, element.channels, m) @ unitary
         elif isinstance(element, PhaseShifter):
             phase = np.asarray(element.phase_rad, dtype=float)
             step = np.zeros(phase.shape + (m, m), dtype=np.complex128)
@@ -190,8 +160,7 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
                 step[..., ch, ch] = np.exp(1j * phase)
             unitary = step @ unitary
         elif isinstance(element, RelativeDelay):
-            delay = np.asarray(element.delay_um, dtype=float)
-            delays[element.arm] = delays.get(element.arm, 0.0) + delay
+            delay = delay + np.asarray(element.delay_um, dtype=float)
         elif isinstance(element, Loss):
             factor = 10.0 ** (-element.loss_db / 10.0)
             if element.channels is None:
@@ -203,14 +172,7 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
                     transmission[ch] *= factor
         else:
             raise InvalidInput(f"unknown element {element!r}")
-    return CompiledCircuit(unitary, transmission, delays)
-
-
-def _check_element_unitary(matrix: np.ndarray, tol: float = 1e-12) -> None:
-    try:
-        check_unitary(matrix, tol)
-    except NotUnitary as exc:
-        raise NonUnitaryElement(str(exc)) from exc
+    return CompiledCircuit(unitary, transmission, delay)
 
 
 @dataclass(frozen=True)
@@ -233,11 +195,6 @@ class CoincidenceConfig:
             raise InvalidInput("integration time must be positive")
 
 
-def _relative_delay_um(compiled: CompiledCircuit, arms: tuple[int, int]):
-    d = compiled.delays_um
-    return d.get(arms[0], 0.0) - d.get(arms[1], 0.0)
-
-
 def simulate_counts(
     circuit: Circuit,
     source: PhotonPairSource,
@@ -246,10 +203,10 @@ def simulate_counts(
 ) -> dict[str, np.ndarray]:
     """Expected (or Poisson-sampled) counts over a scan, as columns.
 
-    `circuit` holds the whole scan: its swept delay or phase is an array
-    with one value per entry of `scan_values` (see `Circuit.with_delay` and
-    `Circuit.with_phase`). The circuit compiles once and every column is
-    computed over the grid at once. Returns one float array per column,
+    `circuit` holds the whole scan: a swept `RelativeDelay` or
+    `PhaseShifter` holds an array with one value per entry of
+    `scan_values`. The circuit compiles once and every column is computed
+    over the grid at once. Returns one float array per column,
     keyed scan_value, raw, accidentals, net, singles_a, singles_b, stderr;
     every count column but net is non-negative. Deterministic without a seed;
     bitwise reproducible with one.
@@ -261,7 +218,7 @@ def simulate_counts(
     compiled = compile_circuit(circuit)
     i, j = circuit.input_channels
     k, l = circuit.output_channels
-    delay = np.asarray(_relative_delay_um(compiled, (i, j)), dtype=float)
+    delay = np.asarray(compiled.delay_um)
     for shape in (delay.shape, compiled.unitary.shape[:-2]):
         if shape not in ((), (n,)):
             raise InvalidInput(
@@ -334,7 +291,7 @@ def reck_decompose(target: np.ndarray, tol: float = 1e-10) -> ReckDecomposition:
     """
     # A huge entry overflows U^H U to inf or NaN, which check_unitary
     # rejects. Its warnings are silenced here, for a matrix from outside,
-    # rather than in check_unitary, which every evolve and compile calls:
+    # rather than in check_unitary, which every evolve calls:
     # np.errstate adds about 2.5 us a call (numpy 2.4, 2-core x86 host),
     # a tenth of a two-photon evolve.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -98,8 +98,8 @@ def _parse_modes(text: str) -> list[ModeId]:
 
 class Option(NamedTuple):
     """One command setting: its config key, the kind that converts its value,
-    its default and the help text of its flag --key. An option without help
-    text declares no flag."""
+    its default and the help text of its flag --key, a switch for a bool.
+    An option without help text declares no flag."""
 
     key: str
     kind: type | None
@@ -403,8 +403,7 @@ SOURCE = (
     Option("filter_fwhm", float, 3.0, "filter FWHM in nm"),
     WAVELENGTH,
 )
-# Every command has the --poisson flag; it is a config key only where read.
-POISSON = Option("poisson", bool, False)
+POISSON = Option("poisson", bool, False, "sample Poisson counts instead of expectations")
 DELAY_SCAN = (
     Option("eta", float, 0.55, "splitting ratio"),
     *SOURCE,
@@ -485,13 +484,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--output", help="output directory (default: stdout)")
         p.add_argument("--seed", type=_seed, help="random seed")
-        p.add_argument("--poisson", action="store_true", default=None,
-                       help="sample Poisson counts instead of expectations")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         for option in options:
             if option.help:
+                # a bool option is a switch; None leaves the config's value
+                kind = ({"action": "store_true", "default": None}
+                        if option.kind is bool else {"type": option.kind})
                 p.add_argument("--" + option.key.replace("_", "-"),
-                               type=option.kind, help=option.help)
+                               help=option.help, **kind)
         p.set_defaults(func=func)
     return parser
 

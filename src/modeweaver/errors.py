@@ -31,10 +31,6 @@ class ChannelMismatch(ModeweaverError):
     """A circuit element references channels outside the circuit's mode count."""
 
 
-class NonUnitaryElement(ModeweaverError):
-    """A circuit element produced a non-unitary transfer matrix."""
-
-
 class NotUnitary(ModeweaverError):
     """A matrix expected to be unitary is not, within tolerance."""
 

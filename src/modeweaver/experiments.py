@@ -147,8 +147,7 @@ def fit_gaussian(x, y) -> GaussianFit:
     dev = ys - offset0
     idx = int(np.argmax(np.abs(dev)))
     amp0 = float(dev[idx])
-    scale = max(float(np.max(np.abs(ys))), 1.0)
-    if abs(amp0) < 1e-12 * scale:
+    if abs(amp0) < 1e-12:
         return GaussianFit(
             amplitude=0.0,
             center=float(np.mean(xs)),
@@ -355,14 +354,16 @@ def _screen(x, y, freqs, negligible):
 def _frequency_grid(xs):
     """Frequencies searched for the start period of sorted scan points xs:
     from half a cycle over the span up to the Nyquist frequency of the
-    smallest nonzero spacing, two per periodogram peak width 1/span, at
-    least 2000 and at most 2N of them."""
+    smallest positive spacing, or of half the mean positive spacing if that
+    is larger (scattered x have a smallest gap of about span/N^2), two per
+    periodogram peak width 1/span, at least 2000 of them. The count stays
+    below 2N: f_hi is at most (number of positive gaps) / span."""
     span = xs[-1] - xs[0]
     steps = np.diff(xs)
-    min_spacing = float(np.min(steps[steps > 0]))  # repeated x add no resolution
+    gaps = steps[steps > 0]  # repeated x add no resolution
     f_lo = 0.5 / span
-    f_hi = 0.5 / max(min_spacing, 1e-12)
-    wanted = min(2.0 * (f_hi - f_lo) * span, 2 * len(xs))
+    f_hi = 0.5 / max(float(np.min(gaps)), 0.5 * span / len(gaps))
+    wanted = 2.0 * (f_hi - f_lo) * span
     return np.linspace(f_lo, f_hi, math.ceil(wanted) if wanted > 2000 else 2000)
 
 
@@ -538,12 +539,11 @@ class ScanResult:
         }
 
 
-def _delay_scan(name, circuit, eta, source, config, delay_grid, metrics, **extra):
-    """Net coincidences versus the delay on input arm 0, fitted with a
-    Gaussian; `metrics(fit)` gives the reported metrics and `extra` joins
-    the recorded config."""
-    grid = default_delay_grid() if delay_grid is None else np.asarray(delay_grid, float)
-    counts = simulate_counts(circuit.with_delay(0, grid), source, config, grid)
+def _delay_scan(name, circuit, eta, source, config, grid, metrics, **extra):
+    """Net coincidences of `circuit`, whose relative delay sweeps `grid`,
+    fitted with a Gaussian; `metrics(fit)` gives the reported metrics and
+    `extra` joins the recorded config."""
+    counts = simulate_counts(circuit, source, config, grid)
     fit = fit_gaussian(grid, counts["net"])
     return ScanResult(
         name, ("delay", "um"), "net", counts, fit, metrics(fit),
@@ -565,16 +565,17 @@ def run_hom_dip(
     name: str = "hom_dip",
 ) -> ScanResult:
     """Two-photon dip: coincidences between the coupler outputs vs delay."""
+    grid = default_delay_grid() if delay_grid is None else np.asarray(delay_grid, float)
     circuit = Circuit(
         num_channels=2,
         elements=(
-            RelativeDelay(arm=0, delay_um=0.0),
+            RelativeDelay(delay_um=grid),
             GratingBS(channels=(0, 1), eta=eta),
             Loss(DEFAULT_DEVICE_LOSS_DB),
         ),
     )
     return _delay_scan(
-        name, circuit, eta, source, config, delay_grid,
+        name, circuit, eta, source, config, grid,
         lambda fit: {
             "visibility": fit.visibility,
             "fwhm_um": fit.fwhm,
@@ -617,8 +618,9 @@ def run_hom_peak(
     and coincidences are taken between that splitter's two outputs."""
     if not 0.0 < eta < 1.0:
         raise InvalidInput("eta must lie strictly inside (0, 1)")
+    grid = default_delay_grid() if delay_grid is None else np.asarray(delay_grid, float)
     base_elements = (
-        RelativeDelay(arm=0, delay_um=0.0),
+        RelativeDelay(delay_um=grid),
         GratingBS(channels=(0, 1), eta=eta),
         Loss(DEFAULT_DEVICE_LOSS_DB),
         GratingBS(channels=(0, 2), eta=0.5),
@@ -638,19 +640,20 @@ def run_hom_peak(
             output_channels=outputs,
         )
         results[arm] = _delay_scan(
-            f"{name}_{arm}", circuit, eta, source, config, delay_grid, metrics,
+            f"{name}_{arm}", circuit, eta, source, config, grid, metrics,
             outputs=list(outputs),
         )
     return results
 
 
-def _noon_circuit(eta1: float, eta2: float) -> Circuit:
+def _noon_circuit(eta1: float, eta2: float, phase) -> Circuit:
+    """The cascaded interferometer with heater phase `phase` (rad), an
+    array of phases for a scan; the photon pair enters at zero delay."""
     return Circuit(
         num_channels=2,
         elements=(
-            RelativeDelay(arm=0, delay_um=0.0),
             GratingBS(channels=(0, 1), eta=eta1),
-            PhaseShifter(channels=(1,), name="heater"),
+            PhaseShifter(channels=(1,), phase_rad=phase),
             GratingBS(channels=(0, 1), eta=eta2),
             Loss(DEFAULT_DEVICE_LOSS_DB),
         ),
@@ -675,7 +678,7 @@ def run_noon(
     step is below P_2pi/4, the Nyquist limit of the two-photon fringe.
     """
     grid = default_power_grid() if power_grid is None else np.asarray(power_grid, float)
-    circuit = _noon_circuit(eta1, eta2).with_phase("heater", heater_phase(heater, grid))
+    circuit = _noon_circuit(eta1, eta2, heater_phase(heater, grid))
     step = float(np.max(np.diff(np.sort(grid)), initial=0.0))
     if not step < heater.p_2pi_w / 4:
         raise InsufficientSpan(

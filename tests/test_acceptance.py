@@ -136,12 +136,12 @@ def test_criterion_6_noon(capsys):
     ratio = quantum.metrics["period_ratio"]
     # dense-phase enumeration of the two-photon fringe: visibility of the
     # doubled-frequency component (amplitude over offset, as in the fit)
-    circuit = experiments._noon_circuit(0.66, 0.66)
     x0 = 0.92
     phis = np.linspace(0, 2 * np.pi, 720, endpoint=False)
     probs = []
     for phi in phis:
-        compiled = circuit_mod.compile_circuit(circuit.with_phase("heater", float(phi)))
+        circuit = experiments._noon_circuit(0.66, 0.66, float(phi))
+        compiled = circuit_mod.compile_circuit(circuit)
         probs.append(
             fock.two_photon_coincidence(compiled.unitary, (0, 1), (0, 1), x0)
         )

@@ -32,20 +32,23 @@ from modeweaver.fock import (
 )
 
 
-def dip_circuit(eta=0.5):
+def dip_circuit(eta=0.5, delay_um=0.0, *extra):
+    """The HOM dip circuit at relative delay `delay_um`, then `extra`
+    elements."""
     return Circuit(
         num_channels=2,
         elements=(
-            RelativeDelay(arm=0, delay_um=0.0),
+            RelativeDelay(delay_um=delay_um),
             GratingBS(channels=(0, 1), eta=eta),
+            *extra,
         ),
     )
 
 
-def delay_scan(circuit, source, config, delays):
-    """Counts with the delay on input arm 0 swept over `delays`."""
+def delay_scan(eta, source, config, delays, *extra):
+    """Counts of `dip_circuit` with its delay swept over `delays`."""
     delays = np.asarray(delays, dtype=float)
-    return simulate_counts(circuit.with_delay(0, delays), source, config, delays)
+    return simulate_counts(dip_circuit(eta, delays, *extra), source, config, delays)
 
 
 class TestCompile:
@@ -53,7 +56,7 @@ class TestCompile:
         compiled = compile_circuit(Circuit(num_channels=3, elements=()))
         assert np.allclose(compiled.unitary, np.eye(3))
         assert np.allclose(compiled.transmission, 1.0)
-        assert compiled.delays_um == {}
+        assert compiled.delay_um == 0.0
 
     def test_grating_embedding(self):
         circuit = Circuit(3, (GratingBS(channels=(0, 2), eta=0.55),))
@@ -95,15 +98,15 @@ class TestCompile:
         circuit = Circuit(
             2,
             (
-                RelativeDelay(arm=0, delay_um=120.0),
-                RelativeDelay(arm=0, delay_um=30.0),
+                RelativeDelay(delay_um=120.0),
+                RelativeDelay(delay_um=30.0),
                 Loss(3.0),
                 Loss(1.0, channels=(1,)),
             ),
         )
         compiled = compile_circuit(circuit)
         assert np.allclose(compiled.unitary, np.eye(2))
-        assert compiled.delays_um == {0: 150.0}
+        assert compiled.delay_um == 150.0
         assert compiled.transmission[0] == pytest.approx(10 ** -0.3)
         assert compiled.transmission[1] == pytest.approx(10 ** -0.4)
 
@@ -115,41 +118,26 @@ class TestCompile:
         with pytest.raises(ChannelMismatch):
             compile_circuit(Circuit(2, (PhaseShifter(channels=(3,), phase_rad=1.0),)))
 
-    def test_with_phase_and_delay_are_copies(self):
-        circuit = Circuit(
-            2,
-            (
-                RelativeDelay(arm=0, delay_um=0.0),
-                PhaseShifter(channels=(1,), name="heater"),
-            ),
-        )
-        moved = circuit.with_delay(0, 42.0).with_phase("heater", 1.5)
-        assert compile_circuit(circuit).delays_um == {0: 0.0}
-        compiled = compile_circuit(moved)
-        assert compiled.delays_um == {0: 42.0}
-        assert compiled.unitary[1, 1] == pytest.approx(np.exp(1.5j))
-
-
     def test_swept_settings_compile_to_arrays(self):
-        circuit = Circuit(
-            2,
-            (
-                RelativeDelay(arm=0),
-                GratingBS(channels=(0, 1), eta=0.3),
-                PhaseShifter(channels=(1,), name="heater"),
-                GratingBS(channels=(0, 1), eta=0.6),
-            ),
-        )
+        def circuit(delay, phase):
+            return Circuit(
+                2,
+                (
+                    RelativeDelay(delay_um=delay),
+                    GratingBS(channels=(0, 1), eta=0.3),
+                    PhaseShifter(channels=(1,), phase_rad=phase),
+                    GratingBS(channels=(0, 1), eta=0.6),
+                ),
+            )
+
         phases = np.linspace(0.0, 6.0, 7)
         delays = np.linspace(-5.0, 5.0, 7)
-        compiled = compile_circuit(
-            circuit.with_phase("heater", phases).with_delay(0, delays)
-        )
+        compiled = compile_circuit(circuit(delays, phases))
         assert compiled.unitary.shape == (7, 2, 2)
         for phase, u in zip(phases, compiled.unitary):
-            single = compile_circuit(circuit.with_phase("heater", float(phase)))
+            single = compile_circuit(circuit(0.0, float(phase)))
             assert np.array_equal(u, single.unitary)
-        assert np.array_equal(compiled.delays_um[0], delays)
+        assert np.array_equal(compiled.delay_um, delays)
 
 
 class TestHeaterAndAccidentals:
@@ -187,28 +175,24 @@ class TestSimulateCounts:
     CONFIG = CoincidenceConfig()
 
     def test_perfect_dip_at_zero_delay(self):
-        counts = delay_scan(dip_circuit(0.5), self.SOURCE, self.CONFIG, [0.0])
+        counts = delay_scan(0.5, self.SOURCE, self.CONFIG, [0.0])
         assert counts["net"][0] == pytest.approx(0.0, abs=1e-9)
 
     def test_raw_is_net_plus_accidentals(self):
-        counts = delay_scan(dip_circuit(0.55), self.SOURCE, self.CONFIG, [0.0, 200.0])
+        counts = delay_scan(0.55, self.SOURCE, self.CONFIG, [0.0, 200.0])
         assert counts["raw"] == pytest.approx(counts["net"] + counts["accidentals"])
 
     def test_large_delay_closed_form(self):
         delay = 5000.0
-        counts = delay_scan(dip_circuit(0.55), self.SOURCE, self.CONFIG, [delay])
+        counts = delay_scan(0.55, self.SOURCE, self.CONFIG, [delay])
         overlap = spectral_overlap(self.SOURCE, delay)
         u = coupler_unitary(0.55)
         p = two_photon_coincidence(u, (0, 1), (0, 1), overlap)
         assert counts["net"][0] == pytest.approx(self.SOURCE.pair_rate_hz * p)
 
     def test_loss_scales_rates(self):
-        lossy = Circuit(
-            2,
-            dip_circuit(0.55).elements + (Loss(3.0),),
-        )
-        lossless = delay_scan(dip_circuit(0.55), self.SOURCE, self.CONFIG, [5000.0])
-        lossy = delay_scan(lossy, self.SOURCE, self.CONFIG, [5000.0])
+        lossless = delay_scan(0.55, self.SOURCE, self.CONFIG, [5000.0])
+        lossy = delay_scan(0.55, self.SOURCE, self.CONFIG, [5000.0], Loss(3.0))
         t = 10 ** -0.3
         assert lossy["net"][0] == pytest.approx(lossless["net"][0] * t * t)
         assert lossy["singles_a"][0] == pytest.approx(lossless["singles_a"][0] * t)
@@ -216,17 +200,15 @@ class TestSimulateCounts:
     def test_seeded_poisson_reproducible(self):
         config = CoincidenceConfig(poisson=True, seed=11)
         grid = np.linspace(-300, 300, 21)
-        a = delay_scan(dip_circuit(0.55), self.SOURCE, config, grid)
-        b = delay_scan(dip_circuit(0.55), self.SOURCE, config, grid)
+        a = delay_scan(0.55, self.SOURCE, config, grid)
+        b = delay_scan(0.55, self.SOURCE, config, grid)
         assert a["raw"].tolist() == b["raw"].tolist()
         assert all(raw.is_integer() for raw in a["raw"].tolist())
 
     def test_poisson_mean_matches_expectation(self):
-        expected = delay_scan(
-            dip_circuit(0.55), self.SOURCE, self.CONFIG, [5000.0]
-        )["raw"][0]
+        expected = delay_scan(0.55, self.SOURCE, self.CONFIG, [5000.0])["raw"][0]
         config = CoincidenceConfig(poisson=True, seed=3)
-        draws = delay_scan(dip_circuit(0.55), self.SOURCE, config, [5000.0] * 400)
+        draws = delay_scan(0.55, self.SOURCE, config, [5000.0] * 400)
         mean = np.mean(draws["raw"])
         # 4 sigma band for the mean of 400 Poisson draws
         assert abs(mean - expected) < 4 * math.sqrt(expected / 400)
@@ -234,7 +216,7 @@ class TestSimulateCounts:
     @pytest.mark.parametrize("poisson", [False, True])
     def test_columns_are_float_arrays(self, poisson):
         config = CoincidenceConfig(poisson=poisson, seed=5)
-        counts = delay_scan(dip_circuit(0.55), self.SOURCE, config, [0.0, 100.0])
+        counts = delay_scan(0.55, self.SOURCE, config, [0.0, 100.0])
         assert list(counts) == [
             "scan_value", "raw", "accidentals", "net", "singles_a", "singles_b",
             "stderr",
@@ -245,7 +227,7 @@ class TestSimulateCounts:
         assert counts["scan_value"].tolist() == [0.0, 100.0]
 
     def test_swept_setting_must_match_grid(self):
-        swept = dip_circuit().with_delay(0, np.zeros(3))
+        swept = dip_circuit(0.5, np.zeros(3))
         with pytest.raises(InvalidInput, match="the scan has 2 points"):
             simulate_counts(swept, self.SOURCE, self.CONFIG, [0.0, 1.0])
         with pytest.raises(InvalidInput, match="one-dimensional"):
@@ -260,10 +242,12 @@ class TestSimulateCounts:
 ROW_COLUMNS = ("raw", "accidentals", "net", "singles_a", "singles_b", "stderr")
 
 
-def reference_counts(circuit, source, config, delays, phases):
-    """Expected counts computed point by point: one compile and one
-    permanent per scan point. Rows of (raw, accidentals, net,
-    singles_a, singles_b, stderr), and the pair coincidence probability."""
+def reference_counts(build, source, config, delays, phases):
+    """Expected counts computed point by point: one compile of
+    `build(delay, phase)` and one permanent per scan point. Rows of (raw,
+    accidentals, net, singles_a, singles_b, stderr), and the pair
+    coincidence probability."""
+    circuit = build(0.0, 0.0)
     m = circuit.num_channels
     i, j = circuit.input_channels
     k, l = circuit.output_channels
@@ -272,10 +256,8 @@ def reference_counts(circuit, source, config, delays, phases):
     t_int = config.integration_time_s
     rows, probabilities = [], []
     for delay, phase in zip(delays, phases):
-        point = circuit.with_delay(i, delay).with_phase("sweep", phase)
-        compiled = compile_circuit(point)
-        d = compiled.delays_um
-        x = spectral_overlap(source, d.get(i, 0.0) - d.get(j, 0.0))
+        compiled = compile_circuit(build(delay, phase))
+        x = spectral_overlap(source, compiled.delay_um)
         u = compiled.unitary
         prob = np.abs(u) ** 2
         p_dist = prob[k, i] * prob[l, j] + prob[k, j] * prob[l, i]
@@ -313,20 +295,24 @@ class TestBatchedScanOracle:
         rng = np.random.default_rng(seed)
         i, j = (int(c) for c in rng.choice(m, 2, replace=False))
         k, l = (int(c) for c in rng.choice(m, 2, replace=False))
-        elements = [
-            RelativeDelay(arm=i),
-            RelativeDelay(arm=j, delay_um=float(rng.uniform(-50.0, 50.0))),
-        ]
+        offset = float(rng.uniform(-50.0, 50.0))
+        couplers = []
         for _ in range(num_gratings):
             a, b = (int(c) for c in rng.choice(m, 2, replace=False))
-            elements.append(GratingBS(channels=(a, b), eta=float(rng.uniform())))
-            elements.append(
-                PhaseShifter(channels=(int(rng.integers(m)),), name="sweep")
-            )
-        elements += [
+            couplers.append(((a, b), float(rng.uniform()), int(rng.integers(m))))
+        losses = [
             Loss(float(rng.uniform(0.0, 6.0)), channels=(c,)) for c in range(m)
         ]
-        circuit = Circuit(m, tuple(elements), (i, j), (k, l))
+
+        def build(delay, phase):
+            """The circuit with every phase shifter at `phase`, its relative
+            delay `delay` plus a fixed offset."""
+            elements = [RelativeDelay(delay_um=delay), RelativeDelay(delay_um=offset)]
+            for channels, eta, shifted in couplers:
+                elements.append(GratingBS(channels=channels, eta=eta))
+                elements.append(PhaseShifter(channels=(shifted,), phase_rad=phase))
+            return Circuit(m, tuple(elements + losses), (i, j), (k, l))
+
         source = PhotonPairSource(
             intrinsic_overlap=overlap,
             pair_rate_hz=float(rng.uniform(1.0, 1e4)),
@@ -339,13 +325,15 @@ class TestBatchedScanOracle:
             delays[:] = delays[0]
         if not sweep_phase:
             phases[:] = phases[0]
-        swept = circuit.with_delay(i, delays if sweep_delay else float(delays[0]))
-        swept = swept.with_phase("sweep", phases if sweep_phase else float(phases[0]))
+        swept = build(
+            delays if sweep_delay else float(delays[0]),
+            phases if sweep_phase else float(phases[0]),
+        )
         labels = np.arange(points, dtype=float)
 
         counts = simulate_counts(swept, source, config, labels)
         got = np.column_stack([counts[name] for name in ROW_COLUMNS])
-        want, probabilities = reference_counts(circuit, source, config, delays, phases)
+        want, probabilities = reference_counts(build, source, config, delays, phases)
         assert counts["scan_value"].tolist() == labels.tolist()
         for columns in ((0, 1, 2), (3, 4), (5,)):
             scale = np.abs(want[:, columns]).max()
@@ -356,7 +344,7 @@ class TestBatchedScanOracle:
         bare = dataclasses.replace(
             source, pair_rate_hz=1.0, singles_rates_hz=(0.0, 0.0)
         )
-        t = compile_circuit(circuit).transmission
+        t = compile_circuit(swept).transmission
         p_batched = simulate_counts(swept, bare, config, labels)["raw"] / (t[k] * t[l])
         np.testing.assert_allclose(p_batched, probabilities, rtol=1e-12, atol=1e-15)
         assert np.all((p_batched >= -1e-15) & (p_batched <= 1.0 + 1e-12))

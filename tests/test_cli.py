@@ -284,6 +284,11 @@ class TestNonFiniteInput:
             ("hom-scan", "--eta", "abc"),
             ("hom-scan", "--poisson", "--seed=-1"),
             ("decompose", "--seed", "x"),
+            # --poisson is declared only by the commands that count photons
+            ("dispersion", "--poisson"),
+            ("design-grating", "--poisson"),
+            ("splitting", "--poisson"),
+            ("decompose", "--poisson"),
         ],
     )
     def test_usage_error(self, capsys, argv):
@@ -551,11 +556,10 @@ def _argv(draw):
     argv = [command]
     for option in COMMANDS[command][2]:
         if option.help and draw(st.booleans()):
-            argv.append(f"--{option.key.replace('_', '-')}={draw(_value(option))}")
+            flag = f"--{option.key.replace('_', '-')}"
+            argv.append(flag if option.kind is bool else f"{flag}={draw(_value(option))}")
     if draw(st.booleans()):
         argv.append(f"--seed={draw(st.sampled_from(('-1', '0', '7', str(2**70))))}")
-    if draw(st.booleans()):
-        argv.append("--poisson")
     argv.append(f"--format={draw(st.sampled_from(('csv', 'json')))}")
     return argv
 

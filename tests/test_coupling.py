@@ -1,7 +1,8 @@
 import math
 
-import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modeweaver.coupling import (
     REFERENCE_GRATING_DEPTH_NM,
@@ -12,6 +13,7 @@ from modeweaver.coupling import (
     splitting_ratio,
 )
 from modeweaver.errors import InvalidInput
+from modeweaver.fock import check_unitary
 from modeweaver.wgmodes import ModeId, WaveguideGeometry
 
 TE0 = ModeId("TE", 0)
@@ -54,11 +56,16 @@ class TestCouplerUnitary:
         assert u[1, 0] == pytest.approx(1j * r, abs=1e-12)
         assert u[1, 1] == pytest.approx(t, abs=1e-12)
 
-    def test_unitary(self):
-        for eta in (0.0, 0.3, 0.5345, 1.0):
-            u = coupler_unitary(eta)
-            dev = np.max(np.abs(u.conj().T @ u - np.eye(2)))
-            assert dev < 1e-12
+    @settings(max_examples=300, deadline=None)
+    @given(eta=st.floats(0.0, 1.0))
+    @example(eta=0.0)
+    @example(eta=1.0)
+    @example(eta=5e-324)  # the smallest subnormal
+    @example(eta=1.0 - 1e-16)
+    def test_unitary(self, eta):
+        # unitary by construction over all of [0, 1], so compile_circuit
+        # need not check each coupler
+        check_unitary(coupler_unitary(eta))  # at its default 1e-12
 
     def test_eta_out_of_range(self):
         with pytest.raises(InvalidInput):

@@ -100,6 +100,16 @@ class TestSinusoidFit:
         fit = fit_sinusoid(x, y)
         assert fit.period == pytest.approx(1.3, abs=0.05)
 
+    @pytest.mark.parametrize("n", [500, 1500])
+    def test_scattered_points(self, n):
+        # the smallest gap of scattered x is about span/N^2: a search up to
+        # its Nyquist frequency would step over the periodogram peak
+        x = np.random.default_rng(n).uniform(0.0, 5.2, n)
+        y = 1000.0 + 450.0 * np.cos(2 * np.pi * x / 1.3 + 0.4)
+        fit = fit_sinusoid(x, y)
+        assert fit.period == pytest.approx(1.3, rel=1e-9)
+        assert fit.amplitude == pytest.approx(450.0, rel=1e-9)
+
     def test_too_few_points(self):
         with pytest.raises(InvalidInput):
             fit_sinusoid([0, 1, 2], [1, 2, 1])

@@ -1,8 +1,9 @@
 """Scripted interference experiments: delay and heater-power scans with
 curve fits (visibility, width, period) and comparison targets.
 
-Fits use moment/grid initialization followed by damped Gauss-Newton
-(Levenberg-style) refinement with analytic Jacobians.
+Fits start from moments (the Gaussian dip) or from a given period (the
+fringes) and refine by damped Gauss-Newton (Levenberg-style) with analytic
+Jacobians.
 """
 
 from __future__ import annotations
@@ -214,208 +215,31 @@ class SinusoidFit:
 
 
 def _harmonic_ls(x, y, freq, harmonics):
-    """Linear least squares of y on [1, cos(2 pi h f x), sin(2 pi h f x), ...]
-    over the harmonics h; returns (coefficients, sum of squared residuals)."""
+    """Coefficients of the linear least squares of y on
+    [1, cos(2 pi h f x), sin(2 pi h f x), ...] over the harmonics h."""
     columns = [np.ones_like(x)]
     for h in harmonics:
         arg = 2 * np.pi * h * freq * x
         columns += [np.cos(arg), np.sin(arg)]
-    design = np.column_stack(columns)
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    sse = float(np.sum((design @ coef - y) ** 2))
-    return coef, sse
-
-
-_BLOCK = 64  # frequencies per exactly scored block: 0.5 MB per temporary at 1000 points
-_CHUNK = 16  # points of x per screen product: 32 heads x 16 x 64 = 2^15 multiply-adds
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
-
-
-def _block_scores(x, y, freqs, negligible):
-    """Explained variance of the centred y at each frequency of one block,
-    computed from the centred cos column c and the sin column
-    orthogonalised against it, s: (y.c)^2/|c|^2 + (y.s)^2/|s|^2. A column
-    whose squared norm is not above `negligible` explains nothing."""
-
-    def kept_norm2(column):
-        # zero a negligible column; its norm becomes 1 so its term is 0
-        norm2 = np.einsum("fn,fn->f", column, column)
-        kept = norm2 > negligible
-        column *= kept[:, None]
-        return np.where(kept, norm2, 1.0)
-
-    arg = (2 * np.pi * freqs)[:, None] * x
-    cos, sin = np.cos(arg), np.sin(arg)
-    cos -= np.mean(cos, axis=1, keepdims=True)
-    sin -= np.mean(sin, axis=1, keepdims=True)
-    cos_norm2 = kept_norm2(cos)
-    sin -= cos * (np.einsum("fn,fn->f", sin, cos) / cos_norm2)[:, None]
-    sin_norm2 = kept_norm2(sin)
-    return (cos @ y) ** 2 / cos_norm2 + (sin @ y) ** 2 / sin_norm2
-
-
-def _cis(phase):
-    """exp(i phase), from one cos and one sin call."""
-    out = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
-    return out
-
-
-def _screen(x, y, freqs, negligible):
-    """Scores of every frequency in the linspace `freqs` from three complex
-    matrix products, with a bound on their distance from `_block_scores`.
-
-    Frequency k = 64 a + b is head a plus offset b, with heads freqs[::64]
-    and offsets freqs[:64] - freqs[0], so with E = exp(2 pi i f x) over the
-    points, (E_heads) @ E_offsets^T holds sum cos and sum sin at every
-    frequency, (E_heads y) @ E_offsets^T holds y.cos and y.sin, and
-    (E_heads^2) @ (E_offsets^2)^T holds sum cos 2wx and sum sin 2wx. The
-    products accumulate over chunks of x, so the working set stays bounded.
-    The column norms and their inner product follow in closed form:
-    |c|^2 = N/2 + sum cos2/2 - (sum cos)^2/N, |s|^2 = N/2 - sum cos2/2 -
-    (sum sin)^2/N and c.s = sum sin2/2 - sum cos sum sin/N; the score then
-    takes the negligible-column rule and Gram-Schmidt form of
-    `_block_scores`.
-
-    Error bound. Let u be the unit roundoff and Phi = 2 pi max|f| max|x|.
-    Each term exp(i w x) of a sum, here or in `_block_scores`, is off by at
-    most tau = u (12 Phi + 2 N + 16): its phase by at most 9 u Phi here
-    (head and offset phases, the head + offset split of the linspace) and
-    2 u Phi there, cos and sin and the product by at most 16 u, and worst-
-    case summation of N terms by N u per term. So the Gram matrix G of
-    (c, s) is within ||dG|| <= 6 N tau (Frobenius; a double angle doubles
-    the phase error) and the projections b = (y.c, y.s) within |db| <=
-    2 sqrt(2) tau sum|y|, both taken between the two computations. With
-    lambda the smallest eigenvalue of G here and floor = lambda - ||dG||
-    (at most the other computation's, by Weyl's inequality), the other
-    G is at least (floor / lambda) G, and splitting the difference of the
-    scores S = b^T G^-1 b into a change of b and a change of G bounds it,
-    to all orders, by the margin
-    (2 |db| sqrt(S lambda) + |db|^2 + S ||dG||) / floor.
-    Rounding the score from G and b adds a few u S N / lambda, well inside
-    the last term. A frequency whose lambda is not above `negligible` +
-    4 ||dG|| is uncertain, since either computation may drop a column
-    there (|c|^2 and |s|^2 are both at least lambda): on a uniform grid,
-    the Nyquist frequency, whose sin column vanishes.
-
-    Returns (score, margin, certain), one value per frequency.
-    """
-    n = len(x)
-    heads = 2 * np.pi * freqs[::_BLOCK]
-    offsets = 2 * np.pi * (freqs[:_BLOCK] - freqs[0])
-    sums = np.zeros((3, len(heads), len(offsets)), dtype=complex)
-    # On grids of up to 2048 frequencies (32 heads), 16 points keep every
-    # product below the 2^16 multiply-adds from which OpenBLAS hands it to
-    # worker threads, which then spin for about 0.1 s and slow whatever
-    # runs next.
-    for start in range(0, n, _CHUNK):
-        xc = x[start:start + _CHUNK]
-        e_heads = _cis(np.multiply.outer(heads, xc))
-        e_offsets = _cis(np.multiply.outer(xc, offsets))
-        sums[0] += e_heads @ e_offsets
-        sums[1] += (e_heads * y[start:start + _CHUNK]) @ e_offsets
-        sums[2] += (e_heads * e_heads) @ (e_offsets * e_offsets)
-    total, projection, double = sums.reshape(3, -1)[:, :len(freqs)]
-
-    sum_cos, sum_sin = total.real, total.imag
-    y_mean = np.sum(y) / n  # the centred y sums to roundoff, not to 0
-    y_cos = projection.real - sum_cos * y_mean
-    y_sin = projection.imag - sum_sin * y_mean
-    cc = n / 2 + double.real / 2 - sum_cos * sum_cos / n
-    ss = n / 2 - double.real / 2 - sum_sin * sum_sin / n
-    cs = double.imag / 2 - sum_cos * sum_sin / n
-
-    kept_cos = cc > negligible
-    cos_norm2 = np.where(kept_cos, cc, 1.0)
-    slope = np.where(kept_cos, cs / cos_norm2, 0.0)
-    sin_norm2 = ss - slope * cs
-    y_sin -= slope * y_cos
-    kept_sin = sin_norm2 > negligible
-    score = np.where(kept_cos, y_cos * y_cos / cos_norm2, 0.0) + np.where(
-        kept_sin, y_sin * y_sin / np.where(kept_sin, sin_norm2, 1.0), 0.0
-    )
-
-    phase = 2 * np.pi * np.max(np.abs(freqs)) * np.max(np.abs(x))
-    tau = _UNIT_ROUNDOFF * (12 * phase + 2 * n + 16)
-    d_gram = 6 * n * tau
-    d_projection = 2 * math.sqrt(2) * tau * float(np.sum(np.abs(y)))
-    smallest = (cc + ss) / 2 - np.hypot((cc - ss) / 2, cs)
-    certain = smallest > negligible + 4 * d_gram
-    floor = np.maximum(smallest - d_gram, d_gram)
-    margin = (
-        2 * d_projection * np.sqrt(score * np.maximum(smallest, d_gram))
-        + d_projection * d_projection
-        + score * d_gram
-    ) / floor
-    return score, margin, certain
-
-
-def _frequency_grid(xs):
-    """Frequencies searched for the start period of sorted scan points xs:
-    from half a cycle over the span up to the Nyquist frequency of the
-    smallest positive spacing, or of half the mean positive spacing if that
-    is larger (scattered x have a smallest gap of about span/N^2), two per
-    periodogram peak width 1/span, at least 2000 of them. The count stays
-    below 2N: f_hi is at most (number of positive gaps) / span."""
-    span = xs[-1] - xs[0]
-    steps = np.diff(xs)
-    gaps = steps[steps > 0]  # repeated x add no resolution
-    f_lo = 0.5 / span
-    f_hi = 0.5 / max(float(np.min(gaps)), 0.5 * span / len(gaps))
-    wanted = 2.0 * (f_hi - f_lo) * span
-    return np.linspace(f_lo, f_hi, math.ceil(wanted) if wanted > 2000 else 2000)
-
-
-def _best_frequency(x, y, freqs):
-    """Index of the first frequency in the linspace `freqs` at which a
-    least-squares fit of y on [1, cos(2 pi f x), sin(2 pi f x)] leaves the
-    least residual.
-
-    Generalised Lomb-Scargle periodogram (Zechmeister & Kuerster, A&A 496,
-    577, 2009) in explained-variance form: with centred y and centred
-    columns, the cos column c and the sin column orthogonalised against it,
-    s, a frequency explains (y.c)^2/|c|^2 + (y.s)^2/|s|^2 of |y|^2. A column
-    whose squared norm is below 1e-12 N is roundoff and explains nothing,
-    such as the sin column at exactly Nyquist on a uniform grid.
-
-    `_screen` scores every frequency from three matrix products, with a
-    bound on its error; `_block_scores` then rescores each 64-frequency
-    block holding a candidate: a frequency whose screened score may reach
-    the best screened lower bound, or whose columns lie near the
-    negligible threshold. The first maximum among the rescored blocks is
-    the first maximum over all of `freqs`, as if every block were scored.
-    """
-    y = y - np.mean(y)
-    negligible = 1e-12 * len(x)
-    score, margin, certain = _screen(x, y, freqs, negligible)
-    best_lower = np.max(score - margin, where=certain, initial=-np.inf)
-    candidate = ~(certain & (score + margin < best_lower))  # NaN: a candidate
-    best_index, best_score = 0, -np.inf
-    starts = np.arange(0, len(freqs), _BLOCK)
-    for start in starts[np.logical_or.reduceat(candidate, starts)]:
-        block_score = _block_scores(x, y, freqs[start:start + _BLOCK], negligible)
-        i = int(np.argmax(block_score))
-        if block_score[i] > best_score:
-            best_index, best_score = int(start) + i, block_score[i]
-    return best_index
+    coef, *_ = np.linalg.lstsq(np.column_stack(columns), y, rcond=None)
+    return coef
 
 
 @np.errstate(all="ignore")
-def fit_sinusoid(x, y, leakage_start_period=None) -> SinusoidFit:
-    """Fit C + A cos(2 pi x / P + theta), starting from the best period of a
-    frequency grid (`_frequency_grid`: 2000 frequencies, or two per
-    periodogram peak width when the grid is denser). The periodogram is
-    screened with three matrix products and only the 64-frequency blocks
-    that can hold its peak are scored column by column (`_best_frequency`).
+def fit_sinusoid(x, y, start_period, leakage=False) -> SinusoidFit:
+    """Fit C + A cos(2 pi x / P + theta), starting from `start_period`: the
+    linear least-squares coefficients at that period start damped
+    Gauss-Newton, which then fits the period to the data.
 
     An unbalanced two-photon fringe also carries a component at half its
-    frequency. Given `leakage_start_period`, the fit starts from that period
-    and adds B cos(pi x / P + psi), which keeps the extracted period
-    unbiased; parameters are ordered [A, C, P, theta, B, psi]. Reported
-    parameters describe the main component. Requires >= 8 points spanning
-    >= 1.5 periods.
+    frequency. With `leakage`, the fit adds B cos(pi x / P + psi), which
+    keeps the extracted period unbiased; parameters are ordered
+    [A, C, P, theta, B, psi]. Reported parameters describe the main
+    component. Requires >= 8 points spanning >= 1.5 start periods, and a
+    finite start period > 0.
     """
+    if not (math.isfinite(start_period) and start_period > 0):
+        raise InvalidInput(f"start period must be finite and > 0, got {start_period}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) < 8:
@@ -425,25 +249,19 @@ def fit_sinusoid(x, y, leakage_start_period=None) -> SinusoidFit:
     span = xs[-1] - xs[0]
     if span <= 0:
         raise InvalidInput("degenerate scan span")
+    if not math.isfinite(2 * math.pi * float(np.max(np.abs(xs))) / start_period):
+        raise InvalidInput(f"fringe phase 2 pi x / {start_period:.4g} is not finite")
     scale = max(float(np.max(np.abs(ys))), 1.0)
     if float(np.std(ys)) < 1e-12 * scale:
         raise InsufficientSpan("constant data: no oscillation to fit")
-    y_scale = max(float(np.max(np.abs(ys))), 1e-30)
-    ys = ys / y_scale
-    if leakage_start_period is None:
-        harmonics = (1.0,)
-        freqs = _frequency_grid(xs)
-        f0 = freqs[_best_frequency(xs, ys, freqs)]
-        coef0, _ = _harmonic_ls(xs, ys, f0, harmonics)
-        start_period = 1.0 / f0
-    else:
-        harmonics = (1.0, 0.5)
-        start_period = leakage_start_period
-        coef0, _ = _harmonic_ls(xs, ys, 1.0 / start_period, harmonics)
     if span < 1.5 * start_period:
         raise InsufficientSpan(
             f"span {span:.4g} < 1.5 periods ({start_period:.4g} each)"
         )
+    y_scale = max(float(np.max(np.abs(ys))), 1e-30)
+    ys = ys / y_scale
+    harmonics = (1.0, 0.5) if leakage else (1.0,)
+    coef0 = _harmonic_ls(xs, ys, 1.0 / start_period, harmonics)
     # p = [A, C, P, theta] or [A, C, P, theta, B, psi]
     n_params = 2 * len(harmonics) + 2
     amp_idx = [0, *range(4, n_params, 2)]
@@ -671,11 +489,12 @@ def run_noon(
 ) -> tuple[ScanResult, ScanResult]:
     """Classical and two-photon fringes of the cascaded interferometer.
 
-    Classical: singles of one output with a single input arm lit. Quantum:
-    coincidences with a photon pair at zero delay; its fringe is fitted with
-    the half-frequency leakage term, from half the classical period, so the
-    extracted period is exact. Raises InsufficientSpan unless every power
-    step is below P_2pi/4, the Nyquist limit of the two-photon fringe.
+    Classical: singles of one output with a single input arm lit, fitted
+    from the heater model's P_2pi. Quantum: coincidences with a photon pair
+    at zero delay; its fringe is fitted with the half-frequency leakage
+    term, from half the fitted classical period, so the extracted period is
+    exact. Raises InsufficientSpan unless every power step is below
+    P_2pi/4, the Nyquist limit of the two-photon fringe.
     """
     grid = default_power_grid() if power_grid is None else np.asarray(power_grid, float)
     circuit = _noon_circuit(eta1, eta2, heater_phase(heater, grid))
@@ -690,12 +509,11 @@ def run_noon(
         source, singles_rates_hz=(source.singles_rates_hz[0], 0.0)
     )
     classical_counts = simulate_counts(circuit, classical_source, config, grid)
-    classical_fit = fit_sinusoid(grid, classical_counts["singles_a"])
+    classical_fit = fit_sinusoid(grid, classical_counts["singles_a"], heater.p_2pi_w)
 
     quantum_counts = simulate_counts(circuit, source, config, grid)
     quantum_fit = fit_sinusoid(
-        grid, quantum_counts["net"],
-        leakage_start_period=classical_fit.period / 2.0,
+        grid, quantum_counts["net"], classical_fit.period / 2.0, leakage=True
     )
 
     shared_config = {

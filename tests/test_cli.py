@@ -376,12 +376,22 @@ class TestNonFiniteInput:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: InvalidInput: {message}")
 
-    @pytest.mark.parametrize("p2pi", ["1e-300", "0.1"])
-    def test_undersampled_fringe_is_compute_error(self, capsys, p2pi):
-        code, out, err = run(capsys, "noon-scan", f"--p2pi={p2pi}")
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            pytest.param("--p2pi=1e-300", "power step 0.05 W", id="1e-300"),
+            pytest.param("--p2pi=0.1", "power step 0.05 W", id="0.1"),
+            pytest.param(
+                "--powers=0:1.9:0.05", "span 1.9 < 1.5 periods (1.3 each)",
+                id="short-span",
+            ),
+        ],
+    )
+    def test_undersampled_fringe_is_compute_error(self, capsys, option, message):
+        code, out, err = run(capsys, "noon-scan", option)
         assert (code, out) == (3, "")
         assert len(err.splitlines()) == 1
-        assert err.startswith("error: InsufficientSpan: power step 0.05 W")
+        assert err.startswith(f"error: InsufficientSpan: {message}")
 
     @pytest.mark.parametrize("command", ["dispersion", "design-grating"])
     def test_sellmeier_overflow_is_compute_error(self, capsys, command):

@@ -1,6 +1,4 @@
 import math
-import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +12,6 @@ from modeweaver.errors import (
     FitDiverged,
     InsufficientSpan,
     InvalidInput,
-    ModeweaverError,
 )
 from modeweaver.experiments import (
     GAUSS_FWHM_FACTOR,
@@ -75,7 +72,7 @@ class TestSinusoidFit:
     def test_exact_recovery(self):
         x = np.arange(0.0, 4.0001, 0.05)
         y = 10.0 + 4.0 * np.cos(2 * np.pi * x / 1.3 + 0.7)
-        fit = fit_sinusoid(x, y)
+        fit = fit_sinusoid(x, y, 1.25)
         assert fit.period == pytest.approx(1.3, abs=1e-8)
         assert fit.amplitude == pytest.approx(4.0, abs=1e-8)
         assert fit.offset == pytest.approx(10.0, abs=1e-8)
@@ -85,158 +82,35 @@ class TestSinusoidFit:
     def test_constant_data(self):
         x = np.linspace(0, 10, 40)
         with pytest.raises(InsufficientSpan):
-            fit_sinusoid(x, np.full_like(x, 3.0))
+            fit_sinusoid(x, np.full_like(x, 3.0), 1.25)
 
     def test_short_span(self):
         x = np.linspace(0.0, 2.0, 30)
         y = 5.0 + np.cos(2 * np.pi * x / 10.0)
         with pytest.raises(InsufficientSpan):
-            fit_sinusoid(x, y)
+            fit_sinusoid(x, y, 9.5)
 
     def test_noisy_period(self, rng):
         x = np.arange(0.0, 2.6001, 0.05)
         y = 500.0 + 200.0 * np.cos(2 * np.pi * x / 1.3 + 0.2)
         y = y + rng.normal(scale=10.0, size=len(y))
-        fit = fit_sinusoid(x, y)
+        fit = fit_sinusoid(x, y, 1.25)
         assert fit.period == pytest.approx(1.3, abs=0.05)
-
-    @pytest.mark.parametrize("n", [500, 1500])
-    def test_scattered_points(self, n):
-        # the smallest gap of scattered x is about span/N^2: a search up to
-        # its Nyquist frequency would step over the periodogram peak
-        x = np.random.default_rng(n).uniform(0.0, 5.2, n)
-        y = 1000.0 + 450.0 * np.cos(2 * np.pi * x / 1.3 + 0.4)
-        fit = fit_sinusoid(x, y)
-        assert fit.period == pytest.approx(1.3, rel=1e-9)
-        assert fit.amplitude == pytest.approx(450.0, rel=1e-9)
 
     def test_too_few_points(self):
         with pytest.raises(InvalidInput):
-            fit_sinusoid([0, 1, 2], [1, 2, 1])
+            fit_sinusoid([0, 1, 2], [1, 2, 1], 1.0)
 
-    def test_repeated_scan_point(self):
-        # a zero spacing must not stretch the frequency grid to ~1e12
-        x = np.linspace(0.0, 2.6, 53)
-        x = np.append(x, x[0])
-        y = 500.0 + 200.0 * np.cos(2 * np.pi * x / 1.3 + 0.2)
-        fit = fit_sinusoid(x, y)
-        assert fit.period == pytest.approx(1.3, abs=1e-8)
-        assert fit.amplitude == pytest.approx(200.0, abs=1e-6)
-
-
-def _loop_best_frequency(x, y, freqs):
-    """Reference: one least-squares fit per frequency, first least residual."""
-    best_index, best_sse = 0, math.inf
-    for i, f in enumerate(freqs):
-        _, sse = experiments._harmonic_ls(x, y, f, (1.0,))
-        if sse < best_sse:
-            best_index, best_sse = i, sse
-    return best_index
-
-
-def _searched_indices(run):
-    """Call `run()` and return (periodogram index, reference index) for each
-    frequency search it made, on the exact inputs `fit_sinusoid` passed.
-
-    A RuntimeWarning in the search fails the test, and so does a LinAlgError,
-    which is not a ModeweaverError and propagates."""
-    searches = []
-    search = experiments._best_frequency
-
-    def checked_search(x, y, freqs):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            index = search(x, y, freqs)
-        searches.append((index, _loop_best_frequency(x, y, freqs)))
-        return index
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "_best_frequency", checked_search)
-        try:
-            run()
-        except ModeweaverError:
-            pass  # a fit may fail after its search; the search is what is checked
-    return searches
-
-
-class TestFrequencySearch:
-    """The periodogram picks the same grid frequency as per-frequency lstsq."""
-
-    def test_paper_fringe(self):
-        searches = _searched_indices(lambda: run_noon(0.66, 0.66))
-        assert len(searches) == 1  # the two-photon fringe starts from the classical
-        [(index, reference)] = searches
-        assert index == reference
-
-    def test_dense_fringe(self):
-        grid = np.arange(0.0, 5.2 + 1e-9, 0.005)
-        assert len(grid) == 1041
-        [(index, reference)] = _searched_indices(
-            lambda: run_noon(0.66, 0.66, power_grid=grid)
-        )
-        assert index == reference
-
-    def test_nyquist_top_frequency(self):
-        # every uniform grid ends at Nyquist, where the sin column vanishes;
-        # here the data oscillate at Nyquist, so the top frequency wins
-        x = np.linspace(0.0, 2.6, 53)
-        y = 3.0 + np.cos(np.pi * np.arange(53)) + 0.2 * np.cos(2 * np.pi * x / 1.3)
-        [(index, reference)] = _searched_indices(lambda: fit_sinusoid(x, y))
-        assert index == reference == 1999
-
-    def test_nonuniform_x(self, rng):
-        x = np.sort(rng.uniform(0.0, 5.0, 60))
-        y = 3.0 + np.cos(2 * np.pi * x / 0.9) + 0.3 * rng.normal(size=60)
-        [(index, reference)] = _searched_indices(lambda: fit_sinusoid(x, y))
-        assert index == reference
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        n=st.integers(8, 80),
-        uniform=st.booleans(),
-        cycles=st.floats(1.5, 20.0),
-        noise=st.floats(0.0, 0.5),
-        seed=st.integers(0, 2**32 - 1),
+    @pytest.mark.parametrize(
+        "start", [math.nan, math.inf, 0.0, -0.65, 5e-324],
+        ids=["nan", "inf", "zero", "negative", "subnormal"],
     )
-    def test_noisy_fringes(self, n, uniform, cycles, noise, seed):
-        assume(cycles <= n / 4)  # at least four samples per period
-        rng = np.random.default_rng(seed)
-        x = np.linspace(0.0, 4.0, n) if uniform else np.sort(rng.uniform(0.0, 4.0, n))
-        phase = rng.uniform(0.0, 2 * np.pi)
-        y = 2.0 + np.cos(2 * np.pi * cycles * x / 4.0 + phase)
-        y = y + noise * rng.normal(size=n)
-        [(index, reference)] = _searched_indices(lambda: fit_sinusoid(x, y))
-        assert index == reference
-
-
-def _block_best_frequency(x, y, freqs):
-    """Reference: the periodogram scored column by column, every block of
-    64 frequencies, first maximum. Returns (index, scores)."""
-    block = 64
-    y = y - np.mean(y)
-    negligible = 1e-12 * len(x)
-
-    def kept_norm2(column):
-        norm2 = np.einsum("fn,fn->f", column, column)
-        kept = norm2 > negligible
-        column *= kept[:, None]
-        return np.where(kept, norm2, 1.0)
-
-    best_index, best_score, scores = 0, -np.inf, []
-    for start in range(0, len(freqs), block):
-        arg = (2 * np.pi * freqs[start:start + block])[:, None] * x
-        cos, sin = np.cos(arg), np.sin(arg)
-        cos -= np.mean(cos, axis=1, keepdims=True)
-        sin -= np.mean(sin, axis=1, keepdims=True)
-        cos_norm2 = kept_norm2(cos)
-        sin -= cos * (np.einsum("fn,fn->f", sin, cos) / cos_norm2)[:, None]
-        sin_norm2 = kept_norm2(sin)
-        score = (cos @ y) ** 2 / cos_norm2 + (sin @ y) ** 2 / sin_norm2
-        scores.append(score)
-        i = int(np.argmax(score))
-        if score[i] > best_score:
-            best_index, best_score = start + i, score[i]
-    return best_index, np.concatenate(scores)
+    def test_start_period_must_be_finite_and_positive(self, capfd, start):
+        x = np.arange(0.0, 4.0001, 0.05)
+        y = 10.0 + 4.0 * np.cos(2 * np.pi * x / 1.3 + 0.7)
+        with pytest.raises(InvalidInput):
+            fit_sinusoid(x, y, start)
+        assert capfd.readouterr().err == ""  # nothing from LAPACK
 
 
 def _scan_points(n, layout, rng):
@@ -250,90 +124,36 @@ def _scan_points(n, layout, rng):
     return np.repeat(np.linspace(start, start + span, (n + 1) // 2), 2)[:n]
 
 
-@st.composite
-def periodogram_inputs(draw):
-    """(x, y, freqs) as fit_sinusoid passes them: a noisy, possibly
-    Poisson-counted fringe, with a possible Nyquist-rate component."""
-    n = draw(st.integers(8, 3000))
-    layout = draw(st.sampled_from(["uniform", "nonuniform", "repeated"]))
-    cycles = draw(st.floats(1.5, 20.0))
-    noise = draw(st.floats(0.0, 0.5))
-    nyquist = draw(st.sampled_from([0.0, 0.3, 2.0]))
-    poisson = draw(st.booleans())
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x = _scan_points(n, layout, rng)
-    y = 2.0 + np.cos(2 * np.pi * cycles * (x - x[0]) / (x[-1] - x[0]) + rng.uniform(0, 7))
-    y = y + nyquist * np.cos(np.pi * np.arange(n)) + noise * rng.normal(size=n)
-    if poisson:
-        y = rng.poisson(50.0 * np.abs(y)).astype(float)
-    y = y / max(float(np.max(np.abs(y))), 1e-30)
-    return x, y, experiments._frequency_grid(x)
+class TestStartPeriod:
+    """Gauss-Newton measures the period from the counts: a start within a
+    quarter cycle of drift over the span ends where the true period does."""
 
-
-def _blocks_scored(run):
-    """Call `run()` and return the first frequency of every block that the
-    frequency searches scored column by column."""
-    starts = []
-    block_scores = experiments._block_scores
-
-    def counting(x, y, freqs, negligible):
-        starts.append(freqs[0])
-        return block_scores(x, y, freqs, negligible)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "_block_scores", counting)
-        run()
-    return starts
-
-
-class TestScreenedSearch:
-    """The screened periodogram returns the index that scoring every block
-    returns, and its error stays well inside its stated bound."""
-
-    @settings(max_examples=25, deadline=None)
-    @given(inputs=periodogram_inputs())
-    def test_same_index_as_every_block(self, inputs):
-        # the screen takes x 16 points at a time, so most inputs span many
-        # chunks
-        x, y, freqs = inputs
-        index = experiments._best_frequency(x, y, freqs)
-        y_c = y - np.mean(y)
-        score, margin, certain = experiments._screen(x, y_c, freqs, 1e-12 * len(x))
-        reference, exact = _block_best_frequency(x, y, freqs)
-        assert index == reference
-        assert np.all(np.abs(score - exact)[certain] <= margin[certain] / 10)
-
-    def test_nyquist_is_uncertain_on_uniform_grids(self):
-        x = np.linspace(0.0, 2.6, 53)
-        y = np.cos(2 * np.pi * x / 1.3)
-        freqs = experiments._frequency_grid(x)
-        _, _, certain = experiments._screen(x, y - np.mean(y), freqs, 53e-12)
-        assert not certain[-1]
-        assert np.all(certain[:-1])
-
-    @pytest.mark.parametrize("grid", [None, np.arange(0.0, 5.2 + 1e-9, 0.005)])
-    def test_two_blocks_scored_on_the_fringes(self, grid):
-        # the peak's block and the Nyquist block
-        starts = _blocks_scored(lambda: run_noon(0.66, 0.66, power_grid=grid))
-        assert len(starts) == 2
-
-    def test_screen_memory_is_bounded(self):
-        # Per frequency, whatever the number of points: the three complex
-        # sums (48 B), one 16-point chunk's head phases, three head
-        # exponential arrays and one product (30 B) and the score
-        # arithmetic (at most 16 float arrays, 128 B).
-        x = np.linspace(0.0, 5.2, 20001)
-        y = np.cos(2 * np.pi * x / 1.3)
-        freqs = experiments._frequency_grid(x)
-        assert len(freqs) == 20000
-        budget = (48 + 30 + 128) * len(freqs)
-        tracemalloc.start()
-        try:
-            experiments._screen(x, y, freqs, 20001e-12)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= budget
+    @pytest.mark.parametrize("poisson", [False, True], ids=["gaussian", "poisson"])
+    @pytest.mark.parametrize("layout", ["uniform", "nonuniform", "repeated"])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(8, 3000),
+        cycles=st.floats(2.0, 20.0),
+        noise=st.floats(0.0, 0.5),
+        drift=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_period_as_a_true_start(
+        self, layout, poisson, n, cycles, noise, drift, seed
+    ):
+        rng = np.random.default_rng(seed)
+        x = _scan_points(n, layout, rng)
+        assume(cycles <= len(np.unique(x)) / 4)  # four scan points per period
+        period = (x[-1] - x[0]) / cycles
+        y = 2.0 + np.cos(2 * np.pi * x / period + rng.uniform(0.0, 7.0))
+        y = y + noise * rng.normal(size=n)
+        if poisson:
+            y = rng.poisson(50.0 * np.abs(y)).astype(float)
+        start = period * (1.0 + drift * 0.25 / cycles)
+        reference = fit_sinusoid(x, y, period)
+        assert fit_sinusoid(x, y, start).period == pytest.approx(
+            reference.period, rel=1e-8
+        )
 
 
 class TestGaussNewton:
@@ -375,7 +195,7 @@ class TestLeakageFit:
     def test_pure_fundamental(self):
         x = np.arange(0.0, 2.6001, 0.05)
         y = 100.0 + 40.0 * np.cos(2 * np.pi * x / 0.65 + 0.3)
-        fit = fit_sinusoid(x, y, leakage_start_period=0.65)
+        fit = fit_sinusoid(x, y, 0.625, leakage=True)
         assert fit.period == pytest.approx(0.65, abs=1e-8)
         assert fit.amplitude == pytest.approx(40.0, abs=1e-6)
 
@@ -387,10 +207,10 @@ class TestLeakageFit:
             + 40.0 * np.cos(2 * np.pi * x / 0.65 + 0.3)
             + 18.0 * np.cos(np.pi * x / 0.65 - 0.4)
         )
-        fit = fit_sinusoid(x, y, leakage_start_period=0.6)
+        fit = fit_sinusoid(x, y, 0.6, leakage=True)
         assert fit.period == pytest.approx(0.65, abs=1e-8)
         assert fit.amplitude == pytest.approx(40.0, abs=1e-6)
-        plain = fit_sinusoid(x, y)
+        plain = fit_sinusoid(x, y, 0.6)
         assert abs(plain.period - 0.65) > abs(fit.period - 0.65)
 
 

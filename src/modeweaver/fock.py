@@ -1,13 +1,15 @@
 """Bosonic Fock-state engine over spatial-mode channels.
 
-State evolution builds the image of every basis state photon by photon
-(creation operators transformed by the mode unitary, as in SLOS), so it
-needs no permanents. Single transition amplitudes follow the standard
-linear-optics rule (permanent of the occupation-repeated submatrix); the
-two-photon coincidence takes its 2x2 permanent in closed form, broadcast
-over a stack of unitaries. Two-photon statistics with partial spectral
-distinguishability are a convex mixture of the indistinguishable and
-distinguishable cases, weighted by the delay-dependent overlap x(tau).
+State evolution builds the image of every basis state of one photon fewer
+photon by photon (creation operators transformed by the mode unitary, as in
+SLOS), then adds the last photon to the input state itself, so it needs no
+permanents and never forms the images of the full basis. Single transition
+amplitudes follow the standard linear-optics rule (permanent of the
+occupation-repeated submatrix); the two-photon coincidence takes its 2x2
+permanent in closed form, broadcast over a stack of unitaries. Two-photon
+statistics with partial spectral distinguishability are a convex mixture of
+the indistinguishable and distinguishable cases, weighted by the
+delay-dependent overlap x(tau).
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ from .errors import InvalidInput, NotUnitary, PhotonNumberMismatch, SizeLimit
 SPEED_OF_LIGHT_UM_PER_S = 2.99792458e14
 
 PERMANENT_SIZE_CAP = 20
-# Glynn's sign vectors over the first rows are summed as one n x 2^12 block;
-# the remaining rows (at most 7 under the cap) are looped over, which keeps
-# the working set near 1 MB.
-_GLYNN_BLOCK_ROWS = 13
+# Glynn's sign vectors over the first rows are summed as one n x 2^10 block;
+# the sign vectors of the remaining rows (at most 9 under the cap) are looped
+# over, each added to the block in place, which keeps the working set within
+# three n x 1024 complex arrays (320 kB each at the cap).
+_GLYNN_BLOCK_ROWS = 11
 
 
 def permanent(matrix: np.ndarray) -> complex:
@@ -57,8 +60,12 @@ def permanent(matrix: np.ndarray) -> complex:
     else:
         total = 0.0 + 0.0j
         tails, tail_signs = _signed_sums(a[_GLYNN_BLOCK_ROWS:], np.zeros(n))
+        shifted = np.empty_like(sums)
+        products = np.empty(sums.shape[1], dtype=np.complex128)
         for tail, tail_sign in zip(tails.T, tail_signs):
-            total += tail_sign * (np.prod(sums + tail[:, None], axis=0) @ signs)
+            np.add(sums, tail[:, None], out=shifted)
+            np.multiply.reduce(shifted, axis=0, out=products)
+            total += tail_sign * (products @ signs)
     return complex(total) / 2 ** (n - 1)
 
 
@@ -79,6 +86,8 @@ def fock_basis(num_photons: int, num_channels: int) -> list[tuple[int, ...]]:
     """All occupation vectors of `num_photons` photons over `num_channels`."""
     if num_channels < 1:
         raise InvalidInput("need at least one channel")
+    if num_photons < 0:
+        raise InvalidInput("photon number must be >= 0")
     states = []
     for placement in combinations_with_replacement(range(num_channels), num_photons):
         occ = [0] * num_channels
@@ -160,24 +169,35 @@ def transition_amplitude(
 def evolve(unitary: np.ndarray, state: PureState) -> PureState:
     """Apply a mode unitary to a fixed-photon-number pure state.
 
-    Builds U|s> for every basis state s one photon at a time: s is its parent
-    p = s - e_c (c the first occupied channel of s) with one more photon in c,
-    so U|s> = B_c U|p> / sqrt(s_c), where B_c = sum_j U[j, c] b_j^dagger and
-    (b_j^dagger v)[t] = sqrt(t_j) v[t - e_j]. Each level costs O(m D^2).
+    Builds U|s> for every basis state s of n - 1 photons one photon at a time:
+    s is its parent p = s - e_c (c the first occupied channel of s) with one
+    more photon in c, so U|s> = B_c U|p> / sqrt(s_c), where
+    B_c = sum_j U[j, c] b_j^dagger and (b_j^dagger v)[t] = sqrt(t_j) v[t - e_j].
+    The last photon is added to the input itself: |in> = sum_c b_c^dagger
+    |psi_c>, with psi_c[p] = a_{p + e_c} / sqrt(s_c) over the s whose first
+    occupied channel is c, so U|in> = sum_c B_c U|psi_c>. Level k costs
+    O(m D_k^2) for k < n and the last level O(m D_{n-1}^2 + m^2 D_n).
     """
     u = check_unitary(unitary)
     m, n = state.num_channels, state.num_photons
     if u.shape[0] != m:
         raise InvalidInput("unitary size does not match state channels")
-    # images[t, s] = <t| U |s>; one photon in channel c maps to column c of U
-    images = u if n else np.ones((1, 1), dtype=np.complex128)
-    for k in range(2, n + 1):
+    if n == 0:
+        return PureState(m, n, np.array(state.amplitudes, dtype=np.complex128))
+    # images[t, s] = <t| U |s> over n - 1 photons; one photon in channel c
+    # maps to column c of U
+    images = u if n > 1 else np.ones((1, 1), dtype=np.complex128)
+    for k in range(2, n):
         rows, root_t, parent, channel, inv_root_s = _creation_tables(k, m)
         # sum_j sqrt(t_j) U[j, c(s)] <t - e_j| U |p(s)> / sqrt(s_c)
         lower = images[:, parent][rows]
         images = np.einsum("tjs,tj,js->ts", lower, root_t, u[:, channel] * inv_root_s)
-    out = images @ np.asarray(state.amplitudes, dtype=np.complex128)
-    return PureState(m, n, out)
+    lift, inv_root_s, gather, root_t = _last_photon_tables(n, m)
+    psi = np.zeros((len(images), m), dtype=np.complex128)
+    psi.ravel()[lift] = np.asarray(state.amplitudes) * inv_root_s
+    # lifted[p, j] = sum_c U[j, c] <p| U |psi_c>
+    lifted = images @ psi @ u.T
+    return PureState(m, n, (lifted.take(gather) * root_t).sum(axis=1))
 
 
 @lru_cache(maxsize=None)
@@ -207,6 +227,21 @@ def _creation_tables(num_photons: int, num_channels: int):
         channel[i] = c
         inv_root_s[i] = 1.0 / root_t[i, c]
     return rows, root_t, parent, channel, inv_root_s
+
+
+@lru_cache(maxsize=None)
+def _last_photon_tables(num_photons: int, num_channels: int):
+    """`_creation_tables` as flat indices into a D_{n-1} x m array.
+
+    lift[s] indexes (s - e_c, c) and gather[t, j] indexes (t - e_j, j) (a
+    dummy (0, j) where root_t[t, j] = 0); inv_root_s and root_t as there.
+    """
+    rows, root_t, parent, channel, inv_root_s = _creation_tables(
+        num_photons, num_channels
+    )
+    lift = parent * num_channels + channel
+    gather = rows * num_channels + np.arange(num_channels)
+    return lift, inv_root_s, gather, root_t
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ class TestPermanent:
             expected = naive_permanent(a)
             assert permanent(a) == pytest.approx(expected, rel=1e-11)
 
-    # n = 16 spans the 13-row sign block and the looped tail rows.
+    # n = 16 spans the 11-row sign block and the looped tail rows.
     def test_block_diagonal_factorizes(self, rng):
         a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         b = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
@@ -71,6 +72,34 @@ class TestPermanent:
         block[:8, :8] = a
         block[8:, 8:] = b
         assert permanent(block) == pytest.approx(per_a * per_b, rel=1e-12)
+
+    # 11 fills the sign block exactly, 12 and 13 loop over one and two tail
+    # rows, 20 is the cap. Shuffled rows and columns spread each block over
+    # the sign block and the tail.
+    @pytest.mark.parametrize("sizes", [(6, 5), (6, 6), (7, 6), (7, 7, 6)])
+    def test_shuffled_blocks_against_naive(self, rng, sizes):
+        n = sum(sizes)
+        matrix = np.zeros((n, n), dtype=np.complex128)
+        expected = 1.0
+        start = 0
+        for size in sizes:
+            block = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+            matrix[start:start + size, start:start + size] = block
+            expected *= naive_permanent(block)
+            start += size
+        shuffled = matrix[rng.permutation(n)][:, rng.permutation(n)]
+        assert permanent(shuffled) == pytest.approx(expected, rel=1e-11)
+
+    def test_memory_stays_within_the_sign_block(self, rng):
+        a = haar_unitary(16, rng)
+        permanent(a)
+        tracemalloc.start()
+        try:
+            permanent(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2e6  # three 16 x 1024 complex arrays are 0.79 MB
 
     def test_row_permutation_invariance(self, rng):
         a = haar_unitary(16, rng)
@@ -139,6 +168,45 @@ class TestEvolve:
         for amps in inputs:
             out = evolve(u, PureState(m, n, amps)).amplitudes
             assert np.max(np.abs(out - expected @ amps)) < 1e-12
+
+    @pytest.mark.parametrize("m, n", [(8, 5), (10, 4)])
+    def test_large_against_transition_amplitudes(self, rng, m, n):
+        u = haar_unitary(m, rng)
+        basis = fock_basis(n, m)
+        dense = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+        dense /= np.linalg.norm(dense)
+        single = rng.integers(len(basis))
+        out_dense = evolve(u, PureState(m, n, dense)).amplitudes
+        out_single = evolve(u, PureState(m, n, np.eye(len(basis))[single])).amplitudes
+        for t in rng.choice(len(basis), size=4, replace=False):
+            column = [transition_amplitude(u, s, basis[t]) for s in basis]
+            assert abs(out_dense[t] - np.dot(column, dense)) < 1e-12
+            assert abs(out_single[t] - column[single]) < 1e-12
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_zero_and_one_photon(self, rng, m):
+        vacuum = np.array([0.6 - 0.8j])
+        out = evolve(haar_unitary(m, rng), PureState(m, 0, vacuum)).amplitudes
+        assert out.tolist() == vacuum.tolist() and out is not vacuum
+        u = haar_unitary(m, rng)
+        amps = rng.normal(size=m) + 1j * rng.normal(size=m)
+        out = evolve(u, PureState(m, 1, amps)).amplitudes
+        assert np.max(np.abs(out - u @ amps)) < 1e-14
+
+    def test_memory_stays_below_the_top_level(self, rng):
+        # The images of all 715 four-photon basis states take 8.2 MB and
+        # building them a 93 MB temporary; the evolve itself peaks near 9 MB.
+        u = haar_unitary(10, rng)
+        dim = len(fock_basis(4, 10))
+        state = PureState(10, 4, np.ones(dim) / math.sqrt(dim))
+        evolve(u, state)
+        tracemalloc.start()
+        try:
+            evolve(u, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_uses_no_permanents(self, rng, monkeypatch):
         def forbidden(*args):
@@ -235,6 +303,10 @@ class TestFockBasis:
 
     def test_photon_totals(self):
         assert all(sum(occ) == 2 for occ in fock_basis(2, 4))
+
+    def test_rejects_negative_photon_number(self):
+        with pytest.raises(InvalidInput, match="photon number"):
+            fock_basis(-1, 2)
 
 
 class TestSource:

@@ -15,6 +15,7 @@ delay-dependent overlap x(tau).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -82,12 +83,21 @@ def _signed_sums(rows: np.ndarray, start: np.ndarray):
     return sums, signs
 
 
+def _check_count(value, least: int, name: str) -> None:
+    """InvalidInput unless value is an integer >= least (numpy integers
+    count, floats do not)."""
+    try:
+        if operator.index(value) >= least:
+            return
+    except TypeError:
+        pass
+    raise InvalidInput(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def fock_basis(num_photons: int, num_channels: int) -> list[tuple[int, ...]]:
     """All occupation vectors of `num_photons` photons over `num_channels`."""
-    if num_channels < 1:
-        raise InvalidInput("need at least one channel")
-    if num_photons < 0:
-        raise InvalidInput("photon number must be >= 0")
+    _check_count(num_channels, 1, "channel count")
+    _check_count(num_photons, 0, "photon number")
     states = []
     for placement in combinations_with_replacement(range(num_channels), num_photons):
         occ = [0] * num_channels
@@ -119,10 +129,8 @@ class PureState:
     amplitudes: np.ndarray  # aligned with fock_basis(num_photons, num_channels)
 
     def __post_init__(self):
-        if self.num_channels < 1:
-            raise InvalidInput("need at least one channel")
-        if self.num_photons < 0:
-            raise InvalidInput("photon number must be >= 0")
+        _check_count(self.num_channels, 1, "channel count")
+        _check_count(self.num_photons, 0, "photon number")
         dim = math.comb(self.num_channels + self.num_photons - 1, self.num_photons)
         if np.shape(self.amplitudes) != (dim,):
             raise InvalidInput(

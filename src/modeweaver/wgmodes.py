@@ -11,12 +11,13 @@ The slab relation is solved in its phase form
 
     u = m*pi/2 + atan2(q*w, u),   u^2 + w^2 = V^2
 
-which is monotonic in u, so bracketing bisection converges to machine
-precision and the residual of the relation is directly meaningful.
+which is monotonic in u and has a closed-form derivative, so Newton steps
+kept inside a bracket (``rtsafe``) converge to machine precision in a few
+evaluations, and the residual of the relation is directly meaningful.
 
-``slab_neff`` is the one solver: a numpy bisection over any set of slabs
-that share a cladding and a wavelength, each element stopping at its own
-break. A dispersion sweep calls it twice, once for the vertical slab of
+``slab_neff`` is the one solver: one numpy array iteration over any set of
+slabs that share a cladding and a wavelength, each element stopping at its
+own break. A dispersion sweep calls it twice, once for the vertical slab of
 every requested family and once for every (width, mode) pair.
 ``effective_index`` is the row of a one-width sweep, so a single solve and
 a sweep row of the same waveguide agree bit for bit.
@@ -150,12 +151,13 @@ def slab_neff(
     order=0,
 ) -> np.ndarray:
     """Effective indices of symmetric-slab modes, NaN where a mode is not
-    guided, from one bisection over all of them.
+    guided, from one safeguarded Newton iteration over all of them.
 
     ``n_core``, ``thickness_nm``, ``family`` and ``order`` broadcast against
     each other, so the slabs may differ in all four; they share the
     cladding and the wavelength. Each element stops updating at its own
-    break. Raises InvalidInput for non-physical arguments.
+    break, so its result does not depend on the other elements. Raises
+    InvalidInput for non-physical arguments.
     """
     n_core, thickness_nm, family, order = np.broadcast_arrays(
         np.asarray(n_core, dtype=float),
@@ -178,9 +180,10 @@ def slab_neff(
         a.ravel() for a in (n_core, thickness_nm, te, order)
     )
     n_eff = np.full(n_core.shape, math.nan)
-    # a thickness near the float maximum overflows k0*t/2 to inf; such a
-    # slab ends with n_eff = n_core, which is not guided
-    with np.errstate(over="ignore"):
+    # a thickness near the float maximum overflows k0*t/2 or V^2 to inf; the
+    # Newton step is then inf/inf = NaN, so such a slab bisects to the top of
+    # its bracket and ends with n_eff = n_core, which is not guided
+    with np.errstate(over="ignore", invalid="ignore"):
         # float_power squares through libm pow, as Python's ** does; the
         # array ** 2 is x * x, which differs in the last bit for about one
         # argument in a thousand and, just above a cut-off, decides whether
@@ -196,34 +199,68 @@ def slab_neff(
         )
         q = np.where(te, 1.0, np.float_power(n_core / n_clad, 2.0))
 
-        # the residual u - order*pi/2 - atan2(q*w, u) is negative at lo
-        # (atan2 > 0 there) and positive at hi
-        lo = phase.copy()
+        # rtsafe (Numerical Recipes, section 9.4): Newton steps on the
+        # residual f(u) = u - order*pi/2 - atan2(q*w, u), w = sqrt(V^2 - u^2),
+        # kept inside a bracket that the sign of f at each new point narrows.
+        # f < 0 at lo (atan2 > 0 there), f > 0 at hi, and
+        # f'(u) = 1 + q*V^2 / (w*(u^2 + q^2*w^2)) >= 1, so the Newton step
+        # f/f' is f*d/(d + q*V^2) with d = w*(u^2 + q^2*w^2), finite at w = 0
         hi = np.minimum(v_number, 0.5 * (order + 1) * math.pi)
         v_squared = v_number * v_number
-        active = np.ones(len(v_number), dtype=bool)
-        # the loop works in these buffers and allocates no temporaries
-        mid, w, residual = np.empty((3, len(v_number)))
-        below, update = np.empty((2, len(v_number)), dtype=bool)
-        for _ in range(200):
-            np.multiply(0.5, np.add(lo, hi, out=mid), out=mid)
-            # once u >= 8 an ulp of u exceeds the 1e-15 stop width, and an
-            # element stops when its midpoint rounds onto an end
-            active &= np.less(lo, mid, out=update)
-            active &= np.less(mid, hi, out=update)
-            if not np.count_nonzero(active):
-                break
-            # below: mid - order*pi/2 < atan2(q*w, mid), w = sqrt(V^2 - mid^2);
-            # mid <= hi <= V, so V^2 - mid^2 >= 0, and a - b < 0 iff a < b
-            np.subtract(v_squared, np.multiply(mid, mid, out=w), out=w)
-            np.arctan2(np.multiply(q, np.sqrt(w, out=w), out=w), mid, out=w)
-            np.less(np.subtract(mid, phase, out=residual), w, out=below)
-            np.copyto(lo, mid, where=np.logical_and(active, below, out=update))
-            np.copyto(hi, mid, where=np.greater(active, below, out=update))
-            np.subtract(hi, lo, out=residual)
-            active &= np.greater_equal(residual, 1e-15, out=update)
-        u = 0.5 * (lo + hi)
-        solved = np.sqrt(core_squared - np.float_power(u / half_kt, 2.0))
+        # one row per quantity and one column per slab still moving; a slab
+        # that stops leaves its u in roots and its column is dropped. The
+        # last step and the one before it start at the bracket width
+        state = np.array(
+            [phase, q, v_squared, q * v_squared, phase, hi, 0.5 * (phase + hi)]
+            + 2 * [hi - phase]
+        )
+        moving = np.arange(len(hi))
+        roots = np.empty(len(hi))
+        # each step works in these buffers and allocates nothing
+        buffers = np.empty((7, len(hi)))
+        flags = np.empty((2, len(hi)), dtype=bool)
+        evaluations = 200  # at most, for any slab
+        while len(moving) and evaluations:
+            phase, q, v_squared, qv_squared, lo, hi, u, step, step_before = state
+            uu, w, qw, f, d, dx, nxt = buffers[:, : len(moving)]
+            flag, newton = flags[:, : len(moving)]
+            while evaluations:
+                evaluations -= 1
+                # u <= hi <= V, so V^2 - u^2 >= 0
+                np.subtract(v_squared, np.multiply(u, u, out=uu), out=w)
+                np.multiply(q, np.sqrt(w, out=w), out=qw)
+                np.subtract(u, phase, out=f)
+                np.subtract(f, np.arctan2(qw, u, out=d), out=f)
+                np.less(f, 0.0, out=flag)
+                np.copyto(lo, u, where=flag)
+                np.copyto(hi, u, where=np.logical_not(flag, out=flag))
+                np.multiply(w, np.add(uu, np.multiply(qw, qw, out=d), out=d), out=d)
+                np.multiply(f, d, out=dx)
+                np.divide(dx, np.add(d, qv_squared, out=d), out=dx)
+                # the Newton point, kept where it lies in the bracket and its
+                # step is at most half the step before last (a NaN step fails)
+                np.subtract(u, dx, out=nxt)
+                np.less_equal(lo, nxt, out=newton)
+                newton &= np.less_equal(nxt, hi, out=flag)
+                np.add(dx, dx, out=dx)
+                newton &= np.less_equal(np.abs(dx, out=dx), step_before, out=flag)
+                # otherwise the midpoint; u is an end of the bracket now, so
+                # the step to the midpoint halves the bracket
+                np.multiply(0.5, np.add(lo, hi, out=d), out=d)
+                np.copyto(d, nxt, where=newton)
+                np.copyto(step_before, step)
+                np.abs(np.subtract(d, u, out=step), out=step)
+                np.copyto(u, d)
+                # a slab stops at the first step that leaves its u unchanged.
+                # A looser stop (two ulps of u) would leave a slab just above
+                # cut-off, where the root sits within a few ulps of V, up to
+                # two ulps of u short of it and n_eff several ulps high
+                if np.count_nonzero(np.greater(step, 0.0, out=flag)) < len(moving):
+                    break
+            roots[moving] = u
+            moving = moving[flag]
+            state = state[:, flag]
+        solved = np.sqrt(core_squared - np.float_power(roots / half_kt, 2.0))
     solved[~((n_clad < solved) & (solved < n_core))] = math.nan
     n_eff[guided] = solved
     return n_eff.reshape(shape)

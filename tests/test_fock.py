@@ -289,6 +289,15 @@ class TestPureState:
         with pytest.raises(InvalidInput):
             PureState(channels, photons, amplitudes)
 
+    @pytest.mark.parametrize(
+        "channels, photons",
+        [(2, 1.5), (2.0, 1), (2, np.float64(1.0)), (2, "1")],
+        ids=["fractional_photons", "float_channels", "numpy_float", "string"],
+    )
+    def test_rejects_non_integer_counts(self, channels, photons):
+        with pytest.raises(InvalidInput, match="must be an integer"):
+            PureState(channels, photons, np.ones(2))
+
     def test_vacuum_and_single_photon(self):
         assert PureState(3, 0, np.array([1.0])).norm() == 1.0
         assert PureState(3, 1, np.array([0.0, 1.0, 0.0])).norm() == 1.0
@@ -307,6 +316,17 @@ class TestFockBasis:
     def test_rejects_negative_photon_number(self):
         with pytest.raises(InvalidInput, match="photon number"):
             fock_basis(-1, 2)
+
+    @pytest.mark.parametrize(
+        "photons, channels, name",
+        [(1.5, 2, "photon number"), (2, 2.0, "channel count"), (2, 0, "channel count")],
+    )
+    def test_rejects_non_integer_counts(self, photons, channels, name):
+        with pytest.raises(InvalidInput, match=f"^{name} must be an integer"):
+            fock_basis(photons, channels)
+
+    def test_numpy_integer_counts(self):
+        assert fock_basis(np.int64(2), np.int64(3)) == fock_basis(2, 3)
 
 
 class TestSource:

@@ -78,31 +78,24 @@ class TestSlab:
                 slab_neff(*args)
 
 
-def capped_slab_neff(n_core, n_clad, thickness_nm, wavelength_nm, family, order):
-    """One slab by slab_neff's bisection without the midpoint stop: it ends
-    only at a 1e-15 bracket or after 200 residual evaluations. Returns
-    n_eff and the number of evaluations."""
-    half_kt = math.pi * thickness_nm / wavelength_nm
-    v_number = half_kt * math.sqrt(n_core**2 - n_clad**2)
-    q = 1.0 if family == "TE" else (n_core / n_clad) ** 2
-    lo = 0.5 * order * math.pi
-    hi = min(v_number, 0.5 * (order + 1) * math.pi)
-    for evaluations in range(1, 201):
-        mid = 0.5 * (lo + hi)
-        w = math.sqrt(max(v_number * v_number - mid * mid, 0.0))
-        if mid - 0.5 * order * math.pi - np.arctan2(q * w, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15:
-            break
-    u = 0.5 * (lo + hi)
-    return math.sqrt(n_core**2 - (u / half_kt) ** 2), evaluations
+# 200-bit roots of the phase-form slab relation (mpmath bisection on the
+# float arguments) at TestSlabSolverStop.ARGS, orders 0-8, rounded to double
+SLAB_TM_3000_ORACLES = [
+    1.8955896734492217,
+    1.882315173752842,
+    1.8600464003809145,
+    1.8285695459945297,
+    1.7875983734661798,
+    1.7368109682381474,
+    1.675962425695984,
+    1.605243534476424,
+    1.5266260630485378,
+]
 
 
 @pytest.fixture
 def residual_evaluations(monkeypatch):
-    """Counts the bisection steps of slab_neff: one np.arctan2 call each."""
+    """Counts the residual evaluations of slab_neff: one np.arctan2 call each."""
     calls = []
     arctan2 = np.arctan2
 
@@ -114,32 +107,34 @@ def residual_evaluations(monkeypatch):
     return calls
 
 
-class TestBisectionStop:
+class TestSlabSolverStop:
     ARGS = (1.9, 1.45, 3000, 808, "TM")
+
+    def solve(self, residual_evaluations, order):
+        residual_evaluations.clear()
+        n = float(slab_neff(*self.ARGS, order))
+        oracle = SLAB_TM_3000_ORACLES[order]
+        assert abs(n - oracle) <= 2 * math.ulp(oracle)
+        assert len(residual_evaluations) <= 10
+        return n
 
     @pytest.mark.parametrize("order", [5, 6, 7, 8])
     def test_high_orders_stop_at_the_ulp_of_u(self, residual_evaluations, order):
-        # u >= 8 here, where an ulp of u exceeds the 1e-15 stop width
-        expected, evaluations = capped_slab_neff(*self.ARGS, order)
-        assert evaluations == 200
-        residual_evaluations.clear()
-        assert float(slab_neff(*self.ARGS, order)).hex() == expected.hex()
-        assert len(residual_evaluations) <= 55
+        # u >= 8 here, where an ulp of u (1.8e-15) is wider than any fixed
+        # stop width below 1e-15, so only a stop relative to u ends the solve
+        n = self.solve(residual_evaluations, order)
+        n_core, _, thickness, wavelength, _ = self.ARGS
+        assert math.pi * thickness / wavelength * math.sqrt(n_core**2 - n**2) >= 8
 
-    @pytest.mark.parametrize("order", [0, 1, 2])
-    def test_low_orders_unchanged(self, residual_evaluations, order):
-        expected, evaluations = capped_slab_neff(*self.ARGS, order)
-        residual_evaluations.clear()
-        assert float(slab_neff(*self.ARGS, order)).hex() == expected.hex()
-        assert len(residual_evaluations) == evaluations
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+    def test_low_orders_near_the_root(self, residual_evaluations, order):
+        self.solve(residual_evaluations, order)
 
-    def test_each_element_stops_at_its_own_break(self, residual_evaluations):
+    def test_each_element_stops_at_its_own_break(self):
         orders = list(range(9))
-        expected = [capped_slab_neff(*self.ARGS, order) for order in orders]
-        residual_evaluations.clear()
         n = slab_neff(*self.ARGS, orders)
-        assert [x.hex() for x in n.tolist()] == [x.hex() for x, _ in expected]
-        assert len(residual_evaluations) <= 55
+        single = [float(slab_neff(*self.ARGS, order)) for order in orders]
+        assert [x.hex() for x in n.tolist()] == [x.hex() for x in single]
 
 
 class TestEffectiveIndex:
@@ -258,7 +253,7 @@ class TestDispersionSweep:
         with pytest.raises(TypeError):
             dispersion_sweep([400.0, "500"], [TE0])
 
-    def test_one_vertical_bisection_per_sweep(self, monkeypatch):
+    def test_one_vertical_solve_per_sweep(self, monkeypatch):
         calls = []
 
         def counted(*args):
@@ -275,10 +270,10 @@ class TestDispersionSweep:
         assert lateral[4:] == (["TM", "TE", "TM", "TE", "TM"], [0, 1, 2, 0, 1])
 
     def test_cut_off_edge_matches_per_point_solve(self):
-        # these widths sit about 1e-9 above TE2's cut-off width, where n_eff
-        # rounds onto n_clad; there x ** 2 (libm pow) and x * x of
-        # u / (k0 t / 2) differ in the last bit, and with x * x all three
-        # rows would exist
+        # these widths sit about 1e-9 above TE2's cut-off width. A 200-bit
+        # solve puts n_eff within half an ulp of n_clad for the first two
+        # and one ulp above it for the third, so a returned row may only be
+        # within an ulp of those
         wavelength = 1046.1721846727482
         stack = MaterialStack(
             wgmodes.silicon_nitride_index(wavelength),
@@ -287,6 +282,8 @@ class TestDispersionSweep:
         )
         height = 948.3669491714678
         widths = [790.1977399001582, 790.1977444655257, 790.1977502449289]
+        exact = [1.4498461880556892, 1.4498461880556892, 1.4498461880556894]
+        assert exact[0] == stack.n_clad
         reference = []
         for width in widths:
             try:
@@ -294,7 +291,11 @@ class TestDispersionSweep:
             except ModeCutoff:
                 continue
             reference.append((width, TE2, n))
-        assert dispersion_sweep(widths, [TE2], stack, height) == reference == []
+        rows = dispersion_sweep(widths, [TE2], stack, height)
+        assert rows == reference
+        for width, _, n in rows:
+            expected = exact[widths.index(width)]
+            assert abs(n - expected) <= math.ulp(expected)
 
     @settings(max_examples=60, deadline=None)
     @given(sweep=st.data())

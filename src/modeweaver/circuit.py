@@ -23,12 +23,18 @@ from .errors import ChannelMismatch, InvalidInput, require_finite
 from .fock import PhotonPairSource, check_unitary, spectral_overlap, two_photon_coincidence
 
 
-def _embed_two_mode(block: np.ndarray, channels: tuple[int, int], m: int) -> np.ndarray:
+def _coupler_channels(channels: tuple[int, int], m: int) -> tuple[int, int]:
+    """The two channels of a coupler over m channels, checked."""
     a, b = channels
     if a == b:
         raise ChannelMismatch("coupler channels must differ")
     if not (0 <= a < m and 0 <= b < m):
         raise ChannelMismatch(f"channels {channels} outside 0..{m - 1}")
+    return a, b
+
+
+def _embed_two_mode(block: np.ndarray, channels: tuple[int, int], m: int) -> np.ndarray:
+    a, b = _coupler_channels(channels, m)
     u = np.eye(m, dtype=np.complex128)
     u[a, a] = block[0, 0]
     u[a, b] = block[0, 1]
@@ -134,31 +140,54 @@ class CompiledCircuit:
     delay_um: float | np.ndarray  # summed relative delay (an array when swept)
 
 
-def compile_circuit(circuit: Circuit) -> CompiledCircuit:
-    """Multiply element matrices in order; factor out loss and the delay.
+def _times(c_re, c_im, x_re, x_im):
+    """(c_re + i c_im)(x_re + i x_im) in real arithmetic: numpy's complex
+    multiply may fuse multiply-adds on one CPU and not on another, or in one
+    array loop and not in another."""
+    return c_re * x_re - c_im * x_im, c_im * x_re + c_re * x_im
 
-    A phase shifter whose phase is an array of N values makes the unitary an
-    (N, m, m) stack.
+
+def compile_circuit(circuit: Circuit) -> CompiledCircuit:
+    """Apply the elements in order to the rows of the identity; factor out
+    loss and the delay.
+
+    A coupler mixes its two rows with its 2x2 block and a phase shifter
+    multiplies its rows by e^{i phi}. A phase shifter whose phase is an
+    array of N values makes the unitary an (N, m, m) stack.
     """
     m = circuit.num_channels
     if m < 1:
         raise ChannelMismatch("need at least one channel")
-    unitary = np.eye(m, dtype=np.complex128)
+    # real and imaginary parts indexed [row, column, *sweep], so that a row
+    # over the whole sweep is one contiguous array
+    re, im = np.eye(m), np.zeros((m, m))
     transmission = np.ones(m)
     delay = 0.0
     for element in circuit.elements:
         if isinstance(element, GratingBS):
-            block = coupler_unitary(element.eta)
-            unitary = _embed_two_mode(block, element.channels, m) @ unitary
+            rows = _coupler_channels(element.channels, m)
+            mixed = []
+            for weights in coupler_unitary(element.eta).tolist():
+                (x_re, x_im), (y_re, y_im) = (
+                    _times(w.real, w.imag, re[c], im[c]) for w, c in zip(weights, rows)
+                )
+                mixed.append((x_re + y_re, x_im + y_im))
+            for c, (row_re, row_im) in zip(rows, mixed):
+                re[c], im[c] = row_re, row_im
         elif isinstance(element, PhaseShifter):
             phase = np.asarray(element.phase_rad, dtype=float)
-            step = np.zeros(phase.shape + (m, m), dtype=np.complex128)
-            step[..., range(m), range(m)] = 1.0
-            for ch in element.channels:
+            sweep = np.broadcast_shapes(re.shape[2:], phase.shape)
+            if sweep != re.shape[2:]:  # new sweep axes lead, as in broadcasting
+                shape = (m, m) + (1,) * (len(sweep) + 2 - re.ndim) + re.shape[2:]
+                re, im = (
+                    np.broadcast_to(part.reshape(shape), (m, m) + sweep).copy()
+                    for part in (re, im)
+                )
+            factor = np.exp(1j * phase)
+            for ch in dict.fromkeys(element.channels):
                 if not 0 <= ch < m:
                     raise ChannelMismatch(f"phase channel {ch} outside 0..{m - 1}")
-                step[..., ch, ch] = np.exp(1j * phase)
-            unitary = step @ unitary
+                re[ch], im[ch] = _times(factor.real, factor.imag, re[ch], im[ch])
         elif isinstance(element, RelativeDelay):
             delay = delay + np.asarray(element.delay_um, dtype=float)
         elif isinstance(element, Loss):
@@ -172,6 +201,9 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
                     transmission[ch] *= factor
         else:
             raise InvalidInput(f"unknown element {element!r}")
+    unitary = np.empty(re.shape[2:] + (m, m), dtype=np.complex128)
+    sweep_first = (*range(2, re.ndim), 0, 1)
+    unitary.real, unitary.imag = re.transpose(sweep_first), im.transpose(sweep_first)
     return CompiledCircuit(unitary, transmission, delay)
 
 

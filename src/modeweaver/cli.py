@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,34 +38,55 @@ class ConfigError(Exception):
     pass
 
 
-def _round12(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, dict):
-        return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round12(v) for v in obj]
-    return obj
-
-
-def _csv(header, rows) -> str:
-    """CSV text with a header line: floats to 12 significant digits, every
-    other value by str."""
-    # column by column: one comprehension per column is faster than a join
-    # over a generator per row
-    columns = [
-        [f"{v:.12g}" if isinstance(v, float) else str(v) for v in column]
-        for column in zip(*rows)
-    ]
-    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
+def _csv(header, columns) -> str:
+    """CSV text with a header line, from one sequence per column: floats to
+    12 significant digits, every other value by str. Each column's format
+    is chosen once, so that each row takes a single `%`."""
+    formats = []
+    cells = []
+    for column in columns:
+        floats = [issubclass(kind, float) for kind in set(map(type, column))]
+        if any(floats) and not all(floats):  # floats among other values
+            column = [f"{v:.12g}" if isinstance(v, float) else str(v) for v in column]
+        formats.append("%.12g" if all(floats) else "%s")
+        cells.append(column)
+    row = ",".join(formats)
+    return "\n".join([",".join(header), *map(row.__mod__, zip(*cells))]) + "\n"
 
 
 def _dump_json(obj) -> str:
-    try:
-        text = json.dumps(_round12(obj), indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise InvalidInput(f"non-finite number in output: {exc}") from exc
-    return text + "\n"
+    """JSON text of `obj` with every float rounded to 12 significant digits,
+    laid out as json.dumps(..., indent=2, sort_keys=True) lays it out, plus a
+    final newline. InvalidInput on NaN or an infinity."""
+    return _json(obj, "\n") + "\n"
+
+
+def _json(obj, newline: str) -> str:
+    """`obj` as JSON, its nested lines starting with `newline` plus two
+    spaces per level."""
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise InvalidInput(f"non-finite number in output: {obj}")
+        return repr(float(f"{obj:.12g}"))
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        items = [f"{encode_basestring_ascii(key)}: {_json(obj[key], inner)}"
+                 for key in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+            items = [repr(float(f"{v:.12g}")) for v in obj]
+        else:
+            items = [_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    return json.dumps(obj)
 
 
 def _parse_range(text: str, name: str) -> list[float]:
@@ -215,7 +237,12 @@ def cmd_dispersion(args) -> int:
     else:
         table = _csv(
             ("sweep_param", "mode_family", "mode_order", "n_eff"),
-            ((v, m.family, m.order, n) for v, m, n in rows),
+            (
+                [v for v, _, _ in rows],
+                [m.family for _, m, _ in rows],
+                [m.order for _, m, _ in rows],
+                [n for _, _, n in rows],
+            ),
         )
         _emit(args, table, "dispersion.csv")
     return 0
@@ -264,7 +291,7 @@ def cmd_splitting(args) -> int:
         _emit(args, _dump_json(rows), "splitting.json")
     else:
         header = ("N", "eta", "visibility_ideal", "visibility_measured")
-        table = _csv(header, ([r[key] for key in header] for r in rows))
+        table = _csv(header, [[r[key] for r in rows] for key in header])
         _emit(args, table, "splitting.csv")
     return 0
 
@@ -275,8 +302,7 @@ def _emit_scans(args, results) -> None:
     for result in results:
         if args.output or args.format == "csv":
             counts = result.counts
-            columns = (column.tolist() for column in counts.values())
-            table = _csv(counts.keys(), zip(*columns))
+            table = _csv(counts.keys(), [c.tolist() for c in counts.values()])
             texts.append((table, f"{result.name}.csv"))
         if args.output or args.format == "json":
             texts.append((_dump_json(result.fit_dict()), f"{result.name}.fit.json"))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -32,6 +33,36 @@ PERMANENT_SIZE_CAP = 20
 # over, each added to the block in place, which keeps the working set within
 # three n x 1024 complex arrays (320 kB each at the cap).
 _GLYNN_BLOCK_ROWS = 11
+_BLOCK_COLUMNS = 2 ** (_GLYNN_BLOCK_ROWS - 1)
+_TAIL_COLUMNS = 2 ** (PERMANENT_SIZE_CAP - _GLYNN_BLOCK_ROWS)
+# prod(d) of the sign vector d of each column of `_signed_sums`: bit i of the
+# column index is set where row i is subtracted.
+_SIGNS = np.array(
+    [(-1.0) ** column.bit_count() for column in range(_BLOCK_COLUMNS)],
+    dtype=np.complex128,
+)
+_SIGNS.flags.writeable = False
+# numpy's ufunc buffer size, in elements, inside `permanent`. Under the
+# default of 8192 each broadcast add over an n x 2^k block makes three 128 kB
+# buffers and copies through them; a buffer shorter than a block row lets the
+# loops run on the rows in place, which halves the time at n = 16.
+_UFUNC_BUFFER = 64
+
+
+class _Scratch(threading.local):
+    """Each thread's working arrays for `permanent`, sized at the cap and
+    reused by every call: fresh arrays of up to 320 kB are large enough for
+    the allocator to map and unmap them on every call, and every page of
+    them then faults in again."""
+
+    def __init__(self):
+        self.sums = np.empty(PERMANENT_SIZE_CAP * _BLOCK_COLUMNS, dtype=np.complex128)
+        self.shifted = np.empty_like(self.sums)
+        self.products = np.empty(_BLOCK_COLUMNS, dtype=np.complex128)
+        self.tails = np.empty(PERMANENT_SIZE_CAP * _TAIL_COLUMNS, dtype=np.complex128)
+
+
+_scratch = _Scratch()
 
 
 def permanent(matrix: np.ndarray) -> complex:
@@ -55,32 +86,44 @@ def permanent(matrix: np.ndarray) -> complex:
         (a00, a01), (a10, a11) = a.tolist()
         return a00 * a11 + a01 * a10
     # Signed column sums of the first block rows, one column per sign vector.
-    sums, signs = _signed_sums(a[1:_GLYNN_BLOCK_ROWS], a[0])
-    if n <= _GLYNN_BLOCK_ROWS:
-        total = np.prod(sums, axis=0) @ signs
-    else:
-        total = 0.0 + 0.0j
-        tails, tail_signs = _signed_sums(a[_GLYNN_BLOCK_ROWS:], np.zeros(n))
-        shifted = np.empty_like(sums)
-        products = np.empty(sums.shape[1], dtype=np.complex128)
-        for tail, tail_sign in zip(tails.T, tail_signs):
-            np.add(sums, tail[:, None], out=shifted)
-            np.multiply.reduce(shifted, axis=0, out=products)
-            total += tail_sign * (products @ signs)
+    block = a[1:_GLYNN_BLOCK_ROWS]
+    width = 2 ** len(block)
+    signs = _SIGNS[:width]
+    products = _scratch.products[:width]
+    with np.errstate():  # restores the buffer size on leaving
+        np.setbufsize(_UFUNC_BUFFER)
+        sums = _signed_sums(block, a[0], _scratch.sums[:n * width].reshape(n, width))
+        if n <= _GLYNN_BLOCK_ROWS:
+            total = np.multiply.reduce(sums, axis=0, out=products) @ signs
+        else:
+            total = 0.0 + 0.0j
+            tail_rows = a[_GLYNN_BLOCK_ROWS:]
+            tail_width = 2 ** len(tail_rows)
+            tails = _scratch.tails[:n * tail_width].reshape(n, tail_width)
+            _signed_sums(tail_rows, 0.0, tails)
+            shifted = _scratch.shifted[:n * width].reshape(n, width)
+            for tail, tail_sign in zip(tails.T, _SIGNS[:tail_width].real):
+                np.add(sums, tail[:, None], out=shifted)
+                np.multiply.reduce(shifted, axis=0, out=products)
+                total += tail_sign * (products @ signs)
     return complex(total) / 2 ** (n - 1)
 
 
-def _signed_sums(rows: np.ndarray, start: np.ndarray):
-    """Columns start + sum_i d_i rows[i] over all sign vectors d, and prod(d).
+def _signed_sums(rows: np.ndarray, start, out: np.ndarray) -> np.ndarray:
+    """Fill `out` (n x 2^len(rows)) with the columns start + sum_i d_i rows[i]
+    over all sign vectors d, in the order of `_SIGNS`.
 
-    Built by doubling: each row splits every column into (+row, -row).
+    Built by doubling in place: each row splits every column into (+row,
+    -row), the right half written first.
     """
-    sums = start[:, None]
-    signs = np.ones(1)
+    out[:, 0] = start
+    width = 1
     for row in rows:
-        sums = np.concatenate((sums + row[:, None], sums - row[:, None]), axis=1)
-        signs = np.concatenate((signs, -signs))
-    return sums, signs
+        column = row[:, None]
+        np.subtract(out[:, :width], column, out=out[:, width:2 * width])
+        out[:, :width] += column
+        width *= 2
+    return out
 
 
 def _check_count(value, least: int, name: str) -> None:

@@ -319,14 +319,24 @@ def dispersion_sweep(
     """Sweep the width at a fixed height and tabulate n_eff per mode.
 
     Returns (width_nm, mode, n_eff) rows, width-major in the requested mode
-    order; a mode cut off at a width has no row there. Each width is
-    validated as a WaveguideGeometry. Raises InvalidInput on an empty sweep.
+    order; a mode cut off at a width has no row there. The widths are
+    validated as WaveguideGeometry validates them. Raises InvalidInput on an
+    empty sweep.
     """
     values = list(values_nm)
     if not values:
         raise InvalidInput("empty sweep")
-    for value in values:
+    widths = np.array(values)
+    if widths.dtype.kind in "biuf":
+        # numbers are checked as an array; only the first width, which also
+        # checks the height, and the first invalid width build a geometry
+        invalid = ~(np.isfinite(widths) & (widths > 0))
+        checked = [values[0], values[int(invalid.argmax())]]
+    else:
+        checked = values
+    for value in checked:
         WaveguideGeometry(value, height_nm, stack)
+    widths = widths.astype(float)
     modes = list(modes)
     # vertical step: the fundamental slab of the height, once per family
     families = list(dict.fromkeys(mode.family for mode in modes))
@@ -339,7 +349,7 @@ def dispersion_sweep(
     n_eff = slab_neff(
         [n_vertical[mode.family] for mode in modes],
         stack.n_clad,
-        np.array(values, dtype=float)[:, np.newaxis],
+        widths[:, np.newaxis],
         stack.wavelength_nm,
         ["TM" if mode.family == "TE" else "TE" for mode in modes],
         [mode.order for mode in modes],

@@ -140,6 +140,59 @@ class TestCompile:
         assert np.array_equal(compiled.delay_um, delays)
 
 
+def _explicit_product(circuit: Circuit) -> np.ndarray:
+    """The unitary as the product of each element's m x m matrix, a swept
+    phase as a stack of diagonal matrices."""
+    m = circuit.num_channels
+    unitary = np.eye(m, dtype=np.complex128)
+    for element in circuit.elements:
+        if isinstance(element, GratingBS):
+            a, b = element.channels
+            step = np.eye(m, dtype=np.complex128)
+            step[np.ix_([a, b], [a, b])] = coupler_unitary(element.eta)
+        elif isinstance(element, PhaseShifter):
+            phase = np.asarray(element.phase_rad, dtype=float)
+            step = np.zeros(phase.shape + (m, m), dtype=np.complex128)
+            step[..., range(m), range(m)] = 1.0
+            for ch in element.channels:
+                step[..., ch, ch] = np.exp(1j * phase)
+        else:
+            continue
+        unitary = step @ unitary
+    return unitary
+
+
+class TestRowWiseCompile:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_explicit_product(self, seed):
+        """Random circuits over 2-6 channels, with couplers on any channel
+        pair, phase shifters on several channels, swept and unswept phases
+        and loss."""
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 7))
+        points = int(rng.integers(1, 9))
+        elements = []
+        for _ in range(int(rng.integers(1, 12))):
+            kind = rng.integers(4)
+            if kind == 0:
+                a, b = rng.choice(m, size=2, replace=False)
+                elements.append(GratingBS(channels=(int(a), int(b)), eta=float(rng.uniform())))
+            elif kind == 3:
+                elements.append(Loss(float(rng.uniform(0, 3))))
+            else:
+                count = int(rng.integers(1, m + 1))
+                channels = tuple(int(c) for c in rng.choice(m, size=count, replace=False))
+                phase = rng.uniform(-7, 7, size=points) if kind == 1 else rng.uniform(-7, 7)
+                elements.append(PhaseShifter(channels=channels, phase_rad=phase))
+        circuit = Circuit(m, tuple(elements))
+        u = compile_circuit(circuit).unitary
+        expected = _explicit_product(circuit)
+        assert u.shape == expected.shape
+        assert np.max(np.abs(u - expected)) < 1e-14
+        gram = np.swapaxes(u.conj(), -1, -2) @ u
+        assert np.max(np.abs(gram - np.eye(m))) < 1e-13
+
+
 class TestHeaterAndAccidentals:
     def test_heater_linear(self):
         model = HeaterModel(p_2pi_w=1.3)

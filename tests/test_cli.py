@@ -147,6 +147,94 @@ class TestCsvTables:
         assert len(lines) == 12
 
 
+def _round12_oracle(obj):
+    """Every float rounded to 12 significant digits, tuples as lists."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, dict):
+        return {k: _round12_oracle(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round12_oracle(v) for v in obj]
+    return obj
+
+
+def _dump_json_oracle(obj) -> str:
+    text = json.dumps(_round12_oracle(obj), indent=2, sort_keys=True, allow_nan=False)
+    return text + "\n"
+
+
+def _csv_oracle(header, rows) -> str:
+    """The CSV table formatted value by value."""
+    columns = [
+        [f"{v:.12g}" if isinstance(v, float) else str(v) for v in column]
+        for column in zip(*rows)
+    ]
+    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(1e12, 1e16),
+    st.floats(-1e16, -1e12),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 123456789012.5]),
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | FLOATS | st.text(),
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.lists(FLOATS, min_size=1, max_size=8)
+        | st.dictionaries(st.text(max_size=8), children, max_size=5)
+    ),
+    max_leaves=25,
+)
+CSV_COLUMNS = {
+    "float": st.lists(FLOATS, min_size=3, max_size=3),
+    "int": st.lists(st.integers(), min_size=3, max_size=3),
+    "str": st.lists(st.text(), min_size=3, max_size=3),
+    "bool": st.lists(st.booleans(), min_size=3, max_size=3),
+    "int and float": st.lists(st.integers() | FLOATS, min_size=3, max_size=3),
+}
+
+
+class TestSerialisers:
+    """The JSON and CSV writers produce the bytes of the straightforward
+    formatting they replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=JSON_VALUES)
+    def test_json_matches_rounding_and_json_dumps(self, obj):
+        assert _dump_json(obj) == _dump_json_oracle(obj)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(sorted(CSV_COLUMNS)), max_size=5),
+        rows=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_csv_matches_value_by_value(self, kinds, rows, data):
+        columns = [data.draw(CSV_COLUMNS[kind])[:rows] for kind in kinds]
+        header = [f"c{i}" for i in range(len(columns))]
+        assert cli._csv(header, columns) == _csv_oracle(header, zip(*columns))
+
+    def test_empty_table_is_its_header(self):
+        assert cli._csv(("a", "b"), ([], [])) == "a,b\n"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "wrap",
+        [
+            lambda v: v,
+            lambda v: [1.0, v, 2.0],
+            lambda v: {"a": {"b": [True, v]}},
+            lambda v: (1, "x", v),
+        ],
+    )
+    def test_non_finite_raises(self, value, wrap):
+        with pytest.raises(InvalidInput, match="^non-finite number in output"):
+            _dump_json(wrap(value))
+
+
 class TestScans:
     def test_hom_scan_json(self, capsys):
         code, out, _ = run(

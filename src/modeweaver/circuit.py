@@ -23,26 +23,6 @@ from .errors import ChannelMismatch, InvalidInput, require_finite
 from .fock import PhotonPairSource, check_unitary, spectral_overlap, two_photon_coincidence
 
 
-def _coupler_channels(channels: tuple[int, int], m: int) -> tuple[int, int]:
-    """The two channels of a coupler over m channels, checked."""
-    a, b = channels
-    if a == b:
-        raise ChannelMismatch("coupler channels must differ")
-    if not (0 <= a < m and 0 <= b < m):
-        raise ChannelMismatch(f"channels {channels} outside 0..{m - 1}")
-    return a, b
-
-
-def _embed_two_mode(block: np.ndarray, channels: tuple[int, int], m: int) -> np.ndarray:
-    a, b = _coupler_channels(channels, m)
-    u = np.eye(m, dtype=np.complex128)
-    u[a, a] = block[0, 0]
-    u[a, b] = block[0, 1]
-    u[b, a] = block[1, 0]
-    u[b, b] = block[1, 1]
-    return u
-
-
 @dataclass(frozen=True)
 class GratingBS:
     """Grating mode-beamsplitter acting on a channel pair."""
@@ -165,7 +145,11 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     delay = 0.0
     for element in circuit.elements:
         if isinstance(element, GratingBS):
-            rows = _coupler_channels(element.channels, m)
+            rows = a, b = element.channels
+            if a == b:
+                raise ChannelMismatch("coupler channels must differ")
+            if not (0 <= a < m and 0 <= b < m):
+                raise ChannelMismatch(f"channels {rows} outside 0..{m - 1}")
             mixed = []
             for weights in coupler_unitary(element.eta).tolist():
                 (x_re, x_im), (y_re, y_im) = (
@@ -291,20 +275,18 @@ def simulate_counts(
 # Largest unitary reck_decompose factors.
 RECK_SIZE_CAP = 16
 
+# Largest deviation of U^H U from the identity that reck_decompose accepts.
+RECK_UNITARY_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class ReckStage:
-    """One two-channel coupler of a triangular mesh."""
+    """One two-channel coupler of a triangular mesh: the block [[c, -s], [s*, c]]
+    on its channels, c = sqrt(1 - eta), s = sqrt(eta) e^{i phase_rad}."""
 
     channels: tuple[int, int]
     eta: float
     phase_rad: float
-
-    def matrix(self, m: int) -> np.ndarray:
-        c = math.sqrt(1.0 - self.eta)
-        s = math.sqrt(self.eta) * np.exp(1j * self.phase_rad)
-        block = np.array([[c, -s], [np.conj(s), c]], dtype=np.complex128)
-        return _embed_two_mode(block, self.channels, m)
 
 
 @dataclass(frozen=True)
@@ -314,7 +296,7 @@ class ReckDecomposition:
     output_phases: np.ndarray  # diagonal phases, length m
 
 
-def reck_decompose(target: np.ndarray, tol: float = 1e-10) -> ReckDecomposition:
+def reck_decompose(target: np.ndarray) -> ReckDecomposition:
     """Factor a unitary into a triangular mesh of two-channel couplers.
 
     Adjacent-channel Givens-style rotations null the below-diagonal entries
@@ -327,7 +309,7 @@ def reck_decompose(target: np.ndarray, tol: float = 1e-10) -> ReckDecomposition:
     # np.errstate adds about 2.5 us a call (numpy 2.4, 2-core x86 host),
     # a tenth of a two-photon evolve.
     with np.errstate(over="ignore", invalid="ignore"):
-        u = check_unitary(target, tol)
+        u = check_unitary(target, RECK_UNITARY_TOL)
     m = u.shape[0]
     if m > RECK_SIZE_CAP:
         raise InvalidInput(f"decomposition capped at m = {RECK_SIZE_CAP}")
@@ -358,10 +340,21 @@ def reck_decompose(target: np.ndarray, tol: float = 1e-10) -> ReckDecomposition:
     return ReckDecomposition(size=m, stages=stages, output_phases=phases)
 
 
-def reck_recompose(decomposition: ReckDecomposition) -> np.ndarray:
-    """Rebuild the unitary from its mesh factors."""
-    m = decomposition.size
-    matrix = np.diag(np.exp(1j * decomposition.output_phases)).astype(np.complex128)
+def reck_circuit(decomposition: ReckDecomposition) -> Circuit:
+    """The mesh as device elements: the output phases, then each stage in
+    reverse order as a grating coupler [[t, i r], [i r, t]] between phase
+    shifters of theta = phase_rad + pi/2 and -theta on its second channel,
+    which make it the stage's block [[c, -s], [s*, c]]."""
+    elements: list[Element] = [
+        PhaseShifter((j,), phase)
+        for j, phase in enumerate(decomposition.output_phases.tolist())
+    ]
     for stage in reversed(decomposition.stages):
-        matrix = stage.matrix(m) @ matrix
-    return matrix
+        q = stage.channels[1]
+        theta = stage.phase_rad + math.pi / 2
+        elements += (
+            PhaseShifter((q,), theta),
+            GratingBS(stage.channels, stage.eta),
+            PhaseShifter((q,), -theta),
+        )
+    return Circuit(decomposition.size, tuple(elements))

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import circuit as circuit_mod
 from . import coupling, experiments, wgmodes
-from .circuit import HeaterModel, reck_decompose
-from .errors import InvalidInput, ModeweaverError
+from .circuit import HeaterModel, reck_circuit, reck_decompose
+from .errors import InvalidInput, ModeCutoff, ModeweaverError
 from .fock import PhotonPairSource
 from .wgmodes import MaterialStack, ModeId, WaveguideGeometry
 
@@ -225,6 +225,11 @@ def cmd_dispersion(args) -> int:
         raise ConfigError("no modes requested")
     stack = _stack(settings)
     rows = wgmodes.dispersion_sweep(widths, modes, stack, height)
+    if not rows:
+        raise ModeCutoff(
+            f"no requested mode guided at any width, height {height:g} nm, "
+            f"wavelength {stack.wavelength_nm:g} nm"
+        )
     if args.format == "json":
         payload = {
             "sweep_param": "width",
@@ -349,11 +354,14 @@ def cmd_noon_scan(args) -> int:
 def cmd_decompose(args) -> int:
     settings = Settings(args)
     if "unitary" in settings.config:
+        rows = settings["unitary"]
         try:
-            matrix = np.array(
-                [[complex(c[0], c[1]) for c in row] for row in settings["unitary"]]
-            )
-        except (TypeError, ValueError, IndexError, KeyError, OverflowError) as exc:
+            matrix = np.array([[complex(re, im) for re, im in row] for row in rows])
+            # complex() would take JSON true and false as 1 and 0
+            parts = {type(x) for row in rows for pair in row for x in pair}
+            if not matrix.size or bool in parts:
+                raise ValueError("no entries, or a boolean part")
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(
                 "unitary must be a nested list of [re, im] pairs"
             ) from exc
@@ -372,6 +380,7 @@ def cmd_decompose(args) -> int:
     else:
         raise ConfigError("decompose needs a 'unitary' (or 'size' plus --seed)")
     decomposition = reck_decompose(matrix)
+    recomposed = circuit_mod.compile_circuit(reck_circuit(decomposition)).unitary
     payload = {
         "size": decomposition.size,
         "stages": [
@@ -383,9 +392,7 @@ def cmd_decompose(args) -> int:
             for s in decomposition.stages
         ],
         "output_phases_rad": [float(p) for p in decomposition.output_phases],
-        "recomposition_error": float(
-            np.max(np.abs(circuit_mod.reck_recompose(decomposition) - matrix))
-        ),
+        "recomposition_error": float(np.max(np.abs(recomposed - matrix))),
     }
     _emit(args, _dump_json(payload), "decomposition.json")
     return 0

@@ -46,11 +46,6 @@ def coupler_unitary(eta: float) -> np.ndarray:
     return np.array([[t, 1j * r], [1j * r, t]], dtype=np.complex128)
 
 
-def _pair_symmetry(mode_pair: tuple[ModeId, ModeId]) -> str:
-    a, b = mode_pair
-    return "symmetric" if (a.order - b.order) % 2 == 0 else "asymmetric"
-
-
 @dataclass(frozen=True)
 class GratingSpec:
     """A width-modulation grating coupling two co-propagating modes."""
@@ -60,7 +55,6 @@ class GratingSpec:
     num_periods: int
     kappa_per_period: float
     mode_pair: tuple[ModeId, ModeId]
-    symmetry: str
 
     def __post_init__(self):
         require_finite(
@@ -72,13 +66,13 @@ class GratingSpec:
             raise InvalidInput("grating period must be positive")
         if self.num_periods < 0 or self.kappa_per_period < 0:
             raise InvalidInput("N and kappa must be non-negative")
-        if self.symmetry not in ("symmetric", "asymmetric"):
-            raise InvalidInput(f"unknown symmetry {self.symmetry!r}")
-        if self.symmetry != _pair_symmetry(self.mode_pair):
-            raise InvalidInput(
-                f"{self.symmetry} grating cannot couple "
-                f"{self.mode_pair[0]}-{self.mode_pair[1]} (parity rule)"
-            )
+
+    @property
+    def symmetry(self) -> str:
+        """By the parity rule: a symmetric grating couples mode orders of
+        equal parity, an asymmetric one orders of opposite parity."""
+        a, b = self.mode_pair
+        return "symmetric" if (a.order - b.order) % 2 == 0 else "asymmetric"
 
     @property
     def eta(self) -> float:
@@ -129,6 +123,5 @@ def grating_from_geometry(
         num_periods=num_periods,
         kappa_per_period=kappa,
         mode_pair=mode_pair,
-        symmetry=_pair_symmetry(mode_pair),
     )
 

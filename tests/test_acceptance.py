@@ -232,7 +232,8 @@ def test_criterion_9_reck(capsys):
         m = 2 + trial % 7  # m in 2..8
         u = haar_unitary(m, rng)
         decomposition = circuit_mod.reck_decompose(u)
-        err = float(np.max(np.abs(circuit_mod.reck_recompose(decomposition) - u)))
+        mesh = circuit_mod.reck_circuit(decomposition)
+        err = float(np.max(np.abs(circuit_mod.compile_circuit(mesh).unitary - u)))
         worst = max(worst, err)
     ok = worst < 1e-10
     verdict(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import haar_unitary
 from modeweaver.circuit import (
+    RECK_SIZE_CAP,
     Circuit,
     CoincidenceConfig,
     GratingBS,
@@ -18,8 +19,8 @@ from modeweaver.circuit import (
     accidentals,
     compile_circuit,
     heater_phase,
+    reck_circuit,
     reck_decompose,
-    reck_recompose,
     simulate_counts,
 )
 from modeweaver.coupling import coupler_unitary
@@ -433,29 +434,74 @@ def test_validators_reject_non_finite(make):
         make()
 
 
+def _recompose(decomposition) -> np.ndarray:
+    """The mesh unitary through the device circuit."""
+    return compile_circuit(reck_circuit(decomposition)).unitary
+
+
+def _stage_product(decomposition) -> np.ndarray:
+    """Oracle: the dense product of each stage's block [[c, -s], [s*, c]]
+    embedded in the identity, applied after the output phases."""
+    m = decomposition.size
+    unitary = np.diag(np.exp(1j * decomposition.output_phases))
+    for stage in reversed(decomposition.stages):
+        c = math.sqrt(1.0 - stage.eta)
+        s = math.sqrt(stage.eta) * np.exp(1j * stage.phase_rad)
+        step = np.eye(m, dtype=np.complex128)
+        step[np.ix_(stage.channels, stage.channels)] = [[c, -s], [np.conj(s), c]]
+        unitary = step @ unitary
+    return unitary
+
+
+def _mesh_inputs(m, rng):
+    """Haar, permutation, diagonal-phase and permutation x phase unitaries."""
+    permutation = np.eye(m)[rng.permutation(m)]
+    phases = np.diag(np.exp(1j * rng.uniform(0.0, 2 * np.pi, m)))
+    return haar_unitary(m, rng), permutation, phases, permutation @ phases
+
+
 class TestReck:
     def test_identity_has_no_stages(self):
         decomposition = reck_decompose(np.eye(4))
         assert decomposition.stages == ()
-        assert np.allclose(reck_recompose(decomposition), np.eye(4))
+        assert np.allclose(_recompose(decomposition), np.eye(4))
 
     def test_single_coupler(self):
         u = coupler_unitary(0.3)
         decomposition = reck_decompose(u)
         assert len(decomposition.stages) == 1
         assert decomposition.stages[0].eta == pytest.approx(0.3, abs=1e-12)
-        assert np.max(np.abs(reck_recompose(decomposition) - u)) < 1e-12
+        assert np.max(np.abs(_recompose(decomposition) - u)) < 1e-12
 
     def test_random_unitaries_round_trip(self, rng):
-        # Haar, permutation, diagonal-phase and permutation x phase inputs
-        for m in (2, 3, 4, 6, 8, 12, 16):
-            permutation = np.eye(m)[rng.permutation(m)]
-            phases = np.diag(np.exp(1j * rng.uniform(0.0, 2 * np.pi, m)))
-            for u in (haar_unitary(m, rng), permutation, phases, permutation @ phases):
+        """The device circuit rebuilds the input, and agrees with the dense
+        stage product."""
+        for m in range(2, RECK_SIZE_CAP + 1):
+            for u in _mesh_inputs(m, rng):
                 decomposition = reck_decompose(u)
                 assert len(decomposition.stages) <= m * (m - 1) // 2
-                err = np.max(np.abs(reck_recompose(decomposition) - u))
-                assert err < 1e-10
+                recomposed = _recompose(decomposition)
+                assert np.max(np.abs(recomposed - u)) < 1e-10
+                oracle = _stage_product(decomposition)
+                assert np.max(np.abs(recomposed - oracle)) < 1e-13
+
+    def test_circuit_is_couplers_between_phase_shifters(self, rng):
+        decomposition = reck_decompose(haar_unitary(4, rng))
+        elements = reck_circuit(decomposition).elements
+        m = decomposition.size
+        assert [(e.channels, e.phase_rad) for e in elements[:m]] == [
+            ((j,), phase) for j, phase in enumerate(decomposition.output_phases)
+        ]
+        stages = elements[m:]
+        assert len(stages) == 3 * len(decomposition.stages)
+        for (before, coupler, after), stage in zip(
+            zip(*[iter(stages)] * 3), reversed(decomposition.stages)
+        ):
+            q = stage.channels[1]
+            assert isinstance(coupler, GratingBS)
+            assert (coupler.channels, coupler.eta) == (stage.channels, stage.eta)
+            assert before.channels == after.channels == (q,)
+            assert before.phase_rad == -after.phase_rad == stage.phase_rad + math.pi / 2
 
     def test_stages_are_adjacent_channel(self, rng):
         u = haar_unitary(5, rng)
@@ -464,7 +510,7 @@ class TestReck:
             assert 0.0 <= stage.eta <= 1.0
 
     def test_rejects_non_unitary(self):
-        with pytest.raises(NotUnitary):
+        with pytest.raises(NotUnitary, match=r"by 3\.000e\+00 > 1e-10"):
             reck_decompose(np.ones((3, 3)))
 
     def test_size_cap(self):

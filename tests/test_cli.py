@@ -58,6 +58,17 @@ class TestDispersion:
         code, _, _ = run(capsys, "dispersion", "--modes", "TX9")
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_no_guided_row_is_mode_cutoff(self, capsys, fmt):
+        code, out, err = run(
+            capsys, "dispersion", "--height", "1e-300", "--format", fmt
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: ModeCutoff: no requested mode guided at any width, "
+            "height 1e-300 nm, wavelength 808 nm\n"
+        )
+
 
 class TestDesignGrating:
     def test_default_design(self, capsys):
@@ -300,8 +311,16 @@ class TestDecompose:
 
     @pytest.mark.parametrize(
         "unitary",
-        [[[{"re": 1}]], [[[10**400, 0]]], [[[1, 0], [0, 0]], [[0, 0]]]],
-        ids=["dict_pair", "int_overflow", "ragged_rows"],
+        [
+            [[{"re": 1}]],
+            [[[10**400, 0]]],
+            [[[1, 0], [0, 0]], [[0, 0]]],
+            [[[1, 0, 5]]],
+            [[[True, 0]]],
+            [],
+        ],
+        ids=["dict_pair", "int_overflow", "ragged_rows", "three_components",
+             "boolean_part", "empty"],
     )
     def test_malformed_unitary_is_usage_error(self, capsys, tmp_path, unitary):
         config = tmp_path / "c.json"

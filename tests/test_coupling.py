@@ -82,7 +82,6 @@ class TestGratingSpec:
             num_periods=20,
             kappa_per_period=0.041,
             mode_pair=(TE0, TE2),
-            symmetry="symmetric",
         )
         defaults.update(kw)
         return GratingSpec(**defaults)
@@ -92,16 +91,9 @@ class TestGratingSpec:
         assert spec.eta == pytest.approx(SIN2_0_820, abs=1e-12)
         assert spec.length_um == pytest.approx(6.675 * 20)
 
-    def test_parity_rule(self):
-        with pytest.raises(InvalidInput):
-            self.make(mode_pair=(TE0, TE1))
-        self.make(mode_pair=(TE0, TE1), symmetry="asymmetric")
-
     def test_validation(self):
         with pytest.raises(InvalidInput):
             self.make(period_um=0.0)
-        with pytest.raises(InvalidInput):
-            self.make(symmetry="chiral")
         for field in ("period_um", "depth_nm", "kappa_per_period"):
             with pytest.raises(InvalidInput, match="must be finite"):
                 self.make(**{field: math.nan})

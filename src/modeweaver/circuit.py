@@ -41,9 +41,9 @@ class PhaseShifter:
 
 @dataclass(frozen=True)
 class RelativeDelay:
-    """Free-space path delay of the photon entering input_channels[0]
-    relative to the one entering input_channels[1]; it sets their
-    distinguishability, not the mode unitary."""
+    """Free-space path delay of the photon entering channel 0 relative to
+    the one entering channel 1; it sets their distinguishability, not the
+    mode unitary."""
 
     delay_um: float | np.ndarray = 0.0  # an array sweeps it, one per scan point
 
@@ -95,21 +95,13 @@ def heater_phase(model: HeaterModel, power_w):
     return phase
 
 
-def accidentals(singles_1_hz, singles_2_hz, window_ns: float):
-    """Accidental coincidence rate S1 * S2 * window; the rates may be arrays."""
-    if (np.less(singles_1_hz, 0).any() or np.less(singles_2_hz, 0).any()
-            or window_ns < 0):
-        raise InvalidInput("rates and window must be >= 0")
-    return singles_1_hz * singles_2_hz * window_ns * 1e-9
-
-
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered element list over m mode channels, plus measured ports."""
+    """Ordered element list over m mode channels, plus measured ports; the
+    photon pair enters channels 0 and 1."""
 
     num_channels: int
     elements: tuple[Element, ...]
-    input_channels: tuple[int, int] = (0, 1)
     output_channels: tuple[int, int] = (0, 1)
 
 
@@ -232,7 +224,6 @@ def simulate_counts(
         raise InvalidInput(f"scan values must be one-dimensional, got {values.shape}")
     n = len(values)
     compiled = compile_circuit(circuit)
-    i, j = circuit.input_channels
     k, l = circuit.output_channels
     delay = np.asarray(compiled.delay_um)
     for shape in (delay.shape, compiled.unitary.shape[:-2]):
@@ -241,15 +232,15 @@ def simulate_counts(
                 f"a swept circuit setting has shape {shape}; the scan has {n} points"
             )
     overlap = spectral_overlap(source, delay)
-    p_cc = two_photon_coincidence(compiled.unitary, (i, j), (k, l), overlap)
+    p_cc = two_photon_coincidence(compiled.unitary, (0, 1), (k, l), overlap)
     prob = np.abs(compiled.unitary) ** 2
     t_k = compiled.transmission[k]
     t_l = compiled.transmission[l]
     net_rate = source.pair_rate_hz * p_cc * t_k * t_l
     s_in = source.singles_rates_hz
-    singles_k = (s_in[0] * prob[..., k, i] + s_in[1] * prob[..., k, j]) * t_k
-    singles_l = (s_in[0] * prob[..., l, i] + s_in[1] * prob[..., l, j]) * t_l
-    acc_rate = accidentals(singles_k, singles_l, config.window_ns)
+    singles_k = (s_in[0] * prob[..., k, 0] + s_in[1] * prob[..., k, 1]) * t_k
+    singles_l = (s_in[0] * prob[..., l, 0] + s_in[1] * prob[..., l, 1]) * t_l
+    acc_rate = singles_k * singles_l * config.window_ns * 1e-9
     t_int = config.integration_time_s
     # one row per point, [raw, singles_k, singles_l]: a single Poisson draw
     # over it takes the same stream as per-point draws in that order
@@ -291,9 +282,12 @@ class ReckStage:
 
 @dataclass(frozen=True)
 class ReckDecomposition:
-    size: int
     stages: tuple[ReckStage, ...]
     output_phases: np.ndarray  # diagonal phases, length m
+
+    @property
+    def size(self) -> int:
+        return len(self.output_phases)
 
 
 def reck_decompose(target: np.ndarray) -> ReckDecomposition:
@@ -314,7 +308,7 @@ def reck_decompose(target: np.ndarray) -> ReckDecomposition:
     if m > RECK_SIZE_CAP:
         raise InvalidInput(f"decomposition capped at m = {RECK_SIZE_CAP}")
     work = u.copy()
-    givens: list[tuple[int, float, complex]] = []  # (upper row p, c, s)
+    stages = []
     for col in range(m):
         for row in range(m - 1, col, -1):
             a = work[row - 1, col]
@@ -329,15 +323,10 @@ def reck_decompose(target: np.ndarray) -> ReckDecomposition:
                 s = np.conj(c * b / a)
             g = np.array([[c, s], [-np.conj(s), c]], dtype=np.complex128)
             work[[row - 1, row], :] = g @ work[[row - 1, row], :]
-            givens.append((row - 1, c, complex(s)))
-    phases = np.angle(np.diag(work))
-    stages = tuple(
-        ReckStage(channels=(p, p + 1), eta=float(abs(s) ** 2),
-                  phase_rad=float(np.angle(s)) if abs(s) > 0 else 0.0)
-        for p, c, s in givens
-        if abs(s) ** 2 > 1e-28
-    )
-    return ReckDecomposition(size=m, stages=stages, output_phases=phases)
+            eta = abs(complex(s)) ** 2
+            if eta > 1e-28:
+                stages.append(ReckStage((row - 1, row), eta, float(np.angle(s))))
+    return ReckDecomposition(tuple(stages), np.angle(np.diag(work)))
 
 
 def reck_circuit(decomposition: ReckDecomposition) -> Circuit:

@@ -178,8 +178,11 @@ class Settings:
 def _emit(args, text: str, filename: str | None = None) -> None:
     if args.output and filename:
         out_dir = Path(args.output)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / filename).write_text(text, encoding="utf-8")
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / filename).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_dir / filename}: {exc}") from exc
     else:
         # A write larger than the buffer that meets a closed pipe comes back
         # short and TextIOWrapper drops the rest silently; writes that fit
@@ -279,7 +282,7 @@ def cmd_splitting(args) -> int:
     settings = Settings(args)
     kappa = settings["kappa"]
     periods_text = settings["periods"]
-    if "," in periods_text:
+    if ":" not in periods_text:
         try:
             n_values = [int(p) for p in periods_text.split(",") if p.strip()]
         except ValueError as exc:

@@ -162,7 +162,7 @@ def fit_gaussian(x, y) -> GaussianFit:
     sigma0 = math.sqrt(
         float(np.sum(weights * (xs - center0) ** 2) / np.sum(weights))
     )
-    sigma0 = max(sigma0, (xs[1] - xs[0]) if len(xs) > 1 else 1.0)
+    sigma0 = max(sigma0, xs[1] - xs[0])
 
     def model(p):
         a, c, s, o = p
@@ -430,7 +430,6 @@ def run_hom_peak(
     source: PhotonPairSource = PhotonPairSource(),
     delay_grid=None,
     config: CoincidenceConfig = CoincidenceConfig(),
-    name: str = "hom_peak",
 ) -> dict[str, ScanResult]:
     """Bunching peak per output arm: each arm feeds an ideal 50:50 splitter
     and coincidences are taken between that splitter's two outputs."""
@@ -452,13 +451,10 @@ def run_hom_peak(
     results = {}
     for arm, outputs in (("arm_a", (0, 2)), ("arm_b", (1, 3))):
         circuit = Circuit(
-            num_channels=4,
-            elements=base_elements,
-            input_channels=(0, 1),
-            output_channels=outputs,
+            num_channels=4, elements=base_elements, output_channels=outputs
         )
         results[arm] = _delay_scan(
-            f"{name}_{arm}", circuit, eta, source, config, grid, metrics,
+            f"hom_peak_{arm}", circuit, eta, source, config, grid, metrics,
             outputs=list(outputs),
         )
     return results
@@ -485,7 +481,6 @@ def run_noon(
     power_grid=None,
     source: PhotonPairSource = PhotonPairSource(),
     config: CoincidenceConfig = CoincidenceConfig(),
-    name: str = "noon",
 ) -> tuple[ScanResult, ScanResult]:
     """Classical and two-photon fringes of the cascaded interferometer.
 
@@ -526,7 +521,7 @@ def run_noon(
     }
     scan = ("heater_power", "W")
     classical = ScanResult(
-        f"{name}_classical", scan, "singles_a", classical_counts, classical_fit,
+        "noon_classical", scan, "singles_a", classical_counts, classical_fit,
         {
             "visibility": classical_fit.visibility,
             "period_w": classical_fit.period,
@@ -534,7 +529,7 @@ def run_noon(
         shared_config,
     )
     quantum = ScanResult(
-        f"{name}_quantum", scan, "net", quantum_counts, quantum_fit,
+        "noon_quantum", scan, "net", quantum_counts, quantum_fit,
         {
             "visibility": quantum_fit.visibility,
             "period_w": quantum_fit.period,

@@ -199,8 +199,8 @@ def transition_amplitude(
     m = u.shape[0]
     if len(occupation_in) != m or len(occupation_out) != m:
         raise InvalidInput("occupation length must match matrix size")
-    if any(n < 0 for n in occupation_in) or any(n < 0 for n in occupation_out):
-        raise InvalidInput("occupations must be non-negative")
+    for n in (*occupation_in, *occupation_out):
+        _check_count(n, 0, "occupation")
     n_in = sum(occupation_in)
     if n_in != sum(occupation_out):
         raise PhotonNumberMismatch(
@@ -239,11 +239,11 @@ def evolve(unitary: np.ndarray, state: PureState) -> PureState:
     # maps to column c of U
     images = u if n > 1 else np.ones((1, 1), dtype=np.complex128)
     for k in range(2, n):
-        rows, root_t, parent, channel, inv_root_s = _creation_tables(k, m)
+        rows, root_t, parent, channel, inv_root_s, _, _ = _creation_tables(k, m)
         # sum_j sqrt(t_j) U[j, c(s)] <t - e_j| U |p(s)> / sqrt(s_c)
         lower = images[:, parent][rows]
         images = np.einsum("tjs,tj,js->ts", lower, root_t, u[:, channel] * inv_root_s)
-    lift, inv_root_s, gather, root_t = _last_photon_tables(n, m)
+    _, root_t, _, _, inv_root_s, lift, gather = _creation_tables(n, m)
     psi = np.zeros((len(images), m), dtype=np.complex128)
     psi.ravel()[lift] = np.asarray(state.amplitudes) * inv_root_s
     # lifted[p, j] = sum_c U[j, c] <p| U |psi_c>
@@ -258,7 +258,9 @@ def _creation_tables(num_photons: int, num_channels: int):
     rows[t, j] indexes t - e_j in the lower basis and root_t[t, j] is
     sqrt(t_j) (0 where t_j = 0, so the row index there is a dummy 0);
     parent[s] indexes s - e_c, channel[s] is c and inv_root_s[s] is
-    1 / sqrt(s_c), with c the first occupied channel of s.
+    1 / sqrt(s_c), with c the first occupied channel of s. The same as flat
+    indices into a D_{n-1} x m array: lift[s] indexes (s - e_c, c) and
+    gather[t, j] indexes (t - e_j, j).
     """
     lower_basis = fock_basis(num_photons - 1, num_channels)
     lower = {occ: i for i, occ in enumerate(lower_basis)}
@@ -277,22 +279,9 @@ def _creation_tables(num_photons: int, num_channels: int):
         parent[i] = rows[i, c]
         channel[i] = c
         inv_root_s[i] = 1.0 / root_t[i, c]
-    return rows, root_t, parent, channel, inv_root_s
-
-
-@lru_cache(maxsize=None)
-def _last_photon_tables(num_photons: int, num_channels: int):
-    """`_creation_tables` as flat indices into a D_{n-1} x m array.
-
-    lift[s] indexes (s - e_c, c) and gather[t, j] indexes (t - e_j, j) (a
-    dummy (0, j) where root_t[t, j] = 0); inv_root_s and root_t as there.
-    """
-    rows, root_t, parent, channel, inv_root_s = _creation_tables(
-        num_photons, num_channels
-    )
     lift = parent * num_channels + channel
     gather = rows * num_channels + np.arange(num_channels)
-    return lift, inv_root_s, gather, root_t
+    return rows, root_t, parent, channel, inv_root_s, lift, gather
 
 
 @dataclass(frozen=True)
@@ -343,8 +332,8 @@ def spectral_overlap(source: PhotonPairSource, delay_um):
 
     Both photons carry identical Gaussian spectra (intensity FWHM from the
     filter), so x(tau) = x0 * exp(-tau^2 / (2 tau_c^2)) with tau_c the
-    inverse spectral standard deviation. `delay_um` may be an array; the
-    overlap then has its shape.
+    inverse spectral standard deviation. The overlap is an array of the
+    shape of `delay_um`, 0-d for a single delay.
     """
     delay = np.asarray(delay_um, dtype=float)
     if not np.isfinite(delay).all():
@@ -360,8 +349,6 @@ def spectral_overlap(source: PhotonPairSource, delay_um):
         except OverflowError:  # the exponent's limit is -inf
             return 0.0
 
-    if delay.ndim == 0:
-        return overlap(float(delay))
     return np.array([overlap(d) for d in delay.ravel().tolist()]).reshape(delay.shape)
 
 

@@ -19,8 +19,8 @@ evaluations, and the residual of the relation is directly meaningful.
 slabs that share a cladding and a wavelength, each element stopping at its
 own break. A dispersion sweep calls it twice, once for the vertical slab of
 every requested family and once for every (width, mode) pair.
-``effective_index`` is the row of a one-width sweep, so a single solve and
-a sweep row of the same waveguide agree bit for bit.
+``effective_indices`` is the row of a one-width sweep, so a single solve
+and a sweep row of the same waveguide agree bit for bit.
 """
 
 from __future__ import annotations
@@ -286,26 +286,17 @@ def effective_indices(
     return [n_eff[mode] for mode in modes]
 
 
-def effective_index(geometry: WaveguideGeometry, mode: ModeId) -> float:
-    """Effective index of a rectangular-waveguide mode (effective-index
-    method): the single row of a one-width dispersion sweep. Raises
-    ModeCutoff if the mode is not guided.
-    """
-    (n_eff,) = effective_indices(geometry, [mode])
-    return n_eff
-
-
-def grating_period(wavelength_nm: float, delta_n: float, tol: float = 1e-9) -> float:
+def grating_period(wavelength_nm: float, delta_n: float) -> float:
     """Grating period (um) bridging an effective-index difference.
 
     period = wavelength / delta_n. Raises DegeneratePhaseMatch when delta_n
-    is at or below tolerance: degenerate modes need no grating.
+    is at or below 1e-9: degenerate modes need no grating.
     """
     if wavelength_nm <= 0:
         raise InvalidInput("wavelength must be positive")
-    if delta_n <= tol:
+    if delta_n <= 1e-9:
         raise DegeneratePhaseMatch(
-            f"delta_n = {delta_n} <= {tol}; co-propagating identical modes"
+            f"delta_n = {delta_n} <= 1e-09; co-propagating identical modes"
         )
     return wavelength_nm / delta_n * 1e-3
 

@@ -16,7 +16,6 @@ from modeweaver.circuit import (
     Loss,
     PhaseShifter,
     RelativeDelay,
-    accidentals,
     compile_circuit,
     heater_phase,
     reck_circuit,
@@ -215,14 +214,6 @@ class TestHeaterAndAccidentals:
         with pytest.raises(InvalidInput):
             heater_phase(HeaterModel(), np.array([0.1, -0.1]))
 
-    def test_accidentals_value(self):
-        assert accidentals(30000, 30000, 2.0) == pytest.approx(1.8)
-        assert accidentals(0, 30000, 2.0) == 0.0
-        rates = np.array([0.0, 30000.0])
-        assert accidentals(rates, 30000, 2.0) == pytest.approx([0.0, 1.8])
-        with pytest.raises(InvalidInput):
-            accidentals(np.array([1.0, -1.0]), 30000, 2.0)
-
 
 class TestSimulateCounts:
     SOURCE = PhotonPairSource(intrinsic_overlap=1.0)
@@ -300,10 +291,10 @@ def reference_counts(build, source, config, delays, phases):
     """Expected counts computed point by point: one compile of
     `build(delay, phase)` and one permanent per scan point. Rows of (raw,
     accidentals, net, singles_a, singles_b, stderr), and the pair
-    coincidence probability."""
+    coincidence probability; the pair enters channels 0 and 1."""
     circuit = build(0.0, 0.0)
     m = circuit.num_channels
-    i, j = circuit.input_channels
+    i, j = 0, 1
     k, l = circuit.output_channels
     occ_in = tuple(int(c in (i, j)) for c in range(m))
     occ_out = tuple(int(c in (k, l)) for c in range(m))
@@ -321,7 +312,7 @@ def reference_counts(build, source, config, delays, phases):
         s_in = source.singles_rates_hz
         singles_k = (s_in[0] * prob[k, i] + s_in[1] * prob[k, j]) * t_k
         singles_l = (s_in[0] * prob[l, i] + s_in[1] * prob[l, j]) * t_l
-        acc = accidentals(singles_k, singles_l, config.window_ns) * t_int
+        acc = singles_k * singles_l * config.window_ns * 1e-9 * t_int
         raw = source.pair_rate_hz * p * t_k * t_l * t_int + acc
         rows.append(
             (raw, acc, raw - acc, singles_k * t_int, singles_l * t_int, math.sqrt(raw))
@@ -347,7 +338,6 @@ class TestBatchedScanOracle:
         self, m, num_gratings, overlap, points, sweep_delay, sweep_phase, seed,
     ):
         rng = np.random.default_rng(seed)
-        i, j = (int(c) for c in rng.choice(m, 2, replace=False))
         k, l = (int(c) for c in rng.choice(m, 2, replace=False))
         offset = float(rng.uniform(-50.0, 50.0))
         couplers = []
@@ -365,7 +355,7 @@ class TestBatchedScanOracle:
             for channels, eta, shifted in couplers:
                 elements.append(GratingBS(channels=channels, eta=eta))
                 elements.append(PhaseShifter(channels=(shifted,), phase_rad=phase))
-            return Circuit(m, tuple(elements + losses), (i, j), (k, l))
+            return Circuit(m, tuple(elements + losses), (k, l))
 
         source = PhotonPairSource(
             intrinsic_overlap=overlap,

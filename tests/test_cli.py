@@ -118,6 +118,12 @@ class TestSplitting:
         n20 = dict(zip(lines[0].split(","), lines[2].split(",")))
         assert float(n20["eta"]) == pytest.approx(0.534574224327, abs=1e-9)
 
+    def test_single_count_is_a_list(self, capsys):
+        _, out, _ = run(capsys, "splitting", "--periods", "15,20,25")
+        code, single, _ = run(capsys, "splitting", "--periods", "20")
+        assert code == 0
+        assert single.splitlines() == out.splitlines()[:1] + out.splitlines()[2:3]
+
 
 class TestCsvTables:
     """Every CSV table comes from one writer: a header line, then floats to
@@ -537,6 +543,35 @@ class TestNonFiniteInput:
     def test_non_finite_output_is_compute_error(self):
         with pytest.raises(InvalidInput):
             _dump_json({"x": float("nan")})
+
+
+# One cheap invocation of every command; each writes files under --output.
+WRITING_COMMANDS = (
+    ("dispersion", "--widths", "400:800:400"),
+    ("design-grating",),
+    ("splitting", "--periods", "20"),
+    ("hom-scan", "--delays=-500:500:100"),
+    ("hom-peak", "--delays=-500:500:100"),
+    ("noon-scan",),
+    ("decompose", "--seed", "3"),
+    ("reproduce-paper",),
+)
+
+
+class TestOutputTarget:
+    @pytest.mark.parametrize("argv", WRITING_COMMANDS, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, argv, below):
+        """--output naming a file, or a path under a file, exits 2 with one
+        line naming the path."""
+        blocker = tmp_path / "file"
+        blocker.write_text("kept")
+        target = blocker / below if below else blocker
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: cannot write {target}")
+        assert len(err.splitlines()) == 1
+        assert blocker.read_text() == "kept"
 
 
 class TestTopLevel:

@@ -168,6 +168,12 @@ class TestTransitionAmplitude:
         with pytest.raises(PhotonNumberMismatch):
             transition_amplitude(np.eye(2), (1, 1), (1, 0))
 
+    @pytest.mark.parametrize("count", [1.5, 1.0, -1])
+    def test_rejects_non_integer_occupations(self, count):
+        for occ_in, occ_out in (((count, 1), (1, 1)), ((1, 1), (1, count))):
+            with pytest.raises(InvalidInput, match="^occupation must be an integer"):
+                transition_amplitude(np.eye(2), occ_in, occ_out)
+
     def test_probability_conservation(self, rng):
         u = haar_unitary(3, rng)
         occ_in = (1, 1, 0)

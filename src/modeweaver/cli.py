@@ -4,8 +4,11 @@ Exit codes: 0 success, 1 reference-target failure, 2 usage/config error,
 3 computational error, 141 (128 + SIGPIPE) when a write to stdout fails
 because its reader has closed it, as after `| head`. Config values come
 from (lowest to highest precedence) the MODEWEAVER_DEFAULTS file, --config,
-then flags. Every CSV table and JSON document is formatted here, and all
-output numbers carry 12 significant digits so reruns are byte-identical.
+then flags; main resolves and checks every option of the command once,
+before the command runs, and each command reads its options as attributes
+of the parsed arguments. Every CSV table and JSON document is formatted
+here, and all output numbers carry 12 significant digits so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -129,50 +132,47 @@ class Option(NamedTuple):
     help: str | None = None
 
 
-class Settings:
-    """The settings of the parsed command: flag beats config file beats the
-    option's default. Indexing converts with the option's kind, and only
-    where nothing is lost: a bool takes only true or false, an int only an
-    integral number, no other kind a bool, and a float must be finite."""
-
-    def __init__(self, args):
-        self.args = args
-        self.options = {o.key: o for o in COMMANDS[args.command][2]}
-        self.config: dict = {}
-        for p in filter(None, [os.environ.get("MODEWEAVER_DEFAULTS"), args.config]):
-            try:
-                with open(p, encoding="utf-8") as fh:
-                    data = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                raise ConfigError(f"cannot read config {p}: {exc}") from exc
-            if not isinstance(data, dict):
-                raise ConfigError(f"config {p} must hold a JSON object")
-            unknown = set(data) - set(self.options)
-            if unknown:
-                raise ConfigError(
-                    f"unknown config keys in {p}: {', '.join(sorted(unknown))}"
-                )
-            self.config.update(data)
-
-    def __getitem__(self, key: str):
-        option = self.options[key]
-        flag = getattr(self.args, key, None)
-        value = flag if flag is not None else self.config.get(key, option.default)
-        if option.kind is not None and value is not None:
+def _resolve(args) -> None:
+    """Set every option of the parsed command on `args`: flag beats config
+    file beats the option's default. Each value converts with the option's
+    kind, and only where nothing is lost: a bool takes only true or false,
+    an int only an integral number, no other kind a bool, and a float must
+    be finite. `args.config_keys` holds the keys the config files gave."""
+    options = COMMANDS[args.command][2]
+    config: dict = {}
+    for p in filter(None, [os.environ.get("MODEWEAVER_DEFAULTS"), args.config]):
+        try:
+            with open(p, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {p}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {p} must hold a JSON object")
+        unknown = set(data) - {o.key for o in options}
+        if unknown:
+            raise ConfigError(
+                f"unknown config keys in {p}: {', '.join(sorted(unknown))}"
+            )
+        config.update(data)
+    args.config_keys = set(config)
+    for key, kind, default, _ in options:
+        flag = getattr(args, key, None)
+        value = flag if flag is not None else config.get(key, default)
+        if kind is not None and value is not None:
             integral = isinstance(value, int) or (
                 isinstance(value, float) and value.is_integer()
             )
-            if isinstance(value, bool) != (option.kind is bool) or (
-                option.kind is int and not integral
+            if isinstance(value, bool) != (kind is bool) or (
+                kind is int and not integral
             ):
                 raise ConfigError(f"bad value for {key}: {value!r}")
             try:
-                value = option.kind(value)
+                value = kind(value)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad value for {key}: {value!r}") from exc
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
-        return value
+        setattr(args, key, value)
 
 
 def _emit(args, text: str, filename: str | None = None) -> None:
@@ -192,27 +192,24 @@ def _emit(args, text: str, filename: str | None = None) -> None:
             sys.stdout.write(text[start:start + step])
 
 
-def _stack(settings: Settings) -> MaterialStack:
-    wavelength = settings["wavelength"]
+def _stack(args) -> MaterialStack:
     return MaterialStack(
-        n_core=wgmodes.silicon_nitride_index(wavelength),
-        n_clad=wgmodes.silica_index(wavelength),
-        wavelength_nm=wavelength,
+        n_core=wgmodes.silicon_nitride_index(args.wavelength),
+        n_clad=wgmodes.silica_index(args.wavelength),
+        wavelength_nm=args.wavelength,
     )
 
 
-def _source(settings: Settings) -> PhotonPairSource:
+def _source(args) -> PhotonPairSource:
     return PhotonPairSource(
-        intrinsic_overlap=settings["overlap"],
-        filter_fwhm_nm=settings["filter_fwhm"],
-        center_wavelength_nm=settings["wavelength"],
+        intrinsic_overlap=args.overlap,
+        filter_fwhm_nm=args.filter_fwhm,
+        center_wavelength_nm=args.wavelength,
     )
 
 
-def _count_config(settings: Settings) -> circuit_mod.CoincidenceConfig:
-    return circuit_mod.CoincidenceConfig(
-        poisson=settings["poisson"], seed=settings.args.seed
-    )
+def _count_config(args) -> circuit_mod.CoincidenceConfig:
+    return circuit_mod.CoincidenceConfig(poisson=args.poisson, seed=args.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +217,15 @@ def _count_config(settings: Settings) -> circuit_mod.CoincidenceConfig:
 
 
 def cmd_dispersion(args) -> int:
-    settings = Settings(args)
-    height = settings["height"]
-    widths = _parse_range(settings["widths"], "widths")
-    modes = _parse_modes(settings["modes"])
+    widths = _parse_range(args.widths, "widths")
+    modes = _parse_modes(args.modes)
     if not modes:
         raise ConfigError("no modes requested")
-    stack = _stack(settings)
-    rows = wgmodes.dispersion_sweep(widths, modes, stack, height)
+    stack = _stack(args)
+    rows = wgmodes.dispersion_sweep(widths, modes, stack, args.height)
     if not rows:
         raise ModeCutoff(
-            f"no requested mode guided at any width, height {height:g} nm, "
+            f"no requested mode guided at any width, height {args.height:g} nm, "
             f"wavelength {stack.wavelength_nm:g} nm"
         )
     if args.format == "json":
@@ -257,31 +252,23 @@ def cmd_dispersion(args) -> int:
 
 
 def cmd_design_grating(args) -> int:
-    settings = Settings(args)
-    width = settings["width"]
-    height = settings["height"]
-    modes = _parse_modes(settings["modes"])
+    modes = _parse_modes(args.modes)
     if len(modes) != 2:
         raise ConfigError("design-grating needs exactly two modes")
-    depth = settings["depth"]
-    periods = settings["periods"]
-    kappa = settings["kappa"]
-    geometry = WaveguideGeometry(width, height, _stack(settings))
+    geometry = WaveguideGeometry(args.width, args.height, _stack(args))
     spec = coupling.grating_from_geometry(
         geometry,
         (modes[0], modes[1]),
-        depth_nm=depth,
-        num_periods=periods,
-        kappa_override=kappa,
+        depth_nm=args.depth,
+        num_periods=args.periods,
+        kappa_override=args.kappa,
     )
     _emit(args, _dump_json(spec.to_dict()), "grating.json")
     return 0
 
 
 def cmd_splitting(args) -> int:
-    settings = Settings(args)
-    kappa = settings["kappa"]
-    periods_text = settings["periods"]
+    periods_text = args.periods
     if ":" not in periods_text:
         try:
             n_values = [int(p) for p in periods_text.split(",") if p.strip()]
@@ -294,7 +281,7 @@ def cmd_splitting(args) -> int:
         if not all(v.is_integer() for v in grid):
             raise ConfigError(f"periods={periods_text!r} has a non-integer count")
         n_values = [int(v) for v in grid]
-    rows = experiments.run_splitting_vs_N(kappa, n_values, settings["overlap"])
+    rows = experiments.run_splitting_vs_N(args.kappa, n_values, args.overlap)
     if args.format == "json":
         _emit(args, _dump_json(rows), "splitting.json")
     else:
@@ -319,45 +306,36 @@ def _emit_scans(args, results) -> None:
 
 
 def cmd_hom_scan(args) -> int:
-    settings = Settings(args)
-    eta = settings["eta"]
-    grid = _parse_range(settings["delays"], "delays")
+    grid = _parse_range(args.delays, "delays")
     result = experiments.run_hom_dip(
-        eta, _source(settings), np.array(grid), _count_config(settings)
+        args.eta, _source(args), np.array(grid), _count_config(args)
     )
     _emit_scans(args, [result])
     return 0
 
 
 def cmd_hom_peak(args) -> int:
-    settings = Settings(args)
-    eta = settings["eta"]
-    grid = _parse_range(settings["delays"], "delays")
+    grid = _parse_range(args.delays, "delays")
     results = experiments.run_hom_peak(
-        eta, _source(settings), np.array(grid), _count_config(settings)
+        args.eta, _source(args), np.array(grid), _count_config(args)
     )
     _emit_scans(args, results.values())
     return 0
 
 
 def cmd_noon_scan(args) -> int:
-    settings = Settings(args)
-    eta1 = settings["eta1"]
-    eta2 = settings["eta2"]
-    powers = _parse_range(settings["powers"], "powers")
-    heater = HeaterModel(p_2pi_w=settings["p2pi"])
+    powers = _parse_range(args.powers, "powers")
     results = experiments.run_noon(
-        eta1, eta2, heater, np.array(powers), _source(settings),
-        _count_config(settings),
+        args.eta1, args.eta2, HeaterModel(p_2pi_w=args.p2pi), np.array(powers),
+        _source(args), _count_config(args),
     )
     _emit_scans(args, results)
     return 0
 
 
 def cmd_decompose(args) -> int:
-    settings = Settings(args)
-    if "unitary" in settings.config:
-        rows = settings["unitary"]
+    if "unitary" in args.config_keys:
+        rows = args.unitary
         try:
             matrix = np.array([[complex(re, im) for re, im in row] for row in rows])
             # complex() would take JSON true and false as 1 and 0
@@ -370,8 +348,8 @@ def cmd_decompose(args) -> int:
             ) from exc
         if not np.isfinite(matrix).all():
             raise ConfigError("unitary entries must be finite")
-    elif args.seed is not None or "size" in settings.config:
-        size = settings["size"]
+    elif args.seed is not None or "size" in args.config_keys:
+        size = args.size
         if not 1 <= size <= circuit_mod.RECK_SIZE_CAP:
             raise ConfigError(
                 f"size must lie in 1..{circuit_mod.RECK_SIZE_CAP}, got {size}"
@@ -402,10 +380,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_reproduce_paper(args) -> int:
-    poisson = Settings(args)["poisson"]
     args.output = args.output or "paper_outputs"
     scans, tables, targets = experiments.reproduce_all(
-        seed=args.seed, poisson=poisson
+        seed=args.seed, poisson=args.poisson
     )
     _emit_scans(args, scans.values())
     for name, rows in tables.items():
@@ -413,7 +390,7 @@ def cmd_reproduce_paper(args) -> int:
     all_pass = all(t.passed for t in targets)
     summary = {
         "seed": args.seed,
-        "poisson": poisson,
+        "poisson": args.poisson,
         "targets": [t.to_dict() for t in targets],
         "all_passed": all_pass,
     }
@@ -539,6 +516,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _resolve(args)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -118,7 +118,7 @@ class WaveguideGeometry:
             raise InvalidInput("width and height must be positive")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class ModeId:
     """Polarization family plus lateral order, e.g. TE0, TE2."""
 

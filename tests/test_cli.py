@@ -432,6 +432,11 @@ class TestNonFiniteInput:
             ("design-grating", '{"periods": "20"}'),
             ("hom-scan", '{"eta": true}'),
             ("decompose", '{"size": 3.9}'),
+            # every option is checked, also one the command does not use
+            ("decompose", '{"size": "abc", "unitary": '
+                          '[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}'),
+            ("decompose", '{"size": 2.5, "unitary": '
+                          '[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}'),
         ],
     )
     def test_config_value(self, capsys, tmp_path, command, text):

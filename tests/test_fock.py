@@ -136,6 +136,14 @@ class TestPermanent:
         shuffled = a[rng.permutation(16)]
         assert permanent(shuffled) == pytest.approx(permanent(a), rel=1e-12)
 
+    # 3 takes the single sign block, 12 also loops over a tail row; the
+    # kernel narrows the ufunc buffer while it runs and must restore it.
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_restores_ufunc_buffer_size(self, rng, n):
+        before = np.getbufsize()
+        permanent(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        assert np.getbufsize() == before
+
     def test_size_cap(self):
         with pytest.raises(SizeLimit):
             permanent(np.eye(21))

@@ -1,0 +1,173 @@
+"""The output contract as hashes: each reference command line's exit code
+and the sha256 of its stdout, its stderr and each file it writes.
+
+`golden.json` maps each line of LINES to what running it through
+`cli.main` in an empty directory gives. A deliberate output change shows as
+changed hashes in that file; regenerate it with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import pytest
+
+from modeweaver.cli import main
+
+MANIFEST = Path(__file__).with_name("golden.json")
+
+# Config files written beside every run; they are inputs, not outputs.
+CONFIGS = {"size16.json": '{"size": 16}'}
+
+_SOURCE = "--overlap 0.92 --filter-fwhm 3.0 --wavelength 808.0"
+
+
+def _workload_commands(delays, powers, widths, modes):
+    """The benchmark workloads' four scans on one grid, as they run them."""
+    return (
+        f"hom-scan --eta 0.55 --delays={delays} {_SOURCE} --output out",
+        f"hom-peak --eta 0.55 --delays={delays} {_SOURCE} --output out",
+        f"noon-scan --eta1 0.66 --eta2 0.66 --p2pi 1.3 --powers {powers} "
+        f"{_SOURCE} --output out",
+        f"dispersion --height 190.0 --widths {widths} --modes {modes} "
+        "--wavelength 808.0 --output out",
+    )
+
+
+LINES = (
+    "reproduce-paper --seed 7",
+    "reproduce-paper --seed 7 --poisson --output out",
+    *_workload_commands("-500:500:10", "0:2.6:0.05", "400:2000:25", "TE0,TE1,TE2"),
+    *_workload_commands("-500:500:1", "0:5.2:0.005", "400:3000:2",
+                        "TE0,TE1,TE2,TE3,TM0,TM1"),
+    # defaults, to stdout
+    "dispersion",
+    "dispersion --format json",
+    "design-grating",
+    "design-grating --format json",
+    "splitting",
+    "splitting --format json",
+    "splitting --periods 15,20,25",
+    "splitting --periods 15,20,25 --format json",
+    "splitting --periods 15,20,25 --output out",
+    "hom-scan",
+    "hom-scan --format json",
+    "hom-peak",
+    "hom-peak --format json",
+    "noon-scan",
+    "noon-scan --format json",
+    "decompose --seed 3",
+    "decompose --seed 5",
+    "decompose --seed 3 --config size16.json",
+    # dense and off-default scans
+    "dispersion --widths 400:3000:2 --modes TE0,TE1,TE2,TE3,TM0,TM1 --format json",
+    "noon-scan --powers 0:5.2:0.005 --format json",
+    "hom-scan --delays=-500:500:1 --format json",
+    "noon-scan --eta1 0.7 --eta2 0.5 --poisson --seed 3 --powers 0:3:0.02 --output out",
+    "hom-scan --eta 0.6 --overlap 0.8 --filter-fwhm 2.0 --delays=-400:400:20 "
+    "--poisson --seed 11 --format json",
+    "hom-peak --eta 0.45 --wavelength 780 --delays=-300:300:15",
+    "design-grating --width 2000 --modes TE0,TE1 --depth 12 --periods 30",
+    "dispersion --height 220 --widths 300:1500:100 --modes TM0,TM1 --wavelength 1550",
+    "splitting --kappa 0.02 --periods 0:100:5 --overlap 0.5",
+    # the benchmark's invalid-input probes
+    "dispersion --height nan",
+    "design-grating --depth nan --format json",
+    "hom-scan --delays=0:nan:1",
+    "noon-scan --p2pi nan",
+    # single errors and edge values
+    "frobnicate",
+    "hom-scan --eta abc",
+    "hom-scan --seed=-1",
+    "dispersion --widths 2000:400:25",
+    "dispersion --modes TX9",
+    "decompose",
+    "splitting --periods 15,abc",
+    "dispersion --height 1e-300",
+    "hom-scan --eta 1.5",
+    "hom-scan --wavelength 1e300 --format json",
+    "noon-scan --p2pi 0.1",
+    "splitting --kappa -1",
+    "splitting --kappa 0",
+    "design-grating --kappa 0",
+    "splitting --overlap 2",
+    "splitting --overlap -1",
+)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_line(line: str, directory: Path) -> dict:
+    """Run `line` through `cli.main` with `directory` as the working
+    directory and no MODEWEAVER_DEFAULTS. A warning counts as a stderr line
+    `Category: message`."""
+    for name, text in CONFIGS.items():
+        (directory / name).write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    saved_cwd, saved_defaults = os.getcwd(), os.environ.pop("MODEWEAVER_DEFAULTS", None)
+    os.chdir(directory)
+    try:
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(line.split())
+    finally:
+        os.chdir(saved_cwd)
+        if saved_defaults is not None:
+            os.environ["MODEWEAVER_DEFAULTS"] = saved_defaults
+    for w in caught:
+        err.write(f"{w.category.__name__}: {w.message}\n")
+    files = {
+        path.relative_to(directory).as_posix(): _sha(path.read_bytes())
+        for path in sorted(directory.rglob("*"))
+        if path.is_file() and path.name not in CONFIGS
+    }
+    return {
+        "exit": code,
+        "stdout": _sha(out.getvalue().encode()),
+        "stderr": _sha(err.getvalue().encode()),
+        "files": files,
+    }
+
+
+def _manifest() -> dict:
+    return json.loads(MANIFEST.read_text(encoding="utf-8"))
+
+
+def test_manifest_lists_every_line():
+    assert list(_manifest()) == list(LINES)
+
+
+@pytest.mark.parametrize("line", LINES)
+def test_output_matches_manifest(line, tmp_path):
+    expected = _manifest().get(line)
+    assert expected is not None, f"{line}: no manifest entry"
+    got = run_line(line, tmp_path)
+    mismatched = [
+        key for key in ("exit", "stdout", "stderr") if got[key] != expected[key]
+    ] + sorted(
+        name for name in got["files"].keys() | expected["files"].keys()
+        if got["files"].get(name) != expected["files"].get(name)
+    )
+    assert not mismatched, f"{line}: differs in {', '.join(mismatched)}"
+
+
+if __name__ == "__main__":
+    manifest = {}
+    for line in LINES:
+        with tempfile.TemporaryDirectory() as tmp:
+            manifest[line] = run_line(line, Path(tmp))
+    MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(manifest)} lines to {MANIFEST}", file=sys.stderr)

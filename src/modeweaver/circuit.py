@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,24 +24,26 @@ from .errors import ChannelMismatch, InvalidInput, require_finite
 from .fock import PhotonPairSource, check_unitary, spectral_overlap, two_photon_coincidence
 
 
-@dataclass(frozen=True)
-class GratingBS:
+# Value holders that check nothing are NamedTuples: a class of them is
+# created several times faster at import than a frozen dataclass. Classes
+# that check their input stay frozen dataclasses, so that the check runs on
+# every construction, dataclasses.replace included; those that nothing
+# compares or prints generate no __eq__, __hash__ or __repr__.
+class GratingBS(NamedTuple):
     """Grating mode-beamsplitter acting on a channel pair."""
 
     channels: tuple[int, int]
     eta: float  # splitting ratio
 
 
-@dataclass(frozen=True)
-class PhaseShifter:
+class PhaseShifter(NamedTuple):
     """Differential phase on a channel subset."""
 
     channels: tuple[int, ...]
     phase_rad: float | np.ndarray = 0.0  # an array sweeps it, one per scan point
 
 
-@dataclass(frozen=True)
-class RelativeDelay:
+class RelativeDelay(NamedTuple):
     """Free-space path delay of the photon entering channel 0 relative to
     the one entering channel 1; it sets their distinguishability, not the
     mode unitary."""
@@ -48,7 +51,7 @@ class RelativeDelay:
     delay_um: float | np.ndarray = 0.0  # an array sweeps it, one per scan point
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Loss:
     """Power loss in dB, uniform or on selected channels."""
 
@@ -64,7 +67,7 @@ class Loss:
 Element = GratingBS | PhaseShifter | RelativeDelay | Loss
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class HeaterModel:
     """Linear power-to-phase heater: phi = 2 pi P / P_2pi + phi0."""
 
@@ -95,8 +98,7 @@ def heater_phase(model: HeaterModel, power_w):
     return phase
 
 
-@dataclass(frozen=True)
-class Circuit:
+class Circuit(NamedTuple):
     """Ordered element list over m mode channels, plus measured ports; the
     photon pair enters channels 0 and 1."""
 
@@ -105,8 +107,7 @@ class Circuit:
     output_channels: tuple[int, int] = (0, 1)
 
 
-@dataclass(frozen=True)
-class CompiledCircuit:
+class CompiledCircuit(NamedTuple):
     unitary: np.ndarray  # (m, m), or (N, m, m) when a phase is swept
     transmission: np.ndarray  # per-channel power factor
     delay_um: float | np.ndarray  # summed relative delay (an array when swept)
@@ -183,7 +184,7 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     return CompiledCircuit(unitary, transmission, delay)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class CoincidenceConfig:
     """Detection parameters for count simulation."""
 
@@ -270,8 +271,7 @@ RECK_SIZE_CAP = 16
 RECK_UNITARY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class ReckStage:
+class ReckStage(NamedTuple):
     """One two-channel coupler of a triangular mesh: the block [[c, -s], [s*, c]]
     on its channels, c = sqrt(1 - eta), s = sqrt(eta) e^{i phase_rad}."""
 
@@ -280,8 +280,7 @@ class ReckStage:
     phase_rad: float
 
 
-@dataclass(frozen=True)
-class ReckDecomposition:
+class ReckDecomposition(NamedTuple):
     stages: tuple[ReckStage, ...]
     output_phases: np.ndarray  # diagonal phases, length m
 

@@ -46,7 +46,7 @@ def coupler_unitary(eta: float) -> np.ndarray:
     return np.array([[t, 1j * r], [1j * r, t]], dtype=np.complex128)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class GratingSpec:
     """A width-modulation grating coupling two co-propagating modes."""
 

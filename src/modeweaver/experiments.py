@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,16 +105,15 @@ def _damped_gauss_newton(residual, jacobian, p0, max_iter=200, tol=1e-13):
     return p, cov
 
 
-@dataclass(frozen=True)
-class GaussianFit:
-    kind: ClassVar[str] = "gaussian"
-
+class GaussianFit(NamedTuple):
     amplitude: float
     center: float
     sigma: float
     offset: float
     stderr: dict
     residual_norm: float
+
+    kind = "gaussian"  # not annotated: an annotation would make it a field
 
     @property
     def visibility(self) -> float:
@@ -198,16 +197,15 @@ def fit_gaussian(x, y) -> GaussianFit:
     )
 
 
-@dataclass(frozen=True)
-class SinusoidFit:
-    kind: ClassVar[str] = "sinusoid"
-
+class SinusoidFit(NamedTuple):
     amplitude: float
     offset: float
     period: float
     phase: float
     stderr: dict
     residual_norm: float
+
+    kind = "sinusoid"
 
     @property
     def visibility(self) -> float:
@@ -325,8 +323,7 @@ def default_power_grid() -> np.ndarray:
     return np.arange(0.0, 2.6 + 1e-9, 0.05)
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """A fitted scan: its count columns, the fit with its derived metrics,
     and the scan's config."""
 
@@ -341,7 +338,7 @@ class ScanResult:
     def fit_dict(self) -> dict:
         """The fit as a plain dict: `params` holds the fit's fields other
         than its stderr and residual norm."""
-        params = dataclasses.asdict(self.fit)
+        params = self.fit._asdict()
         stderr = params.pop("stderr")
         residual_norm = params.pop("residual_norm")
         return {
@@ -407,9 +404,10 @@ def run_splitting_vs_N(
     n_values,
     intrinsic_overlap: float = 0.92,
 ) -> list[dict]:
-    """Splitting ratio and dip visibility versus grating period count."""
-    if kappa <= 0:
-        raise InvalidInput("kappa must be positive")
+    """Splitting ratio and dip visibility versus grating period count; a
+    zero kappa is the zero-depth grating, which never splits."""
+    if not 0.0 <= intrinsic_overlap <= 1.0:
+        raise InvalidInput("intrinsic overlap must lie in [0, 1]")
     rows = []
     for n in n_values:
         eta = splitting_ratio(kappa, n)
@@ -544,7 +542,7 @@ def run_noon(
 # reference targets
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PaperTarget:
     """One published value with the tolerance used for acceptance."""
 

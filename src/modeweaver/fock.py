@@ -163,7 +163,7 @@ def check_unitary(matrix: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PureState:
     """Fixed photon-number state: amplitudes over the Fock basis."""
 
@@ -284,7 +284,7 @@ def _creation_tables(num_photons: int, num_channels: int):
     return rows, root_t, parent, channel, inv_root_s, lift, gather
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class PhotonPairSource:
     """Phenomenological degenerate pair source behind bandpass filters."""
 

@@ -84,7 +84,7 @@ SI3N4_INDEX_808 = silicon_nitride_index(DEFAULT_WAVELENGTH_NM)
 SIO2_INDEX_808 = silica_index(DEFAULT_WAVELENGTH_NM)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class MaterialStack:
     """Core/cladding indices at a fixed wavelength (nm)."""
 
@@ -104,7 +104,7 @@ class MaterialStack:
             raise InvalidInput("wavelength must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class WaveguideGeometry:
     """Rectangular cross-section (nm) on a material stack."""
 
@@ -118,7 +118,7 @@ class WaveguideGeometry:
             raise InvalidInput("width and height must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ModeId:
     """Polarization family plus lateral order, e.g. TE0, TE2."""
 

@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -123,6 +122,24 @@ class TestSplitting:
         code, single, _ = run(capsys, "splitting", "--periods", "20")
         assert code == 0
         assert single.splitlines() == out.splitlines()[:1] + out.splitlines()[2:3]
+
+    @pytest.mark.parametrize("command", ["splitting", "hom-scan", "hom-peak", "noon-scan"])
+    @pytest.mark.parametrize("overlap", ["2", "-1"])
+    def test_overlap_outside_unit_interval_is_compute_error(self, capsys, command, overlap):
+        code, out, err = run(capsys, command, "--overlap", overlap)
+        assert (code, out) == (3, "")
+        assert err == "error: InvalidInput: intrinsic overlap must lie in [0, 1]\n"
+
+    def test_zero_kappa_is_the_zero_depth_grating(self, capsys):
+        """Both commands that take kappa accept 0, where nothing splits."""
+        code, out, err = run(
+            capsys, "splitting", "--kappa", "0", "--periods", "0,20", "--format", "json"
+        )
+        assert (code, err) == (0, "")
+        assert [row["eta"] for row in json.loads(out)] == [0.0, 0.0]
+        code, out, err = run(capsys, "design-grating", "--kappa", "0")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["eta"] == 0.0
 
 
 class TestCsvTables:
@@ -535,7 +552,7 @@ class TestNonFiniteInput:
 
         def non_finite_second(*args):
             classical, quantum = run_noon(*args)
-            return classical, dataclasses.replace(quantum, metrics={"x": math.nan})
+            return classical, quantum._replace(metrics={"x": math.nan})
 
         monkeypatch.setattr(experiments, "run_noon", non_finite_second)
         for output in (("--format", "json"), ("--output", str(tmp_path / "run"))):

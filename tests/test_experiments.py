@@ -287,10 +287,6 @@ class TestSplittingTable:
         with pytest.raises(InvalidInput, match="kappa and N must be non-negative"):
             run_splitting_vs_N(-0.01, [10])
 
-    def test_zero_kappa_never_splits(self):
-        rows = run_splitting_vs_N(0.0, [0, 10, 20])
-        assert [(r["eta"], r["visibility_measured"]) for r in rows] == [(0.0, 0.0)] * 3
-
     @pytest.mark.parametrize("overlap", [-1e-12, -1.0, 1.0 + 1e-12, 2.0])
     def test_overlap_outside_unit_interval(self, overlap):
         with pytest.raises(InvalidInput, match=r"intrinsic overlap must lie in \[0, 1\]"):

@@ -44,17 +44,32 @@ class ConfigError(Exception):
 def _csv(header, columns) -> str:
     """CSV text with a header line, from one sequence per column: floats to
     12 significant digits, every other value by str. Each column's format
-    is chosen once, so that each row takes a single `%`."""
+    is chosen once, so that each row takes a single `%`. A float64 array
+    that holds one bit pattern (0.0 and -0.0 differ) is formatted once,
+    into the row format itself."""
     formats = []
     cells = []
     for column in columns:
-        floats = [issubclass(kind, float) for kind in set(map(type, column))]
-        if any(floats) and not all(floats):  # floats among other values
-            column = [f"{v:.12g}" if isinstance(v, float) else str(v) for v in column]
-        formats.append("%.12g" if all(floats) else "%s")
+        if isinstance(column, np.ndarray) and column.dtype == np.float64:
+            bits = column.view(np.int64)
+            if column.size and (bits == bits[0]).all():
+                formats.append("%.12g" % column[0])
+                continue
+            column = column.tolist()
+            formats.append("%.12g")
+        else:
+            floats = [issubclass(kind, float) for kind in set(map(type, column))]
+            if any(floats) and not all(floats):  # floats among other values
+                column = [f"{v:.12g}" if isinstance(v, float) else str(v)
+                          for v in column]
+            formats.append("%.12g" if all(floats) else "%s")
         cells.append(column)
     row = ",".join(formats)
-    return "\n".join([",".join(header), *map(row.__mod__, zip(*cells))]) + "\n"
+    if cells:
+        lines = map(row.__mod__, zip(*cells))
+    else:  # every column is constant
+        lines = [row] * min(map(len, columns), default=0)
+    return "\n".join([",".join(header), *lines]) + "\n"
 
 
 def _dump_json(obj) -> str:
@@ -70,7 +85,7 @@ def _json(obj, newline: str) -> str:
     if isinstance(obj, float):
         if not math.isfinite(obj):
             raise InvalidInput(f"non-finite number in output: {obj}")
-        return repr(float(f"{obj:.12g}"))
+        return _json_float("%.12g" % obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -83,13 +98,24 @@ def _json(obj, newline: str) -> str:
             return "[]"
         inner = newline + "  "
         if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
-            items = [repr(float(f"{v:.12g}")) for v in obj]
+            items = list(map(_json_float, map("%.12g".__mod__, obj)))
         else:
             items = [_json(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     return json.dumps(obj)
+
+
+def _json_float(text: str) -> str:
+    """The JSON text of a finite float from its `%.12g` text: what repr
+    writes for the float that text parses to. Without an exponent the two
+    differ only in repr's `.0` on a whole number; only a text with an
+    exponent is parsed back, since `%g` writes one from 1e12 and repr only
+    from 1e16."""
+    if "e" in text:
+        return repr(float(text))
+    return text if "." in text else text + ".0"
 
 
 def _parse_range(text: str, name: str) -> list[float]:
@@ -121,6 +147,17 @@ def _parse_modes(text: str) -> list[ModeId]:
         raise ConfigError(str(exc)) from exc
 
 
+class Command(NamedTuple):
+    """A subcommand: its handler, its help text, its options (their flags
+    appear in --help in this order) and the output formats it writes, which
+    --format takes, the first by default."""
+
+    handler: object
+    help: str
+    options: tuple
+    formats: tuple = ("csv", "json")
+
+
 class Option(NamedTuple):
     """One command setting: its config key, the kind that converts its value,
     its default and the help text of its flag --key, a switch for a bool.
@@ -138,7 +175,7 @@ def _resolve(args) -> None:
     kind, and only where nothing is lost: a bool takes only true or false,
     an int only an integral number, no other kind a bool, and a float must
     be finite. `args.config_keys` holds the keys the config files gave."""
-    options = COMMANDS[args.command][2]
+    options = COMMANDS[args.command].options
     config: dict = {}
     for p in filter(None, [os.environ.get("MODEWEAVER_DEFAULTS"), args.config]):
         try:
@@ -297,7 +334,7 @@ def _emit_scans(args, results) -> None:
     for result in results:
         if args.output or args.format == "csv":
             counts = result.counts
-            table = _csv(counts.keys(), [c.tolist() for c in counts.values()])
+            table = _csv(counts.keys(), counts.values())
             texts.append((table, f"{result.name}.csv"))
         if args.output or args.format == "json":
             texts.append((_dump_json(result.fit_dict()), f"{result.name}.fit.json"))
@@ -424,31 +461,34 @@ DELAY_SCAN = (
     POISSON,
 )
 
-# command -> (handler, help, options); flags appear in --help in this order.
 COMMANDS = {
-    "dispersion": (cmd_dispersion, "effective-index sweep to CSV", (
+    "dispersion": Command(cmd_dispersion, "effective-index sweep to CSV", (
         HEIGHT,
         Option("widths", str, "400:2000:25", "width sweep start:stop:step in nm"),
         Option("modes", str, "TE0,TE1,TE2", "comma-separated mode list, e.g. TE0,TE2"),
         WAVELENGTH,
     )),
-    "design-grating": (cmd_design_grating, "grating spec from waveguide geometry", (
-        Option("width", float, 1600.0, "waveguide width in nm"),
-        HEIGHT,
-        Option("modes", str, "TE0,TE2", "mode pair, e.g. TE0,TE2"),
-        Option("depth", float, 24.0, "grating depth in nm"),
-        Option("periods", int, 20, "number of grating periods"),
-        Option("kappa", float, None, "override kappa per period"),
-        WAVELENGTH,
-    )),
-    "splitting": (cmd_splitting, "splitting ratio vs period count", (
+    "design-grating": Command(
+        cmd_design_grating, "grating spec from waveguide geometry",
+        (
+            Option("width", float, 1600.0, "waveguide width in nm"),
+            HEIGHT,
+            Option("modes", str, "TE0,TE2", "mode pair, e.g. TE0,TE2"),
+            Option("depth", float, 24.0, "grating depth in nm"),
+            Option("periods", int, 20, "number of grating periods"),
+            Option("kappa", float, None, "override kappa per period"),
+            WAVELENGTH,
+        ),
+        ("json",),
+    ),
+    "splitting": Command(cmd_splitting, "splitting ratio vs period count", (
         Option("kappa", float, 0.041, "coupling per period (rad)"),
         Option("periods", str, "0:40:1", "N list '15,20,25' or range start:stop:step"),
         OVERLAP,
     )),
-    "hom-scan": (cmd_hom_scan, "two-photon dip vs delay", DELAY_SCAN),
-    "hom-peak": (cmd_hom_peak, "bunching peak per output arm", DELAY_SCAN),
-    "noon-scan": (cmd_noon_scan, "classical and two-photon fringes", (
+    "hom-scan": Command(cmd_hom_scan, "two-photon dip vs delay", DELAY_SCAN),
+    "hom-peak": Command(cmd_hom_peak, "bunching peak per output arm", DELAY_SCAN),
+    "noon-scan": Command(cmd_noon_scan, "classical and two-photon fringes", (
         Option("eta1", float, 0.66, "first coupler splitting ratio"),
         Option("eta2", float, 0.66, "second coupler splitting ratio"),
         *SOURCE,
@@ -456,11 +496,12 @@ COMMANDS = {
         Option("p2pi", float, 1.3, "heater power per 2 pi (W)"),
         POISSON,
     )),
-    "decompose": (cmd_decompose, "triangular mesh factorization of a unitary", (
-        Option("unitary", None),
-        Option("size", int, 4),
-    )),
-    "reproduce-paper": (
+    "decompose": Command(
+        cmd_decompose, "triangular mesh factorization of a unitary",
+        (Option("unitary", None), Option("size", int, 4)),
+        ("json",),
+    ),
+    "reproduce-paper": Command(
         cmd_reproduce_paper, "run all reference experiments and compare targets",
         (POISSON,),
     ),
@@ -492,12 +533,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Design and simulate multimode-waveguide quantum circuits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, options) in COMMANDS.items():
+    for name, (func, help_text, options, formats) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--output", help="output directory (default: stdout)")
         p.add_argument("--seed", type=_seed, help="random seed")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--format", choices=formats, default=formats[0])
         for option in options:
             if option.help:
                 # a bool option is a switch; None leaves the config's value

@@ -28,7 +28,7 @@ from .circuit import (
 )
 from .coupling import splitting_ratio
 from .errors import FitDiverged, InsufficientSpan, InvalidInput
-from .fock import PhotonPairSource, hom_visibility
+from .fock import PhotonPairSource, check_overlap, hom_visibility
 
 DEFAULT_DEVICE_LOSS_DB = 0.2
 GAUSS_FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -367,7 +367,7 @@ def _delay_scan(name, circuit, eta, source, config, grid, metrics, **extra):
             **extra,
             "source": dataclasses.asdict(source),
             "config": dataclasses.asdict(config),
-            "delay_grid": [float(v) for v in grid],
+            "delay_grid": grid.tolist(),
         },
     )
 
@@ -406,8 +406,7 @@ def run_splitting_vs_N(
 ) -> list[dict]:
     """Splitting ratio and dip visibility versus grating period count; a
     zero kappa is the zero-depth grating, which never splits."""
-    if not 0.0 <= intrinsic_overlap <= 1.0:
-        raise InvalidInput("intrinsic overlap must lie in [0, 1]")
+    check_overlap(intrinsic_overlap, "intrinsic overlap")
     rows = []
     for n in n_values:
         eta = splitting_ratio(kappa, n)
@@ -515,7 +514,7 @@ def run_noon(
         "heater": dataclasses.asdict(heater),
         "source": dataclasses.asdict(source),
         "config": dataclasses.asdict(config),
-        "power_grid": [float(v) for v in grid],
+        "power_grid": grid.tolist(),
     }
     scan = ("heater_power", "W")
     classical = ScanResult(

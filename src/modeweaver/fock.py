@@ -284,6 +284,15 @@ def _creation_tables(num_photons: int, num_channels: int):
     return rows, root_t, parent, channel, inv_root_s, lift, gather
 
 
+def check_overlap(overlap, name: str = "overlap") -> np.ndarray:
+    """`overlap`, a number or an array, as a float array; InvalidInput
+    naming it `name` unless every value lies in [0, 1] (NaN does not)."""
+    x = np.asarray(overlap, dtype=float)
+    if not ((0.0 <= x) & (x <= 1.0)).all():
+        raise InvalidInput(f"{name} must lie in [0, 1]")
+    return x
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class PhotonPairSource:
     """Phenomenological degenerate pair source behind bandpass filters."""
@@ -295,8 +304,7 @@ class PhotonPairSource:
     singles_rates_hz: tuple[float, float] = (30000.0, 30000.0)
 
     def __post_init__(self):
-        if not 0.0 <= self.intrinsic_overlap <= 1.0:
-            raise InvalidInput("intrinsic overlap must lie in [0, 1]")
+        check_overlap(self.intrinsic_overlap, "intrinsic overlap")
         if self.filter_fwhm_nm <= 0 or self.center_wavelength_nm <= 0:
             raise InvalidInput("wavelength and filter FWHM must be positive")
         if self.pair_rate_hz < 0 or any(s < 0 for s in self.singles_rates_hz):
@@ -369,9 +377,7 @@ def two_photon_coincidence(
     k, l = out_channels
     if i == j or k == l:
         raise InvalidInput("input and output channel pairs must be distinct")
-    x = np.asarray(overlap, dtype=float)
-    if not ((0.0 <= x) & (x <= 1.0)).all():
-        raise InvalidInput("overlap must lie in [0, 1]")
+    x = check_overlap(overlap)
     u = np.asarray(unitary, dtype=np.complex128)
     m = u.shape[-1]
     if not all(0 <= c < m for c in (i, j, k, l)):
@@ -408,6 +414,5 @@ def coalescence_enhancement(eta: float, overlap: float) -> float:
     """
     if not 0.0 < eta < 1.0:
         raise InvalidInput("eta must lie strictly inside (0, 1)")
-    if not 0.0 <= overlap <= 1.0:
-        raise InvalidInput("overlap must lie in [0, 1]")
+    check_overlap(overlap)
     return 1.0 + overlap

@@ -8,6 +8,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -222,12 +223,33 @@ JSON_VALUES = st.recursive(
     ),
     max_leaves=25,
 )
+CSV_ROWS = 8
+# Values whose runs the CSV writer must keep apart: signed zeros, NaNs with
+# and without the sign bit, and numbers that format alike but differ.
+RUN_VALUES = FLOATS | st.sampled_from([math.nan, -math.nan, 0.1, 0.1 + 2**-56])
+
+
+def _float_runs(runs) -> np.ndarray:
+    """A float64 column of CSV_ROWS values: each (value, length) run in
+    turn, repeated from the start until the column is full."""
+    values = np.repeat([v for v, _ in runs], [k for _, k in runs])
+    return np.resize(values, CSV_ROWS)
+
+
 CSV_COLUMNS = {
-    "float": st.lists(FLOATS, min_size=3, max_size=3),
-    "int": st.lists(st.integers(), min_size=3, max_size=3),
-    "str": st.lists(st.text(), min_size=3, max_size=3),
-    "bool": st.lists(st.booleans(), min_size=3, max_size=3),
-    "int and float": st.lists(st.integers() | FLOATS, min_size=3, max_size=3),
+    "float": st.lists(FLOATS, min_size=CSV_ROWS, max_size=CSV_ROWS),
+    "int": st.lists(st.integers(), min_size=CSV_ROWS, max_size=CSV_ROWS),
+    "str": st.lists(st.text(), min_size=CSV_ROWS, max_size=CSV_ROWS),
+    "bool": st.lists(st.booleans(), min_size=CSV_ROWS, max_size=CSV_ROWS),
+    "int and float": st.lists(
+        st.integers() | FLOATS, min_size=CSV_ROWS, max_size=CSV_ROWS
+    ),
+    "float64 array": st.lists(
+        RUN_VALUES, min_size=CSV_ROWS, max_size=CSV_ROWS
+    ).map(np.array),
+    "float64 runs": st.lists(
+        st.tuples(RUN_VALUES, st.integers(1, CSV_ROWS)), min_size=1, max_size=4
+    ).map(_float_runs),
 }
 
 
@@ -243,13 +265,46 @@ class TestSerialisers:
     @settings(max_examples=200, deadline=None)
     @given(
         kinds=st.lists(st.sampled_from(sorted(CSV_COLUMNS)), max_size=5),
-        rows=st.integers(0, 3),
+        rows=st.integers(0, CSV_ROWS),
         data=st.data(),
     )
     def test_csv_matches_value_by_value(self, kinds, rows, data):
         columns = [data.draw(CSV_COLUMNS[kind])[:rows] for kind in kinds]
         header = [f"c{i}" for i in range(len(columns))]
         assert cli._csv(header, columns) == _csv_oracle(header, zip(*columns))
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            [np.full(6, 0.1)],
+            [np.repeat([0.0, -0.0, 0.0, -0.0], [2, 3, 1, 2])],
+            [np.repeat([math.nan, -math.nan, 1.0, math.nan], [4, 2, 1, 3])],
+            [np.repeat([1.5, 2.5, 1e-5, 1e12, 1.5], [1, 5, 2, 9, 3])],
+            [np.linspace(-1.0, 1.0, 7), np.full(7, 3.0), np.repeat([1.0, 2.0], [3, 4])],
+            [np.full(4, 2.0), np.full(4, -0.0), np.full(4, 3.5), np.full(4, math.nan)],
+        ],
+        ids=["one_value", "signed_zeros", "nan_runs", "mixed_run_lengths",
+             "constant_beside_varying", "every_column_constant"],
+    )
+    def test_float_runs_match_value_by_value(self, columns):
+        """Constant and varying float64 columns read as the per-value
+        formatting, one line per row."""
+        header = [f"c{i}" for i in range(len(columns))]
+        text = cli._csv(header, columns)
+        assert text == _csv_oracle(header, zip(*columns))
+        assert len(text.splitlines()) == 1 + len(columns[0])
+
+    @pytest.mark.parametrize(
+        "value",
+        [100.0, -500.0, -0.0, 5e-324, 1e-4, 1e-5, 1e11, 999999999999.6, 1e12,
+         1.5e15, 9.99999999999e15, 1e16],
+    )
+    @pytest.mark.parametrize("wrap", [lambda v: v, lambda v: [0.5, v, -2.0]],
+                             ids=["scalar", "float_list"])
+    def test_json_float_edges(self, value, wrap):
+        """Whole numbers, signed zero, subnormals, and both sides of where
+        `%g` (1e12) and repr (1e16) switch to an exponent."""
+        assert _dump_json(wrap(value)) == _dump_json_oracle(wrap(value))
 
     def test_empty_table_is_its_header(self):
         assert cli._csv(("a", "b"), ([], [])) == "a,b\n"
@@ -621,6 +676,32 @@ class TestTopLevel:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 
+    def test_format_takes_the_formats_a_command_writes(self, capsys):
+        parse = cli.build_parser().parse_args
+        for name, command in COMMANDS.items():
+            assert parse([name]).format == command.formats[0]
+            for fmt in ("csv", "json"):
+                if fmt in command.formats:
+                    assert parse([name, "--format", fmt]).format == fmt
+                else:
+                    with pytest.raises(SystemExit):
+                        parse([name, "--format", fmt])
+
+    @pytest.mark.parametrize(
+        "argv", [("design-grating",), ("decompose", "--seed", "3")]
+    )
+    def test_json_only_command_rejects_csv(self, capsys, argv):
+        """A command that writes only JSON refuses --format csv with
+        argparse's one-line error, and writes the same JSON with or without
+        --format json."""
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            f"modeweaver {argv[0]}: error: argument --format: invalid choice: 'csv'"
+        )
+        assert len(err.splitlines()) == 1
+        assert run(capsys, *argv, "--format", "json") == run(capsys, *argv)
+
     def test_reproduce_paper(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "reproduce-paper", "--output", str(tmp_path / "run")
@@ -734,7 +815,7 @@ def _argv(draw):
             argv.append(flag if option.kind is bool else f"{flag}={draw(_value(option))}")
     if draw(st.booleans()):
         argv.append(f"--seed={draw(st.sampled_from(('-1', '0', '7', str(2**70))))}")
-    argv.append(f"--format={draw(st.sampled_from(('csv', 'json')))}")
+    argv.append(f"--format={draw(st.sampled_from(COMMANDS[command].formats))}")
     return argv
 
 

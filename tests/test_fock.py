@@ -547,3 +547,20 @@ class TestVisibilityAndCoalescence:
             coalescence_enhancement(0.0, 0.9)
         with pytest.raises(InvalidInput):
             coalescence_enhancement(0.5, 1.5)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan])
+    def test_one_overlap_rule(self, bad):
+        """Every overlap goes through one [0, 1] check, which NaN fails; the
+        source and the splitting run name the intrinsic overlap."""
+        from modeweaver.experiments import run_splitting_vs_N
+
+        u = coupler_unitary(0.5)
+        for call, name in (
+            (lambda: PhotonPairSource(intrinsic_overlap=bad), "intrinsic overlap"),
+            (lambda: run_splitting_vs_N(0.04, [20], bad), "intrinsic overlap"),
+            (lambda: two_photon_coincidence(u, (0, 1), (0, 1), [0.5, bad]), "overlap"),
+            (lambda: coalescence_enhancement(0.5, bad), "overlap"),
+        ):
+            with pytest.raises(InvalidInput, match=rf"^{name} must lie in \[0, 1\]$"):
+                call()
+        assert fock.check_overlap([0.0, 1.0]).tolist() == [0.0, 1.0]

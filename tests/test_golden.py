@@ -92,6 +92,8 @@ LINES = (
     "dispersion --widths 2000:400:25",
     "dispersion --modes TX9",
     "decompose",
+    "design-grating --format csv",
+    "decompose --seed 3 --format csv",
     "splitting --periods 15,abc",
     "dispersion --height 1e-300",
     "hom-scan --eta 1.5",

@@ -150,7 +150,8 @@ def _parse_modes(text: str) -> list[ModeId]:
 class Command(NamedTuple):
     """A subcommand: its handler, its help text, its options (their flags
     appear in --help in this order) and the output formats it writes, which
-    --format takes, the first by default."""
+    --format takes, the first by default; a command with no format choice
+    declares none and takes no --format."""
 
     handler: object
     help: str
@@ -504,6 +505,7 @@ COMMANDS = {
     "reproduce-paper": Command(
         cmd_reproduce_paper, "run all reference experiments and compare targets",
         (POISSON,),
+        (),  # it always writes both formats, to files
     ),
 }
 
@@ -538,7 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--output", help="output directory (default: stdout)")
         p.add_argument("--seed", type=_seed, help="random seed")
-        p.add_argument("--format", choices=formats, default=formats[0])
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
         for option in options:
             if option.help:
                 # a bool option is a switch; None leaves the config's value

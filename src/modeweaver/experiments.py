@@ -38,71 +38,73 @@ GAUSS_FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
 # least-squares machinery
 
 
-def _damped_gauss_newton(residual, jacobian, p0, max_iter=200, tol=1e-13):
-    """Minimize ||residual(p)||^2; returns (params, covariance).
+def _damped_gauss_newton(evaluate, p0, max_iter=200, tol=1e-13):
+    """Minimize ||r(p)||^2, where `evaluate(p)` gives the residual r and
+    its Jacobian from one model evaluation; returns (params, covariance,
+    residual), the residual at the returned params.
 
     Levenberg damping: the step solves (J^T J + lam diag(J^T J)) d = -J^T r,
-    with lam shrinking on accepted steps. Raises FitDiverged if the
-    starting cost is not finite, or if the iteration cap is hit without
-    convergence.
+    with lam shrinking on accepted steps and growing on rejected ones. The
+    fit converges when the gradient vanishes against the cost, when an
+    accepted step is below 1e-12 of every parameter, or at the roundoff
+    floor (cost below 1e-20), where any step that does not lower the cost,
+    accepted or rejected, ends the fit: there the cost only drifts in
+    roundoff. Raises FitDiverged if the starting cost is not finite, or if
+    the iteration cap is hit without convergence.
     """
     p = np.asarray(p0, dtype=float).copy()
-    r = residual(p)
+    r, j = evaluate(p)
     cost = float(r @ r)
     if not math.isfinite(cost):
         raise FitDiverged(f"starting cost is not finite ({cost})")
     lam = 1e-3
     converged = False
     for _ in range(max_iter):
-        j = jacobian(p)
         jtj = j.T @ j
         g = j.T @ r
         if np.max(np.abs(g)) < tol * max(cost, 1e-30):
             converged = True
             break
-        accepted = False
+        damping = np.diag(np.clip(np.diag(jtj), 1e-12, None))
         for _ in range(25):
-            damped = jtj + lam * np.diag(np.clip(np.diag(jtj), 1e-12, None))
             try:
-                step = np.linalg.solve(damped, -g)
+                step = np.linalg.solve(jtj + lam * damping, -g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
             p_new = p + step
-            r_new = residual(p_new)
+            r_new, j_new = evaluate(p_new)
             cost_new = float(r_new @ r_new)
             if cost_new <= cost:
                 rel_step = np.max(
                     np.abs(step) / np.maximum(np.abs(p_new), 1e-12)
                 )
                 rel_drop = (cost - cost_new) / max(cost, 1e-300)
-                p, r, cost = p_new, r_new, cost_new
+                p, r, j, cost = p_new, r_new, j_new, cost_new
                 lam = max(lam * 0.3, 1e-12)
-                accepted = True
-                if rel_step < 1e-12 or (rel_drop < 1e-14 and cost < 1e-20):
-                    converged = True
+                converged = rel_step < 1e-12 or (rel_drop < 1e-14 and cost < 1e-20)
                 break
-            lam *= 10.0
-        if converged:
-            break
-        if not accepted:
-            # stuck at a (possibly perfect) minimum
-            if cost < 1e-18:
+            if cost < 1e-20:
                 converged = True
                 break
+            lam *= 10.0
+        else:
+            # no step accepted: stuck at a (possibly perfect) minimum
+            converged = cost < 1e-18
+        if converged:
+            break
     if not converged and not cost <= 1e-18:  # a NaN cost fails this too
         raise FitDiverged(
             f"no convergence after {max_iter} iterations "
             f"(final cost {cost:.3e}, damping lambda {lam:.3e})"
         )
-    j = jacobian(p)
     dof = max(len(r) - len(p), 1)
     s2 = cost / dof
     try:
         cov = s2 * np.linalg.inv(j.T @ j)
     except np.linalg.LinAlgError:
         cov = np.full((len(p), len(p)), np.nan)
-    return p, cov
+    return p, cov, r
 
 
 class GaussianFit(NamedTuple):
@@ -163,24 +165,18 @@ def fit_gaussian(x, y) -> GaussianFit:
     )
     sigma0 = max(sigma0, xs[1] - xs[0])
 
-    def model(p):
+    def evaluate(p):
         a, c, s, o = p
-        return o + a * np.exp(-((xs - c) ** 2) / (2.0 * s * s))
-
-    def residual(p):
-        return model(p) - ys
-
-    def jacobian(p):
-        a, c, s, o = p
-        e = np.exp(-((xs - c) ** 2) / (2.0 * s * s))
+        d = xs - c
+        e = np.exp(-(d**2) / (2.0 * s * s))
         j = np.empty((len(xs), 4))
         j[:, 0] = e
-        j[:, 1] = a * e * (xs - c) / (s * s)
-        j[:, 2] = a * e * (xs - c) ** 2 / (s**3)
+        j[:, 1] = a * e * d / (s * s)
+        j[:, 2] = a * e * d**2 / (s**3)
         j[:, 3] = 1.0
-        return j
+        return o + a * e - ys, j
 
-    p, cov = _damped_gauss_newton(residual, jacobian, [amp0, center0, sigma0, offset0])
+    p, cov, r = _damped_gauss_newton(evaluate, [amp0, center0, sigma0, offset0])
     err = np.sqrt(np.abs(np.diag(cov)))
     return GaussianFit(
         amplitude=float(p[0]) * y_scale,
@@ -193,7 +189,7 @@ def fit_gaussian(x, y) -> GaussianFit:
             "sigma": err[2],
             "offset": err[3] * y_scale,
         },
-        residual_norm=float(np.linalg.norm(residual(p))) * y_scale,
+        residual_norm=float(np.linalg.norm(r)) * y_scale,
     )
 
 
@@ -269,30 +265,23 @@ def fit_sinusoid(x, y, start_period, leakage=False) -> SinusoidFit:
     p0[amp_idx] = np.hypot(coef0[1::2], coef0[2::2])
     p0[phase_idx] = np.arctan2(-coef0[2::2], coef0[1::2])
 
-    def arguments(p):
+    def evaluate(p):
         w = 2 * np.pi / p[2]
-        return w, [h * w * xs + p[i] for h, i in zip(harmonics, phase_idx)]
-
-    def residual(p):
         model = p[1]
-        for a, arg in zip(p[amp_idx], arguments(p)[1]):
-            model = model + a * np.cos(arg)
-        return model - ys
-
-    def jacobian(p):
-        w, args = arguments(p)
         j = np.empty((len(xs), len(p)))
         j[:, 1] = 1.0
         d_period = 0.0
-        for h, ia, ip, arg in zip(harmonics, amp_idx, phase_idx, args):
-            sin = np.sin(arg)
-            j[:, ia] = np.cos(arg)
+        for h, ia, ip in zip(harmonics, amp_idx, phase_idx):
+            arg = h * w * xs + p[ip]
+            cos, sin = np.cos(arg), np.sin(arg)
+            model = model + p[ia] * cos
+            j[:, ia] = cos
             j[:, ip] = -p[ia] * sin
             d_period = d_period + h * p[ia] * sin
         j[:, 2] = d_period * w * xs / p[2]
-        return j
+        return model - ys, j
 
-    p, cov = _damped_gauss_newton(residual, jacobian, p0)
+    p, cov, r = _damped_gauss_newton(evaluate, p0)
     err = np.sqrt(np.abs(np.diag(cov)))
     return SinusoidFit(
         amplitude=float(abs(p[0])) * y_scale,
@@ -305,7 +294,7 @@ def fit_sinusoid(x, y, start_period, leakage=False) -> SinusoidFit:
             "period": err[2],
             "phase": err[3],
         },
-        residual_norm=float(np.linalg.norm(residual(p))) * y_scale,
+        residual_norm=float(np.linalg.norm(r)) * y_scale,
     )
 
 

@@ -679,7 +679,9 @@ class TestTopLevel:
     def test_format_takes_the_formats_a_command_writes(self, capsys):
         parse = cli.build_parser().parse_args
         for name, command in COMMANDS.items():
-            assert parse([name]).format == command.formats[0]
+            assert getattr(parse([name]), "format", None) == (
+                command.formats[0] if command.formats else None
+            )
             for fmt in ("csv", "json"):
                 if fmt in command.formats:
                     assert parse([name, "--format", fmt]).format == fmt
@@ -701,6 +703,19 @@ class TestTopLevel:
         )
         assert len(err.splitlines()) == 1
         assert run(capsys, *argv, "--format", "json") == run(capsys, *argv)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_reproduce_paper_takes_no_format(self, capsys, tmp_path, fmt):
+        """reproduce-paper always writes both formats, so --format is a
+        usage error with argparse's one-line message, and nothing is
+        written."""
+        code, out, err = run(
+            capsys, "reproduce-paper", "--seed", "7", "--format", fmt,
+            "--output", str(tmp_path / "run"),
+        )
+        assert (code, out) == (2, "")
+        assert err == f"modeweaver: error: unrecognized arguments: --format {fmt}\n"
+        assert not (tmp_path / "run").exists()
 
     def test_reproduce_paper(self, capsys, tmp_path):
         code, out, _ = run(
@@ -815,7 +830,8 @@ def _argv(draw):
             argv.append(flag if option.kind is bool else f"{flag}={draw(_value(option))}")
     if draw(st.booleans()):
         argv.append(f"--seed={draw(st.sampled_from(('-1', '0', '7', str(2**70))))}")
-    argv.append(f"--format={draw(st.sampled_from(COMMANDS[command].formats))}")
+    if COMMANDS[command].formats:
+        argv.append(f"--format={draw(st.sampled_from(COMMANDS[command].formats))}")
     return argv
 
 

@@ -157,38 +157,114 @@ class TestStartPeriod:
 
 
 class TestGaussNewton:
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        """The cost of every evaluation, one list per fit, in call order."""
+        fits = []
+        solve = experiments._damped_gauss_newton
+
+        def recording(evaluate, p0, **kwargs):
+            costs = []
+            fits.append(costs)
+
+            def counted(p):
+                r, j = evaluate(p)
+                costs.append(float(r @ r))
+                return r, j
+
+            return solve(counted, p0, **kwargs)
+
+        monkeypatch.setattr(experiments, "_damped_gauss_newton", recording)
+        return fits
+
     def test_divergence_reports_cost_and_damping(self):
         x = np.linspace(0.0, 1.0, 20)
         y = np.exp(3.0 * x)
 
-        def residual(p):
-            return np.exp(p[0] * x) - y
-
-        def jacobian(p):
-            return (x * np.exp(p[0] * x))[:, None]
+        def evaluate(p):
+            e = np.exp(p[0] * x)
+            return e - y, (x * e)[:, None]
 
         with pytest.raises(FitDiverged) as info:
-            experiments._damped_gauss_newton(residual, jacobian, [0.0], max_iter=1)
+            experiments._damped_gauss_newton(evaluate, [0.0], max_iter=1)
         message = str(info.value)
         assert "no convergence after 1 iterations" in message
         assert "final cost" in message and "damping lambda" in message
         assert "\n" not in message
 
-
     def test_non_finite_start_fails_at_once(self):
         calls = []
 
-        def residual(p):
+        def evaluate(p):
             calls.append(p)
-            return np.array([np.nan, 1.0])
-
-        def jacobian(p):
-            raise AssertionError("no iteration from a non-finite cost")
+            return np.array([np.nan, 1.0]), np.ones((2, 1))
 
         with pytest.raises(FitDiverged) as info:
-            experiments._damped_gauss_newton(residual, jacobian, [0.0])
+            experiments._damped_gauss_newton(evaluate, [0.0])
         assert len(calls) == 1
         assert str(info.value) == "starting cost is not finite (nan)"
+
+    def test_rejected_step_at_the_roundoff_floor_ends_the_fit(self):
+        """A cost of 1e-22 at p = 0 that every step raises, as roundoff
+        does: the first rejected step ends the fit at the start."""
+        calls = []
+
+        def evaluate(p):
+            calls.append(p.copy())
+            return np.array([1e-11 * (1.0 + abs(p[0]))]), np.ones((1, 1))
+
+        p, _, r = experiments._damped_gauss_newton(evaluate, [0.0])
+        assert len(calls) == 2 and calls[1][0] != 0.0
+        assert p.tolist() == [0.0] and r.tolist() == [1e-11]
+
+    def test_exact_fringe_at_zero_phase_ends_at_its_first_rejected_step(self, fits):
+        # exact data, so the cost is roundoff from the start; the phase sits
+        # near 0, where no step is small against it
+        x = np.arange(0.0, 2.6001, 0.05)
+        fit = fit_sinusoid(x, 100.0 + 40.0 * np.cos(2 * np.pi * x / 0.65), 0.65)
+        [costs] = fits
+        assert costs[0] < 1e-20
+        assert abs(fit.phase) < 1e-14
+        assert costs[-1] > min(costs[:-1])  # the last step was rejected
+        assert costs[:-1] == sorted(costs[:-1], reverse=True)  # no other was
+
+    def test_paper_two_photon_fit_takes_at_most_four_evaluations(self, fits):
+        classical, quantum = run_noon(0.66, 0.66)
+        assert len(fits) == 2
+        assert len(fits[1]) <= 4
+        assert quantum.metrics["period_ratio"] == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    def test_gaussian_residual_norm_is_at_the_returned_params(self, rng, noise):
+        # a noise-free Lorentzian dip has a residual that roundoff does not set
+        x = np.arange(-300.0, 301.0, 10.0)
+        y = 100.0 - 60.0 / (1.0 + ((x - 7.0) / 80.0) ** 2)
+        y = y + noise * 100.0 * rng.standard_normal(len(x))
+        fit = fit_gaussian(x, y)
+        model = fit.offset + fit.amplitude * np.exp(
+            -((x - fit.center) ** 2) / (2.0 * fit.sigma**2)
+        )
+        assert fit.residual_norm == pytest.approx(
+            np.linalg.norm(model - y), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    def test_sinusoid_residual_norm_is_at_the_returned_params(self, rng, noise):
+        # noise-free, the half-frequency term leaves a residual of its own
+        x = np.arange(0.0, 2.6001, 0.05)
+        y = (
+            100.0
+            + 40.0 * np.cos(2 * np.pi * x / 0.65 + 0.3)
+            + 18.0 * np.cos(np.pi * x / 0.65 - 0.4)
+        )
+        y = y + noise * 100.0 * rng.standard_normal(len(x))
+        fit = fit_sinusoid(x, y, 0.6)
+        model = fit.offset + fit.amplitude * np.cos(
+            2 * np.pi * x / fit.period + fit.phase
+        )
+        assert fit.residual_norm == pytest.approx(
+            np.linalg.norm(model - y), rel=1e-12
+        )
 
 
 class TestLeakageFit:

@@ -94,6 +94,8 @@ LINES = (
     "decompose",
     "design-grating --format csv",
     "decompose --seed 3 --format csv",
+    "reproduce-paper --seed 7 --format csv",
+    "reproduce-paper --seed 7 --format json",
     "splitting --periods 15,abc",
     "dispersion --height 1e-300",
     "hom-scan --eta 1.5",

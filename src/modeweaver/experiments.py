@@ -168,11 +168,12 @@ def fit_gaussian(x, y) -> GaussianFit:
     def evaluate(p):
         a, c, s, o = p
         d = xs - c
-        e = np.exp(-(d**2) / (2.0 * s * s))
+        d2 = d**2
+        e = np.exp(-d2 / (2.0 * s * s))
         j = np.empty((len(xs), 4))
         j[:, 0] = e
         j[:, 1] = a * e * d / (s * s)
-        j[:, 2] = a * e * d**2 / (s**3)
+        j[:, 2] = a * e * d2 / (s**3)
         j[:, 3] = 1.0
         return o + a * e - ys, j
 

@@ -79,6 +79,11 @@ LINES = (
     "hom-peak --eta 0.45 --wavelength 780 --delays=-300:300:15",
     "design-grating --width 2000 --modes TE0,TE1 --depth 12 --periods 30",
     "dispersion --height 220 --widths 300:1500:100 --modes TM0,TM1 --wavelength 1550",
+    # unsorted modes, a duplicate, and cut-off holes that interleave
+    "dispersion --widths 300:2500:50 --modes TE3,TM1,TE0,TE3",
+    "dispersion --widths 300:2500:50 --modes TE3,TM1,TE0,TE3 --format json",
+    # the vertical TM slab rounds onto the cladding index; TE is guided
+    "dispersion --height 1.466e-05 --widths 1e9:1e10:1e9 --modes TM0,TE0,TE1,TM1",
     "splitting --kappa 0.02 --periods 0:100:5 --overlap 0.5",
     # the benchmark's invalid-input probes
     "dispersion --height nan",

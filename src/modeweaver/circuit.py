@@ -217,8 +217,11 @@ def simulate_counts(
     `scan_values`. The circuit compiles once and every column is computed
     over the grid at once. Returns one float array per column,
     keyed scan_value, raw, accidentals, net, singles_a, singles_b, stderr;
-    every count column but net is non-negative. Deterministic without a seed;
-    bitwise reproducible with one.
+    every count column but net is non-negative. Poisson sampling draws raw,
+    singles_a and singles_b; accidentals then follow from the drawn singles
+    (singles_a * singles_b * window / integration time), so net subtracts
+    the accidentals of the counts it sits beside. Deterministic without a
+    seed; bitwise reproducible with one.
     """
     values = np.asarray(scan_values, dtype=float)
     if values.ndim != 1:
@@ -251,8 +254,11 @@ def simulate_counts(
     counts[:, 2] = singles_l * t_int
     if config.poisson:
         counts = np.random.default_rng(config.seed).poisson(counts).astype(float)
+        # the accidentals the drawn singles imply
+        acc = counts[:, 1] * counts[:, 2] * config.window_ns * 1e-9 / t_int
+    else:
+        acc = np.full(n, acc_rate * t_int)
     raw = counts[:, 0]
-    acc = np.full(n, acc_rate * t_int)
     return {
         "scan_value": values,
         "raw": raw,

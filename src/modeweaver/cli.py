@@ -260,29 +260,39 @@ def cmd_dispersion(args) -> int:
     if not modes:
         raise ConfigError("no modes requested")
     stack = _stack(args)
-    rows = wgmodes.dispersion_sweep(widths, modes, stack, args.height)
-    if not rows:
+    grid = wgmodes.dispersion_sweep(widths, modes, stack, args.height)
+    # the guided (width, mode) pairs, width-major in the requested mode order
+    rows, columns = np.nonzero(~np.isnan(grid))
+    if not len(rows):
         raise ModeCutoff(
             f"no requested mode guided at any width, height {args.height:g} nm, "
             f"wavelength {stack.wavelength_nm:g} nm"
         )
+    n_eff = grid[rows, columns]
+    rows, columns = rows.tolist(), columns.tolist()
     if args.format == "json":
+        names = [str(m) for m in modes]
         payload = {
             "sweep_param": "width",
             "wavelength_nm": stack.wavelength_nm,
             "rows": [
-                {"sweep_value": v, "mode": str(m), "n_eff": n} for v, m, n in rows
+                {"sweep_value": widths[i], "mode": names[j], "n_eff": n}
+                for i, j, n in zip(rows, columns, n_eff.tolist())
             ],
         }
         _emit(args, _dump_json(payload), "dispersion.json")
     else:
+        # each width and each mode's family and order are formatted once
+        width_texts = ["%.12g" % w for w in widths]
+        families = [m.family for m in modes]
+        orders = [str(m.order) for m in modes]
         table = _csv(
             ("sweep_param", "mode_family", "mode_order", "n_eff"),
             (
-                [v for v, _, _ in rows],
-                [m.family for _, m, _ in rows],
-                [m.order for _, m, _ in rows],
-                [n for _, _, n in rows],
+                [width_texts[i] for i in rows],
+                [families[j] for j in columns],
+                [orders[j] for j in columns],
+                n_eff,
             ),
         )
         _emit(args, table, "dispersion.csv")

@@ -18,7 +18,8 @@ evaluations, and the residual of the relation is directly meaningful.
 ``slab_neff`` is the one solver: one numpy array iteration over any set of
 slabs that share a cladding and a wavelength, each element stopping at its
 own break. A dispersion sweep calls it twice, once for the vertical slab of
-every requested family and once for every (width, mode) pair.
+every requested family and once for every (width, mode) pair whose vertical
+slab is guided.
 ``effective_indices`` is the row of a one-width sweep, so a single solve
 and a sweep row of the same waveguide agree bit for bit.
 """
@@ -273,17 +274,16 @@ def effective_indices(
     one-width dispersion sweep. Raises ModeCutoff naming the first mode
     that is not guided.
     """
-    rows = dispersion_sweep(
+    (n_eff,) = dispersion_sweep(
         [geometry.width_nm], modes, geometry.stack, geometry.height_nm
-    )
-    n_eff = {mode: n for _, mode, n in rows}
-    for mode in modes:
-        if mode not in n_eff:
+    ).tolist()
+    for mode, n in zip(modes, n_eff):
+        if math.isnan(n):
             raise ModeCutoff(
                 f"{mode} not guided at width {geometry.width_nm:g} nm, "
                 f"height {geometry.height_nm:g} nm"
             )
-    return [n_eff[mode] for mode in modes]
+    return n_eff
 
 
 def grating_period(wavelength_nm: float, delta_n: float) -> float:
@@ -306,13 +306,14 @@ def dispersion_sweep(
     modes: Iterable[ModeId],
     stack: MaterialStack = MaterialStack(),
     height_nm: float = 190.0,
-) -> list[tuple[float, ModeId, float]]:
+) -> np.ndarray:
     """Sweep the width at a fixed height and tabulate n_eff per mode.
 
-    Returns (width_nm, mode, n_eff) rows, width-major in the requested mode
-    order; a mode cut off at a width has no row there. The widths are
-    validated as WaveguideGeometry validates them. Raises InvalidInput on an
-    empty sweep.
+    Returns a float array with one row per width and one column per
+    requested mode, in the order given: the n_eff of that mode at that
+    width, NaN where it is not guided. A mode whose vertical slab is cut
+    off has a NaN column. The widths are validated as WaveguideGeometry
+    validates them. Raises InvalidInput on an empty sweep.
     """
     values = list(values_nm)
     if not values:
@@ -335,19 +336,16 @@ def dispersion_sweep(
         stack.n_core, stack.n_clad, height_nm, stack.wavelength_nm, families, 0
     )
     n_vertical = dict(zip(families, vertical.tolist()))
-    modes = [mode for mode in modes if not math.isnan(n_vertical[mode.family])]
-    # lateral step: every (width, mode) pair, the width down the first axis
-    n_eff = slab_neff(
-        [n_vertical[mode.family] for mode in modes],
+    kept = [j for j, mode in enumerate(modes)
+            if not math.isnan(n_vertical[mode.family])]
+    grid = np.full((len(values), len(modes)), math.nan)
+    # lateral step: every (width, kept mode) pair, the width down the first axis
+    grid[:, kept] = slab_neff(
+        [n_vertical[modes[j].family] for j in kept],
         stack.n_clad,
         widths[:, np.newaxis],
         stack.wavelength_nm,
-        ["TM" if mode.family == "TE" else "TE" for mode in modes],
-        [mode.order for mode in modes],
+        ["TM" if modes[j].family == "TE" else "TE" for j in kept],
+        [modes[j].order for j in kept],
     )
-    return [
-        (value, mode, n)
-        for value, row in zip(values, n_eff.tolist())
-        for mode, n in zip(modes, row)
-        if not math.isnan(n)
-    ]
+    return grid

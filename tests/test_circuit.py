@@ -258,6 +258,18 @@ class TestSimulateCounts:
         # 4 sigma band for the mean of 400 Poisson draws
         assert abs(mean - expected) < 4 * math.sqrt(expected / 400)
 
+    def test_poisson_accidentals_follow_drawn_singles(self):
+        config = CoincidenceConfig(
+            window_ns=3.0, integration_time_s=0.5, poisson=True, seed=7
+        )
+        counts = delay_scan(0.55, self.SOURCE, config, np.linspace(-300, 300, 41))
+        implied = (counts["singles_a"] * counts["singles_b"] * config.window_ns
+                   * 1e-9 / config.integration_time_s)
+        assert counts["accidentals"].tolist() == implied.tolist()
+        assert len(set(implied.tolist())) > 1
+        net_plus_accidentals = counts["net"] + counts["accidentals"]
+        assert net_plus_accidentals.tolist() == counts["raw"].tolist()
+
     @pytest.mark.parametrize("poisson", [False, True])
     def test_columns_are_float_arrays(self, poisson):
         config = CoincidenceConfig(poisson=poisson, seed=5)

@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 from modeweaver import cli, experiments
 from modeweaver.cli import COMMANDS, _dump_json, main
-from modeweaver.errors import InvalidInput
+from modeweaver.errors import InvalidInput, ModeCutoff
+from modeweaver.wgmodes import (
+    MaterialStack,
+    ModeId,
+    WaveguideGeometry,
+    effective_indices,
+)
 
 
 def run(capsys, *argv):
@@ -68,6 +74,65 @@ class TestDispersion:
             "error: ModeCutoff: no requested mode guided at any width, "
             "height 1e-300 nm, wavelength 808 nm\n"
         )
+
+
+@st.composite
+def _sweep_request(draw):
+    """A width grid and a mode list for `dispersion`: modes unsorted, maybe
+    repeated, with orders cut off over part of the grid; at the tiny height
+    the vertical TM slab is cut off as well."""
+    height, scale = draw(st.sampled_from([(190.0, 1.0), (1.466e-05, 1e6)]))
+    start = draw(st.floats(50.0, 3000.0)) * scale
+    step = draw(st.floats(10.0, 500.0)) * scale
+    widths = f"{start!r}:{start + step * draw(st.integers(0, 12))!r}:{step!r}"
+    modes = draw(st.lists(
+        st.builds(ModeId, st.sampled_from(["TE", "TM"]), st.integers(0, 5)),
+        min_size=1, max_size=6,
+    ))
+    return height, widths, modes
+
+
+class TestDispersionTable:
+    @settings(max_examples=40, deadline=None)
+    @given(sweep=_sweep_request())
+    def test_rows_match_per_point_solves(self, sweep):
+        """One CSV line and one JSON row per guided (width, mode), width-major
+        in the requested mode order, each n_eff from its own solve."""
+        height, widths, modes = sweep
+        stack = MaterialStack()
+        rows = []
+        for width in cli._parse_range(widths, "widths"):
+            geometry = WaveguideGeometry(width, height, stack)
+            for mode in modes:
+                try:
+                    (n,) = effective_indices(geometry, [mode])
+                except ModeCutoff:
+                    continue
+                rows.append((width, mode, n))
+        argv = ["dispersion", f"--height={height!r}", f"--widths={widths}",
+                "--modes=" + ",".join(map(str, modes))]
+        for fmt in ("csv", "json"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + [f"--format={fmt}"])
+            if not rows:
+                assert (code, out.getvalue()) == (3, "")
+                assert err.getvalue().startswith("error: ModeCutoff: ")
+                continue
+            assert (code, err.getvalue()) == (0, "")
+            if fmt == "csv":
+                expected = "sweep_param,mode_family,mode_order,n_eff\n" + "".join(
+                    "%.12g,%s,%d,%.12g\n" % (w, m.family, m.order, n)
+                    for w, m, n in rows
+                )
+            else:
+                expected = _dump_json_oracle({
+                    "sweep_param": "width",
+                    "wavelength_nm": 808.0,
+                    "rows": [{"sweep_value": w, "mode": str(m), "n_eff": n}
+                             for w, m, n in rows],
+                })
+            assert out.getvalue() == expected
 
 
 class TestDesignGrating:

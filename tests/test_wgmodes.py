@@ -209,21 +209,65 @@ class TestGratingPeriod:
         )
 
 
+def per_point_grid(widths, modes, stack, height):
+    """The sweep's grid from one effective_indices solve per (width, mode):
+    NaN where that solve raises ModeCutoff."""
+    grid = np.full((len(widths), len(modes)), math.nan)
+    for i, width in enumerate(widths):
+        geometry = WaveguideGeometry(width, height, stack)
+        for j, mode in enumerate(modes):
+            try:
+                (grid[i, j],) = effective_indices(geometry, [mode])
+            except ModeCutoff:
+                pass
+    return grid
+
+
+def assert_same_grid(grid, reference):
+    """Same shape, NaN at the same entries, every other entry equal bit for
+    bit."""
+    assert grid.dtype == np.float64
+    assert grid.shape == reference.shape
+    guided = ~np.isnan(reference)
+    assert (~np.isnan(grid) == guided).all()
+    assert (grid[guided].view(np.int64) == reference[guided].view(np.int64)).all()
+
+
 class TestDispersionSweep:
     def test_monotone_in_width(self):
         widths = np.arange(400, 2001, 100)
-        rows = dispersion_sweep(widths, [TE0, TE1, TE2])
-        for mode in (TE0, TE1, TE2):
-            values = [n for _, m, n in rows if m == mode]
+        grid = dispersion_sweep(widths, [TE0, TE1, TE2])
+        assert grid.shape == (len(widths), 3)
+        for column in grid.T:
+            values = column[~np.isnan(column)].tolist()
+            assert len(values) > 10
             assert values == sorted(values)
 
     def test_single_point_consistency(self):
-        ((_, _, n),) = dispersion_sweep([1600], [TE2])
-        assert [n] == effective_indices(WaveguideGeometry(1600, 190), [TE2])
+        grid = dispersion_sweep([1600], [TE2])
+        n_eff = effective_indices(WaveguideGeometry(1600, 190), [TE2])
+        assert grid.tolist() == [n_eff]
+        assert type(n_eff[0]) is float
 
     def test_cutoff_recorded_as_absent(self):
-        rows = dispersion_sweep([400, 1600], [TE2])
-        assert [w for w, _, _ in rows] == [1600]
+        grid = dispersion_sweep([400, 1600], [TE2])
+        assert grid.shape == (2, 1)
+        assert math.isnan(grid[0, 0]) and not math.isnan(grid[1, 0])
+
+    def test_cut_off_family_is_a_nan_column(self):
+        # at this height the vertical TM slab's n_eff rounds onto n_clad,
+        # while the TE one sits 18 ulps above it: both TM columns are NaN,
+        # and the TE columns hold the guided widths between them
+        height = 1.466e-05
+        stack = MaterialStack()
+        te, tm = slab_neff(stack.n_core, stack.n_clad, height, 808.0, ["TE", "TM"])
+        assert math.isnan(tm) and not math.isnan(te)
+        widths = [1e8, 1e9, 5e9, 1e10]
+        modes = [ModeId("TM", 0), TE0, TE1, ModeId("TM", 1), TE0]
+        grid = dispersion_sweep(widths, modes, stack, height)
+        assert_same_grid(grid, per_point_grid(widths, modes, stack, height))
+        assert np.isnan(grid[:, [0, 3]]).all()
+        assert (~np.isnan(grid)).sum(axis=0).tolist() == [0, 3, 2, 0, 3]
 
     def test_empty_sweep(self):
         with pytest.raises(InvalidInput):
@@ -283,28 +327,25 @@ class TestDispersionSweep:
         widths = [790.1977399001582, 790.1977444655257, 790.1977502449289]
         exact = [1.4498461880556892, 1.4498461880556892, 1.4498461880556894]
         assert exact[0] == stack.n_clad
-        reference = []
-        for width in widths:
-            try:
-                (n,) = effective_indices(WaveguideGeometry(width, height, stack), [TE2])
-            except ModeCutoff:
-                continue
-            reference.append((width, TE2, n))
-        rows = dispersion_sweep(widths, [TE2], stack, height)
-        assert rows == reference
-        for width, _, n in rows:
+        grid = dispersion_sweep(widths, [TE2], stack, height)
+        assert_same_grid(grid, per_point_grid(widths, [TE2], stack, height))
+        for width, n in zip(widths, grid[:, 0].tolist()):
             expected = exact[widths.index(width)]
-            assert abs(n - expected) <= math.ulp(expected)
+            assert math.isnan(n) or abs(n - expected) <= math.ulp(expected)
 
     @settings(max_examples=60, deadline=None)
     @given(sweep=st.data())
     def test_matches_per_point_solves(self, sweep):
-        """Rows, their order, the guided set and every n_eff bit equal
-        those of one effective_indices solve per (width, mode)."""
+        """The grid's shape, its NaN entries and every other n_eff bit
+        equal those of one effective_indices solve per (width, mode)."""
         draw = sweep.draw
         wavelength = draw(st.floats(600.0, 1800.0), label="wavelength")
         height = draw(
-            st.one_of(st.floats(80.0, 1000.0), st.sampled_from([1e-3, 1.0, 10.0])),
+            st.one_of(
+                st.floats(80.0, 1000.0),
+                # at 1.466e-05 nm and 808 nm the vertical TM slab is cut off
+                st.sampled_from([1e-3, 1.0, 10.0, 1.466e-05]),
+            ),
             label="height",
         )
         modes = draw(
@@ -342,18 +383,8 @@ class TestDispersionSweep:
             )
             widths += [cutoff * (1.0 + m * 10.0**e) for m, e in offsets]
 
-        reference = []
-        for width in widths:
-            geometry = WaveguideGeometry(width, height, stack)
-            for mode in modes:
-                try:
-                    (n,) = effective_indices(geometry, [mode])
-                except ModeCutoff:
-                    continue
-                reference.append((width, mode, n))
-        rows = dispersion_sweep(widths, modes, stack, height)
-        assert rows == reference
-        assert all(type(n) is float for _, _, n in rows)
+        grid = dispersion_sweep(widths, modes, stack, height)
+        assert_same_grid(grid, per_point_grid(widths, modes, stack, height))
 
 
 class TestMaterials:

@@ -46,11 +46,13 @@ def _damped_gauss_newton(evaluate, p0, max_iter=200, tol=1e-13):
     Levenberg damping: the step solves (J^T J + lam diag(J^T J)) d = -J^T r,
     with lam shrinking on accepted steps and growing on rejected ones. The
     fit converges when the gradient vanishes against the cost, when an
-    accepted step is below 1e-12 of every parameter, or at the roundoff
-    floor (cost below 1e-20), where any step that does not lower the cost,
-    accepted or rejected, ends the fit: there the cost only drifts in
-    roundoff. Raises FitDiverged if the starting cost is not finite, or if
-    the iteration cap is hit without convergence.
+    accepted step is below 1e-12 of every parameter, a parameter below 1e-6
+    of the largest counting as 1e-6 of the largest (so a centre or phase at
+    zero can pass), or at the roundoff floor (cost below 1e-20), where any
+    step that does not lower the cost, accepted or rejected, ends the fit:
+    there the cost only drifts in roundoff. Raises FitDiverged if the
+    starting cost is not finite, or if the iteration cap is hit without
+    convergence.
     """
     p = np.asarray(p0, dtype=float).copy()
     r, j = evaluate(p)
@@ -76,8 +78,9 @@ def _damped_gauss_newton(evaluate, p0, max_iter=200, tol=1e-13):
             r_new, j_new = evaluate(p_new)
             cost_new = float(r_new @ r_new)
             if cost_new <= cost:
+                size = np.abs(p_new)
                 rel_step = np.max(
-                    np.abs(step) / np.maximum(np.abs(p_new), 1e-12)
+                    np.abs(step) / np.maximum(size, max(1e-6 * size.max(), 1e-12))
                 )
                 rel_drop = (cost - cost_new) / max(cost, 1e-300)
                 p, r, j, cost = p_new, r_new, j_new, cost_new

@@ -23,7 +23,13 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import InvalidInput, NotUnitary, PhotonNumberMismatch, SizeLimit
+from .errors import (
+    InvalidInput,
+    NotUnitary,
+    PhotonNumberMismatch,
+    SizeLimit,
+    require_finite,
+)
 
 SPEED_OF_LIGHT_UM_PER_S = 2.99792458e14
 
@@ -307,7 +313,17 @@ class PhotonPairSource:
         check_overlap(self.intrinsic_overlap, "intrinsic overlap")
         if self.filter_fwhm_nm <= 0 or self.center_wavelength_nm <= 0:
             raise InvalidInput("wavelength and filter FWHM must be positive")
-        if self.pair_rate_hz < 0 or any(s < 0 for s in self.singles_rates_hz):
+        if len(self.singles_rates_hz) != 2:
+            raise InvalidInput(
+                f"need two singles rates, one per arm, got {self.singles_rates_hz}"
+            )
+        singles_a, singles_b = self.singles_rates_hz
+        require_finite(
+            pair_rate_hz=self.pair_rate_hz,
+            singles_rate_a_hz=singles_a,
+            singles_rate_b_hz=singles_b,
+        )
+        if self.pair_rate_hz < 0 or singles_a < 0 or singles_b < 0:
             raise InvalidInput("rates must be non-negative")
         # NaN, inf or extreme finite values give NaN, 0 or inf here, or overflow
         try:

@@ -437,15 +437,16 @@ class TestDecompose:
 
     def test_random_unitary_by_seed(self, capsys, tmp_path):
         config = tmp_path / "c.json"
-        config.write_text(json.dumps({"size": 5}))
-        code, out, _ = run(
-            capsys, "decompose", "--config", str(config), "--seed", "3"
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["size"] == 5
-        assert len(payload["stages"]) <= 10
-        assert payload["recomposition_error"] < 1e-10
+        for size in (5, 16):
+            config.write_text(json.dumps({"size": size}))
+            code, out, _ = run(
+                capsys, "decompose", "--config", str(config), "--seed", "3"
+            )
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["size"] == size
+            assert len(payload["stages"]) <= size * (size - 1) // 2
+            assert payload["recomposition_error"] < 1e-10
 
     def test_missing_input_is_usage_error(self, capsys):
         code, _, err = run(capsys, "decompose")

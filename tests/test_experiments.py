@@ -57,6 +57,14 @@ class TestGaussianFit:
         assert fit.visibility == pytest.approx(0.9, abs=0.03)
         assert fit.fwhm == pytest.approx(168.0, abs=10.0)
 
+    def test_non_gaussian_dip_centred_at_zero_converges(self):
+        # the centre ends at roundoff, about 1e-16, where no step is below
+        # 1e-12 of it; it converges against the scale of the other parameters
+        x = np.arange(-300.0, 301.0, 10.0)
+        fit = fit_gaussian(x, 100.0 - 60.0 / (1.0 + (x / 80.0) ** 2))
+        assert abs(fit.center) < 1e-12
+        assert fit.residual_norm == pytest.approx(13.2672, abs=1e-4)
+
     def test_flat_data(self):
         x = np.linspace(0, 100, 30)
         fit = fit_gaussian(x, np.full_like(x, 7.0))

@@ -2,8 +2,12 @@
 and the sha256 of its stdout, its stderr and each file it writes.
 
 `golden.json` maps each line of LINES to what running it through
-`cli.main` in an empty directory gives. A deliberate output change shows as
-changed hashes in that file; regenerate it with
+`cli.main` in an empty directory gives. The same run checks that every JSON
+document the line writes, to stdout or to a file, is laid out as
+`json.dumps(..., indent=2, sort_keys=True)` lays it out. Four lines (FRESH)
+also run in a fresh interpreter, as the console script runs them, and must
+give the same manifest entry. A deliberate output change shows as changed
+hashes in that file; regenerate it with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -11,14 +15,17 @@ changed hashes in that file; regenerate it with
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -73,6 +80,8 @@ LINES = (
     "dispersion --widths 400:3000:2 --modes TE0,TE1,TE2,TE3,TM0,TM1 --format json",
     "noon-scan --powers 0:5.2:0.005 --format json",
     "hom-scan --delays=-500:500:1 --format json",
+    # every count column varies, so the CSV writer formats each value
+    "hom-scan --poisson --seed 3 --delays=-500:500:1 --format csv",
     "noon-scan --eta1 0.7 --eta2 0.5 --poisson --seed 3 --powers 0:3:0.02 --output out",
     "hom-scan --eta 0.6 --overlap 0.8 --filter-fwhm 2.0 --delays=-400:400:20 "
     "--poisson --seed 11 --format json",
@@ -114,16 +123,63 @@ LINES = (
 )
 
 
+# Lines also run in a fresh interpreter: the paper run and three dense scans.
+FRESH = (
+    "reproduce-paper --seed 7",
+    "dispersion --format json",
+    "noon-scan --powers 0:5.2:0.005 --format json",
+    "hom-scan --delays=-500:500:1 --format json",
+)
+
+# Same entry point as the installed ``modeweaver`` console script.
+CONSOLE_SCRIPT = "import sys; from modeweaver.cli import main; sys.exit(main())"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Commands that print only JSON.
+JSON_COMMANDS = ("design-grating", "decompose")
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_line(line: str, directory: Path) -> dict:
+class Run(NamedTuple):
+    """What a command line gives: its exit code, its stdout and stderr, and
+    the bytes of each file it writes by path relative to its directory."""
+
+    exit: int
+    stdout: str
+    stderr: str
+    files: dict
+
+    def entry(self) -> dict:
+        """The run as a manifest entry: the exit code and sha256 hashes."""
+        return {
+            "exit": self.exit,
+            "stdout": _sha(self.stdout.encode()),
+            "stderr": _sha(self.stderr.encode()),
+            "files": {name: _sha(data) for name, data in self.files.items()},
+        }
+
+
+def _prepare(directory: Path) -> None:
+    for name, text in CONFIGS.items():
+        (directory / name).write_text(text)
+
+
+def _written_files(directory: Path) -> dict:
+    return {
+        path.relative_to(directory).as_posix(): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file() and path.name not in CONFIGS
+    }
+
+
+def run_line(line: str, directory: Path) -> Run:
     """Run `line` through `cli.main` with `directory` as the working
     directory and no MODEWEAVER_DEFAULTS. A warning counts as a stderr line
     `Category: message`."""
-    for name, text in CONFIGS.items():
-        (directory / name).write_text(text)
+    _prepare(directory)
     out, err = io.StringIO(), io.StringIO()
     saved_cwd, saved_defaults = os.getcwd(), os.environ.pop("MODEWEAVER_DEFAULTS", None)
     os.chdir(directory)
@@ -138,21 +194,79 @@ def run_line(line: str, directory: Path) -> dict:
             os.environ["MODEWEAVER_DEFAULTS"] = saved_defaults
     for w in caught:
         err.write(f"{w.category.__name__}: {w.message}\n")
-    files = {
-        path.relative_to(directory).as_posix(): _sha(path.read_bytes())
-        for path in sorted(directory.rglob("*"))
-        if path.is_file() and path.name not in CONFIGS
-    }
-    return {
-        "exit": code,
-        "stdout": _sha(out.getvalue().encode()),
-        "stderr": _sha(err.getvalue().encode()),
-        "files": files,
-    }
+    return Run(code, out.getvalue(), err.getvalue(), _written_files(directory))
+
+
+def run_fresh(line: str, directory: Path) -> Run:
+    """Run `line` as the console script does, in a fresh interpreter with
+    `directory` as the working directory, `src` as PYTHONPATH and no
+    MODEWEAVER_DEFAULTS."""
+    _prepare(directory)
+    env = {k: v for k, v in os.environ.items() if k != "MODEWEAVER_DEFAULTS"}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", CONSOLE_SCRIPT, *line.split()],
+        cwd=directory, env=env, stdin=subprocess.DEVNULL, capture_output=True,
+        timeout=120,
+    )
+    return Run(proc.returncode, proc.stdout.decode(), proc.stderr.decode(),
+               _written_files(directory))
+
+
+def json_outputs(line: str, run: Run):
+    """(name, text) of each JSON output of `line`: every `.json` file it
+    writes, and its stdout when the command prints JSON."""
+    if "--format json" in line or line.split()[0] in JSON_COMMANDS:
+        yield "stdout", run.stdout
+    for name, data in run.files.items():
+        if name.endswith(".json"):
+            yield name, data.decode("utf-8")
+
+
+def misplaced_documents(text: str) -> list:
+    """Offsets of the JSON documents in `text` that differ from their
+    `json.dumps(..., indent=2, sort_keys=True)` layout plus a newline, or
+    that do not parse. Stdout may hold several documents, one after another."""
+    decoder = json.JSONDecoder()
+    misplaced = []
+    start = 0
+    while start < len(text):
+        try:
+            value, end = decoder.raw_decode(text, start)
+        except json.JSONDecodeError:
+            return misplaced + [start]
+        document = text[start:end + 1]
+        if json.dumps(value, indent=2, sort_keys=True) + "\n" != document:
+            misplaced.append(start)
+        start = end + 1
+    return misplaced
+
+
+@functools.cache
+def _checked(line: str) -> tuple:
+    """Run `line` once for both in-process tests: its manifest entry, and
+    each JSON document it lays out differently from json.dumps."""
+    with tempfile.TemporaryDirectory() as tmp:
+        run = run_line(line, Path(tmp))
+    misplaced = tuple(
+        f"{name} at offset {offset}"
+        for name, text in json_outputs(line, run)
+        for offset in misplaced_documents(text)
+    )
+    return run.entry(), misplaced
 
 
 def _manifest() -> dict:
     return json.loads(MANIFEST.read_text(encoding="utf-8"))
+
+
+def _differences(got: dict, expected: dict) -> list:
+    return [
+        key for key in ("exit", "stdout", "stderr") if got[key] != expected[key]
+    ] + sorted(
+        name for name in got["files"].keys() | expected["files"].keys()
+        if got["files"].get(name) != expected["files"].get(name)
+    )
 
 
 def test_manifest_lists_every_line():
@@ -160,23 +274,29 @@ def test_manifest_lists_every_line():
 
 
 @pytest.mark.parametrize("line", LINES)
-def test_output_matches_manifest(line, tmp_path):
+def test_output_matches_manifest(line):
     expected = _manifest().get(line)
     assert expected is not None, f"{line}: no manifest entry"
-    got = run_line(line, tmp_path)
-    mismatched = [
-        key for key in ("exit", "stdout", "stderr") if got[key] != expected[key]
-    ] + sorted(
-        name for name in got["files"].keys() | expected["files"].keys()
-        if got["files"].get(name) != expected["files"].get(name)
-    )
+    mismatched = _differences(_checked(line)[0], expected)
     assert not mismatched, f"{line}: differs in {', '.join(mismatched)}"
+
+
+@pytest.mark.parametrize("line", LINES)
+def test_json_is_laid_out_as_json_dumps(line):
+    misplaced = _checked(line)[1]
+    assert not misplaced, f"{line}: laid out differently: {', '.join(misplaced)}"
+
+
+@pytest.mark.parametrize("line", FRESH)
+def test_fresh_process_matches_manifest(line, tmp_path):
+    mismatched = _differences(run_fresh(line, tmp_path).entry(), _manifest()[line])
+    assert not mismatched, f"{line}: a fresh process differs in {', '.join(mismatched)}"
 
 
 if __name__ == "__main__":
     manifest = {}
     for line in LINES:
         with tempfile.TemporaryDirectory() as tmp:
-            manifest[line] = run_line(line, Path(tmp))
+            manifest[line] = run_line(line, Path(tmp)).entry()
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(manifest)} lines to {MANIFEST}", file=sys.stderr)

@@ -3,6 +3,7 @@ construction, the validated ones check every construction, and the ones
 that key dicts or feed output keep their equality and field order."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -70,6 +71,16 @@ INVALID = [
     ("PureState", "amplitudes", np.zeros(3)),
     ("PhotonPairSource", "intrinsic_overlap", 2.0),
     ("PaperTarget", "tolerance", -1.0),
+    ("PhotonPairSource", "pair_rate_hz", math.nan),
+    ("PhotonPairSource", "pair_rate_hz", math.inf),
+    ("PhotonPairSource", "singles_rates_hz", (math.nan, 1.0)),
+    ("PhotonPairSource", "singles_rates_hz", (1.0, math.inf)),
+    ("PhotonPairSource", "singles_rates_hz", (1.0,)),
+]
+# a class's first row is named by the class, a later one by its field and value too
+INVALID_IDS = [
+    f"{name}-{field}={bad}" if name in [row[0] for row in INVALID[:k]] else name
+    for k, (name, field, bad) in enumerate(INVALID)
 ]
 
 
@@ -107,7 +118,7 @@ def test_fit_params_keep_field_order():
     ]
 
 
-@pytest.mark.parametrize("name, field, bad", INVALID, ids=[row[0] for row in INVALID])
+@pytest.mark.parametrize("name, field, bad", INVALID, ids=INVALID_IDS)
 def test_replace_runs_the_check(name, field, bad):
     with pytest.raises(InvalidInput):
         dataclasses.replace(VALUES[name](), **{field: bad})

@@ -42,11 +42,11 @@ class ConfigError(Exception):
 
 
 def _csv(header, columns) -> str:
-    """CSV text with a header line, from one sequence per column: floats to
-    12 significant digits, every other value by str. Each column's format
-    is chosen once, so that each row takes a single `%`. A float64 array
-    that holds one bit pattern (0.0 and -0.0 differ) is formatted once,
-    into the row format itself."""
+    """CSV text with a header line, from one sequence per column: a float64
+    array to 12 significant digits, any other column by `%s`. Each column's
+    format is chosen once, so that each row takes a single `%`. A float64
+    array that holds one bit pattern (0.0 and -0.0 differ) is formatted
+    once, into the row format itself."""
     formats = []
     cells = []
     for column in columns:
@@ -58,11 +58,7 @@ def _csv(header, columns) -> str:
             column = column.tolist()
             formats.append("%.12g")
         else:
-            floats = [issubclass(kind, float) for kind in set(map(type, column))]
-            if any(floats) and not all(floats):  # floats among other values
-                column = [f"{v:.12g}" if isinstance(v, float) else str(v)
-                          for v in column]
-            formats.append("%.12g" if all(floats) else "%s")
+            formats.append("%s")
         cells.append(column)
     row = ",".join(formats)
     if cells:
@@ -334,7 +330,9 @@ def cmd_splitting(args) -> int:
         _emit(args, _dump_json(rows), "splitting.json")
     else:
         header = ("N", "eta", "visibility_ideal", "visibility_measured")
-        table = _csv(header, [[r[key] for r in rows] for key in header])
+        table = _csv(header, [[r["N"] for r in rows]] + [
+            np.array([r[key] for r in rows]) for key in header[1:]
+        ])
         _emit(args, table, "splitting.csv")
     return 0
 

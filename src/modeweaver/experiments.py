@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import coupling, wgmodes
 from .circuit import (
     Circuit,
     CoincidenceConfig,
@@ -28,7 +29,12 @@ from .circuit import (
 )
 from .coupling import splitting_ratio
 from .errors import FitDiverged, InsufficientSpan, InvalidInput
-from .fock import PhotonPairSource, check_overlap, hom_visibility
+from .fock import (
+    PhotonPairSource,
+    check_overlap,
+    coalescence_enhancement,
+    hom_visibility,
+)
 
 DEFAULT_DEVICE_LOSS_DB = 0.2
 GAUSS_FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -575,9 +581,6 @@ def reproduce_all(seed: int | None = None, poisson: bool = False):
     Returns (scan_results, tables, targets): fitted scans keyed by name,
     plain tables keyed by name, and the target comparison list.
     """
-    from . import coupling, wgmodes
-    from .fock import coalescence_enhancement
-
     config = CoincidenceConfig(poisson=poisson, seed=seed)
     source = PhotonPairSource()
 

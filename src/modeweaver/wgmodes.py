@@ -217,50 +217,38 @@ def slab_neff(
         )
         moving = np.arange(len(hi))
         roots = np.empty(len(hi))
-        # each step works in these buffers and allocates nothing
-        buffers = np.empty((7, len(hi)))
-        flags = np.empty((2, len(hi)), dtype=bool)
-        evaluations = 200  # at most, for any slab
-        while len(moving) and evaluations:
+        evaluations = 0  # at most 200, for any slab
+        while len(moving) and evaluations < 200:
+            evaluations += 1
             phase, q, v_squared, qv_squared, lo, hi, u, step, step_before = state
-            uu, w, qw, f, d, dx, nxt = buffers[:, : len(moving)]
-            flag, newton = flags[:, : len(moving)]
-            while evaluations:
-                evaluations -= 1
-                # u <= hi <= V, so V^2 - u^2 >= 0
-                np.subtract(v_squared, np.multiply(u, u, out=uu), out=w)
-                np.multiply(q, np.sqrt(w, out=w), out=qw)
-                np.subtract(u, phase, out=f)
-                np.subtract(f, np.arctan2(qw, u, out=d), out=f)
-                np.less(f, 0.0, out=flag)
-                np.copyto(lo, u, where=flag)
-                np.copyto(hi, u, where=np.logical_not(flag, out=flag))
-                np.multiply(w, np.add(uu, np.multiply(qw, qw, out=d), out=d), out=d)
-                np.multiply(f, d, out=dx)
-                np.divide(dx, np.add(d, qv_squared, out=d), out=dx)
-                # the Newton point, kept where it lies in the bracket and its
-                # step is at most half the step before last (a NaN step fails)
-                np.subtract(u, dx, out=nxt)
-                np.less_equal(lo, nxt, out=newton)
-                newton &= np.less_equal(nxt, hi, out=flag)
-                np.add(dx, dx, out=dx)
-                newton &= np.less_equal(np.abs(dx, out=dx), step_before, out=flag)
-                # otherwise the midpoint; u is an end of the bracket now, so
-                # the step to the midpoint halves the bracket
-                np.multiply(0.5, np.add(lo, hi, out=d), out=d)
-                np.copyto(d, nxt, where=newton)
-                np.copyto(step_before, step)
-                np.abs(np.subtract(d, u, out=step), out=step)
-                np.copyto(u, d)
-                # a slab stops at the first step that leaves its u unchanged.
-                # A looser stop (two ulps of u) would leave a slab just above
-                # cut-off, where the root sits within a few ulps of V, up to
-                # two ulps of u short of it and n_eff several ulps high
-                if np.count_nonzero(np.greater(step, 0.0, out=flag)) < len(moving):
-                    break
-            roots[moving] = u
-            moving = moving[flag]
-            state = state[:, flag]
+            uu = u * u
+            w = np.sqrt(v_squared - uu)  # u <= hi <= V, so V^2 - u^2 >= 0
+            qw = q * w
+            f = u - phase - np.arctan2(qw, u)
+            below = f < 0.0
+            np.copyto(lo, u, where=below)
+            np.copyto(hi, u, where=~below)
+            d = w * (uu + qw * qw)
+            dx = f * d / (d + qv_squared)
+            # the Newton point, kept where it lies in the bracket and its
+            # step is at most half the step before last (a NaN step fails)
+            nxt = u - dx
+            newton = (lo <= nxt) & (nxt <= hi) & (np.abs(dx + dx) <= step_before)
+            # otherwise the midpoint; u is an end of the bracket now, so
+            # the step to the midpoint halves the bracket
+            nxt = np.where(newton, nxt, 0.5 * (lo + hi))
+            step_before[:] = step
+            step[:] = np.abs(nxt - u)
+            u[:] = nxt
+            # a slab stops at the first step that leaves its u unchanged.
+            # A looser stop (two ulps of u) would leave a slab just above
+            # cut-off, where the root sits within a few ulps of V, up to
+            # two ulps of u short of it and n_eff several ulps high
+            going = step > 0.0
+            if not going.all():
+                roots[moving] = u
+                moving, state = moving[going], state[:, going]
+        roots[moving] = state[6]  # the slabs still moving when the budget ends
         solved = np.sqrt(core_squared - np.float_power(roots / half_kt, 2.0))
     solved[~((n_clad < solved) & (solved < n_core))] = math.nan
     n_eff[guided] = solved

@@ -302,13 +302,9 @@ def _float_runs(runs) -> np.ndarray:
 
 
 CSV_COLUMNS = {
-    "float": st.lists(FLOATS, min_size=CSV_ROWS, max_size=CSV_ROWS),
     "int": st.lists(st.integers(), min_size=CSV_ROWS, max_size=CSV_ROWS),
     "str": st.lists(st.text(), min_size=CSV_ROWS, max_size=CSV_ROWS),
     "bool": st.lists(st.booleans(), min_size=CSV_ROWS, max_size=CSV_ROWS),
-    "int and float": st.lists(
-        st.integers() | FLOATS, min_size=CSV_ROWS, max_size=CSV_ROWS
-    ),
     "float64 array": st.lists(
         RUN_VALUES, min_size=CSV_ROWS, max_size=CSV_ROWS
     ).map(np.array),

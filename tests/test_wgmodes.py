@@ -129,6 +129,18 @@ class TestSlabSolverStop:
     def test_low_orders_near_the_root(self, residual_evaluations, order):
         self.solve(residual_evaluations, order)
 
+    def test_no_guided_slab_evaluates_nothing(self, residual_evaluations):
+        n = slab_neff(1.98, 1.45, [20, 20], 808, "TE", [2, 3])
+        assert np.isnan(n).all()
+        assert residual_evaluations == []
+
+    def test_nan_newton_step_falls_back_to_the_midpoint(self, residual_evaluations):
+        # k0*t/2 and V overflow to inf, so the Newton step is inf/inf = NaN;
+        # the midpoint keeps the bracket halving until the slab stops
+        n = slab_neff(1.98, 1.45, 1e308, 808, ["TE", "TM"], 0)
+        assert np.isnan(n).all()
+        assert 0 < len(residual_evaluations) <= 60
+
     def test_each_element_stops_at_its_own_break(self):
         orders = list(range(9))
         n = slab_neff(*self.ARGS, orders)

@@ -42,11 +42,11 @@ class ConfigError(Exception):
 
 
 def _csv(header, columns) -> str:
-    """CSV text with a header line, from one sequence per column: a float64
-    array to 12 significant digits, any other column by `%s`. Each column's
-    format is chosen once, so that each row takes a single `%`. A float64
-    array that holds one bit pattern (0.0 and -0.0 differ) is formatted
-    once, into the row format itself."""
+    """CSV text with a header line, from one sequence per column of a
+    shared length: a float64 array to 12 significant digits, any other
+    column by `%s`. Each column's format is chosen once, and the table
+    takes a single `%`. A float64 array that holds one bit pattern (0.0
+    and -0.0 differ) is formatted once, into the row format itself."""
     formats = []
     cells = []
     for column in columns:
@@ -60,12 +60,12 @@ def _csv(header, columns) -> str:
         else:
             formats.append("%s")
         cells.append(column)
-    row = ",".join(formats)
-    if cells:
-        lines = map(row.__mod__, zip(*cells))
-    else:  # every column is constant
-        lines = [row] * min(map(len, columns), default=0)
-    return "\n".join([",".join(header), *lines]) + "\n"
+    # the row format once per row takes the cells in row-major order
+    rows = len(next(iter(columns), ()))
+    flat = [None] * (rows * len(cells))
+    for k, column in enumerate(cells):
+        flat[k::len(cells)] = column
+    return ",".join(header) + "\n" + ((",".join(formats) + "\n") * rows) % tuple(flat)
 
 
 def _dump_json(obj) -> str:
@@ -265,7 +265,6 @@ def cmd_dispersion(args) -> int:
             f"wavelength {stack.wavelength_nm:g} nm"
         )
     n_eff = grid[rows, columns]
-    rows, columns = rows.tolist(), columns.tolist()
     if args.format == "json":
         names = [str(m) for m in modes]
         payload = {
@@ -273,21 +272,21 @@ def cmd_dispersion(args) -> int:
             "wavelength_nm": stack.wavelength_nm,
             "rows": [
                 {"sweep_value": widths[i], "mode": names[j], "n_eff": n}
-                for i, j, n in zip(rows, columns, n_eff.tolist())
+                for i, j, n in zip(rows.tolist(), columns.tolist(), n_eff.tolist())
             ],
         }
         _emit(args, _dump_json(payload), "dispersion.json")
     else:
         # each width and each mode's family and order are formatted once
-        width_texts = ["%.12g" % w for w in widths]
-        families = [m.family for m in modes]
-        orders = [str(m.order) for m in modes]
+        width_texts = np.array(["%.12g" % w for w in widths], dtype=object)
+        families = np.array([m.family for m in modes], dtype=object)
+        orders = np.array([str(m.order) for m in modes], dtype=object)
         table = _csv(
             ("sweep_param", "mode_family", "mode_order", "n_eff"),
             (
-                [width_texts[i] for i in rows],
-                [families[j] for j in columns],
-                [orders[j] for j in columns],
+                width_texts[rows].tolist(),
+                families[columns].tolist(),
+                orders[columns].tolist(),
                 n_eff,
             ),
         )

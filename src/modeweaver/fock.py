@@ -363,17 +363,14 @@ def spectral_overlap(source: PhotonPairSource, delay_um):
     if not np.isfinite(delay).all():
         raise InvalidInput("delay must be finite")
     tau_c = source.coherence_time_s()
-    x0 = source.intrinsic_overlap
-
-    def overlap(d):
-        # math.exp, not np.exp: the two differ in the last bit on some
-        # arguments, which moves the fitted fields at roundoff
-        try:
-            return x0 * math.exp(-0.5 * (d / SPEED_OF_LIGHT_UM_PER_S / tau_c) ** 2)
-        except OverflowError:  # the exponent's limit is -inf
-            return 0.0
-
-    return np.array([overlap(d) for d in delay.ravel().tolist()]).reshape(delay.shape)
+    # float_power is libm pow, as Python's ** is; a square that overflows
+    # gives exp(-inf) = 0.0
+    with np.errstate(over="ignore"):
+        exponent = -0.5 * np.float_power(delay / SPEED_OF_LIGHT_UM_PER_S / tau_c, 2.0)
+    # math.exp, not np.exp: the two differ in the last bit on some
+    # arguments, which moves the fitted fields at roundoff
+    overlap = np.array(list(map(math.exp, exponent.ravel().tolist())))
+    return (source.intrinsic_overlap * overlap).reshape(delay.shape)
 
 
 def two_photon_coincidence(

@@ -431,6 +431,35 @@ class TestSource:
         assert expected[1] == [0.0, 0.0]  # the limit of a huge delay
         assert len(calls) == 1  # tau_c once per call, not once per delay
 
+    def test_overlap_matches_scalar_formula_bit_for_bit(self):
+        # oracle: the formula on one Python float at a time, with ** and
+        # math.exp, and 0.0 where the square overflows
+        def scalar(source, d):
+            tau_c = source.coherence_time_s()
+            try:
+                return source.intrinsic_overlap * math.exp(
+                    -0.5 * (d / fock.SPEED_OF_LIGHT_UM_PER_S / tau_c) ** 2
+                )
+            except OverflowError:
+                return 0.0
+
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            source = PhotonPairSource(
+                center_wavelength_nm=10 ** rng.uniform(1, 4),
+                filter_fwhm_nm=10 ** rng.uniform(-3, 2),
+                intrinsic_overlap=rng.uniform(0, 1),
+            )
+            delays = np.concatenate([
+                source.overlap_fwhm_um() * rng.normal(0, 3, 200),
+                rng.choice([-1.0, 1.0], 40) * 10 ** rng.uniform(-3, 308, 40),
+                [0.0, -0.0, 1e160, 1e200, -1e200],
+            ])
+            overlap = spectral_overlap(source, delays)
+            expected = np.array([scalar(source, d) for d in delays.tolist()])
+            assert (overlap.view(np.int64) == expected.view(np.int64)).all()
+            assert (overlap[-3:] == 0.0).all()  # squares that overflow
+
     def test_validation(self):
         with pytest.raises(InvalidInput):
             PhotonPairSource(intrinsic_overlap=1.1)

@@ -1,12 +1,14 @@
 """Circuit composition over spatial-mode channels.
 
-Elements compile to an m x m unitary plus a per-channel power transmission
-and the relative delay of the photon pair. Loss is uniform-or-per-channel
-scalar power transmission applied to rates, never to amplitudes; the delay
-acts on the source overlap, not on the mode unitary.
+Couplers and phase shifters compile to the m x m mode unitary. The
+relative delay of the photon pair acts on the source overlap, not on the
+mode unitary, and the chip's insertion loss is a power transmission applied
+to rates, never to amplitudes; `simulate_counts` takes the one and applies
+the other.
 
-A scan's circuit is built with its sweep in place: a swept delay or phase
-is an element holding an array with one value per scan point. It compiles
+A scan's circuit is built with its sweep in place: a swept phase is a
+phase shifter holding an array with one value per scan point, and a swept
+delay is such an array passed to `simulate_counts`. The circuit compiles
 once, a swept phase to a stack of unitaries, and `simulate_counts`
 computes every count column as an array expression over the grid.
 """
@@ -43,28 +45,10 @@ class PhaseShifter(NamedTuple):
     phase_rad: float | np.ndarray = 0.0  # an array sweeps it, one per scan point
 
 
-class RelativeDelay(NamedTuple):
-    """Free-space path delay of the photon entering channel 0 relative to
-    the one entering channel 1; it sets their distinguishability, not the
-    mode unitary."""
+Element = GratingBS | PhaseShifter
 
-    delay_um: float | np.ndarray = 0.0  # an array sweeps it, one per scan point
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Loss:
-    """Power loss in dB, uniform or on selected channels."""
-
-    loss_db: float
-    channels: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        require_finite(loss_db=self.loss_db)
-        if self.loss_db < 0:
-            raise InvalidInput("loss must be >= 0 dB")
-
-
-Element = GratingBS | PhaseShifter | RelativeDelay | Loss
+# Power transmission of the chip, 0.2 dB insertion loss, on every output.
+DEVICE_TRANSMISSION = 10.0 ** (-0.2 / 10.0)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -107,12 +91,6 @@ class Circuit(NamedTuple):
     output_channels: tuple[int, int] = (0, 1)
 
 
-class CompiledCircuit(NamedTuple):
-    unitary: np.ndarray  # (m, m), or (N, m, m) when a phase is swept
-    transmission: np.ndarray  # per-channel power factor
-    delay_um: float | np.ndarray  # summed relative delay (an array when swept)
-
-
 def _times(c_re, c_im, x_re, x_im):
     """(c_re + i c_im)(x_re + i x_im) in real arithmetic: numpy's complex
     multiply may fuse multiply-adds on one CPU and not on another, or in one
@@ -120,13 +98,13 @@ def _times(c_re, c_im, x_re, x_im):
     return c_re * x_re - c_im * x_im, c_im * x_re + c_re * x_im
 
 
-def compile_circuit(circuit: Circuit) -> CompiledCircuit:
-    """Apply the elements in order to the rows of the identity; factor out
-    loss and the delay.
+def compile_circuit(circuit: Circuit) -> np.ndarray:
+    """The mode unitary: the elements applied in order to the rows of the
+    identity.
 
     A coupler mixes its two rows with its 2x2 block and a phase shifter
-    multiplies its rows by e^{i phi}. A phase shifter whose phase is an
-    array of N values makes the unitary an (N, m, m) stack.
+    multiplies its rows by e^{i phi}. The unitary is (m, m), or an (N, m, m)
+    stack when a phase shifter's phase is an array of N values.
     """
     m = circuit.num_channels
     if m < 1:
@@ -134,8 +112,6 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     # real and imaginary parts indexed [row, column, *sweep], so that a row
     # over the whole sweep is one contiguous array
     re, im = np.eye(m), np.zeros((m, m))
-    transmission = np.ones(m)
-    delay = 0.0
     for element in circuit.elements:
         if isinstance(element, GratingBS):
             rows = a, b = element.channels
@@ -165,23 +141,12 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
                 if not 0 <= ch < m:
                     raise ChannelMismatch(f"phase channel {ch} outside 0..{m - 1}")
                 re[ch], im[ch] = _times(factor.real, factor.imag, re[ch], im[ch])
-        elif isinstance(element, RelativeDelay):
-            delay = delay + np.asarray(element.delay_um, dtype=float)
-        elif isinstance(element, Loss):
-            factor = 10.0 ** (-element.loss_db / 10.0)
-            if element.channels is None:
-                transmission *= factor
-            else:
-                for ch in element.channels:
-                    if not 0 <= ch < m:
-                        raise ChannelMismatch(f"loss channel {ch} outside 0..{m - 1}")
-                    transmission[ch] *= factor
         else:
             raise InvalidInput(f"unknown element {element!r}")
     unitary = np.empty(re.shape[2:] + (m, m), dtype=np.complex128)
     sweep_first = (*range(2, re.ndim), 0, 1)
     unitary.real, unitary.imag = re.transpose(sweep_first), im.transpose(sweep_first)
-    return CompiledCircuit(unitary, transmission, delay)
+    return unitary
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -209,13 +174,16 @@ def simulate_counts(
     source: PhotonPairSource,
     config: CoincidenceConfig,
     scan_values,
+    delay_um=0.0,
 ) -> dict[str, np.ndarray]:
     """Expected (or Poisson-sampled) counts over a scan, as columns.
 
-    `circuit` holds the whole scan: a swept `RelativeDelay` or
-    `PhaseShifter` holds an array with one value per entry of
+    `delay_um` is the relative delay of the photon pair, the one entering
+    channel 0 against the one entering channel 1. It and a swept
+    `PhaseShifter` of `circuit` hold one value, or one per entry of
     `scan_values`. The circuit compiles once and every column is computed
-    over the grid at once. Returns one float array per column,
+    over the grid at once; every rate passes the chip's transmission
+    DEVICE_TRANSMISSION on each output. Returns one float array per column,
     keyed scan_value, raw, accidentals, net, singles_a, singles_b, stderr;
     every count column but net is non-negative. Poisson sampling draws raw,
     singles_a and singles_b; accidentals then follow from the drawn singles
@@ -227,23 +195,22 @@ def simulate_counts(
     if values.ndim != 1:
         raise InvalidInput(f"scan values must be one-dimensional, got {values.shape}")
     n = len(values)
-    compiled = compile_circuit(circuit)
+    unitary = compile_circuit(circuit)
     k, l = circuit.output_channels
-    delay = np.asarray(compiled.delay_um)
-    for shape in (delay.shape, compiled.unitary.shape[:-2]):
+    delay = np.asarray(delay_um, dtype=float)
+    for shape in (delay.shape, unitary.shape[:-2]):
         if shape not in ((), (n,)):
             raise InvalidInput(
-                f"a swept circuit setting has shape {shape}; the scan has {n} points"
+                f"a swept delay or phase has shape {shape}; the scan has {n} points"
             )
     overlap = spectral_overlap(source, delay)
-    p_cc = two_photon_coincidence(compiled.unitary, (0, 1), (k, l), overlap)
-    prob = np.abs(compiled.unitary) ** 2
-    t_k = compiled.transmission[k]
-    t_l = compiled.transmission[l]
-    net_rate = source.pair_rate_hz * p_cc * t_k * t_l
+    p_cc = two_photon_coincidence(unitary, (0, 1), (k, l), overlap)
+    prob = np.abs(unitary) ** 2
+    t = DEVICE_TRANSMISSION
+    net_rate = source.pair_rate_hz * p_cc * t * t
     s_in = source.singles_rates_hz
-    singles_k = (s_in[0] * prob[..., k, 0] + s_in[1] * prob[..., k, 1]) * t_k
-    singles_l = (s_in[0] * prob[..., l, 0] + s_in[1] * prob[..., l, 1]) * t_l
+    singles_k = (s_in[0] * prob[..., k, 0] + s_in[1] * prob[..., k, 1]) * t
+    singles_l = (s_in[0] * prob[..., l, 0] + s_in[1] * prob[..., l, 1]) * t
     acc_rate = singles_k * singles_l * config.window_ns * 1e-9
     t_int = config.integration_time_s
     # one row per point, [raw, singles_k, singles_l]: a single Poisson draw

@@ -145,14 +145,15 @@ def _parse_modes(text: str) -> list[ModeId]:
 
 class Command(NamedTuple):
     """A subcommand: its handler, its help text, its options (their flags
-    appear in --help in this order) and the output formats it writes, which
-    --format takes, the first by default; a command with no format choice
-    declares none and takes no --format."""
+    appear in --help in this order), the output formats it writes, which
+    --format takes, the first by default (a command with no format choice
+    declares none and takes no --format), and whether it reads --seed."""
 
     handler: object
     help: str
     options: tuple
     formats: tuple = ("csv", "json")
+    seeded: bool = False
 
 
 class Option(NamedTuple):
@@ -406,7 +407,7 @@ def cmd_decompose(args) -> int:
     else:
         raise ConfigError("decompose needs a 'unitary' (or 'size' plus --seed)")
     decomposition = reck_decompose(matrix)
-    recomposed = circuit_mod.compile_circuit(reck_circuit(decomposition)).unitary
+    recomposed = circuit_mod.compile_circuit(reck_circuit(decomposition))
     payload = {
         "size": decomposition.size,
         "stages": [
@@ -494,8 +495,12 @@ COMMANDS = {
         Option("periods", str, "0:40:1", "N list '15,20,25' or range start:stop:step"),
         OVERLAP,
     )),
-    "hom-scan": Command(cmd_hom_scan, "two-photon dip vs delay", DELAY_SCAN),
-    "hom-peak": Command(cmd_hom_peak, "bunching peak per output arm", DELAY_SCAN),
+    "hom-scan": Command(
+        cmd_hom_scan, "two-photon dip vs delay", DELAY_SCAN, seeded=True
+    ),
+    "hom-peak": Command(
+        cmd_hom_peak, "bunching peak per output arm", DELAY_SCAN, seeded=True
+    ),
     "noon-scan": Command(cmd_noon_scan, "classical and two-photon fringes", (
         Option("eta1", float, 0.66, "first coupler splitting ratio"),
         Option("eta2", float, 0.66, "second coupler splitting ratio"),
@@ -503,16 +508,18 @@ COMMANDS = {
         Option("powers", str, "0:2.6:0.05", "heater power grid start:stop:step in W"),
         Option("p2pi", float, 1.3, "heater power per 2 pi (W)"),
         POISSON,
-    )),
+    ), seeded=True),
     "decompose": Command(
         cmd_decompose, "triangular mesh factorization of a unitary",
         (Option("unitary", None), Option("size", int, 4)),
         ("json",),
+        seeded=True,
     ),
     "reproduce-paper": Command(
         cmd_reproduce_paper, "run all reference experiments and compare targets",
         (POISSON,),
         (),  # it always writes both formats, to files
+        seeded=True,
     ),
 }
 
@@ -542,11 +549,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Design and simulate multimode-waveguide quantum circuits.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, options, formats) in COMMANDS.items():
+    for name, (func, help_text, options, formats, seeded) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--output", help="output directory (default: stdout)")
-        p.add_argument("--seed", type=_seed, help="random seed")
+        if seeded:
+            p.add_argument("--seed", type=_seed, help="random seed")
         if formats:
             p.add_argument("--format", choices=formats, default=formats[0])
         for option in options:

@@ -21,9 +21,7 @@ from .circuit import (
     CoincidenceConfig,
     GratingBS,
     HeaterModel,
-    Loss,
     PhaseShifter,
-    RelativeDelay,
     heater_phase,
     simulate_counts,
 )
@@ -36,7 +34,6 @@ from .fock import (
     hom_visibility,
 )
 
-DEFAULT_DEVICE_LOSS_DB = 0.2
 GAUSS_FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 
@@ -354,10 +351,10 @@ class ScanResult(NamedTuple):
 
 
 def _delay_scan(name, circuit, eta, source, config, grid, metrics, **extra):
-    """Net coincidences of `circuit`, whose relative delay sweeps `grid`,
-    fitted with a Gaussian; `metrics(fit)` gives the reported metrics and
-    `extra` joins the recorded config."""
-    counts = simulate_counts(circuit, source, config, grid)
+    """Net coincidences of `circuit` with the pair's relative delay swept
+    over `grid`, fitted with a Gaussian; `metrics(fit)` gives the reported
+    metrics and `extra` joins the recorded config."""
+    counts = simulate_counts(circuit, source, config, grid, grid)
     fit = fit_gaussian(grid, counts["net"])
     return ScanResult(
         name, ("delay", "um"), "net", counts, fit, metrics(fit),
@@ -380,14 +377,7 @@ def run_hom_dip(
 ) -> ScanResult:
     """Two-photon dip: coincidences between the coupler outputs vs delay."""
     grid = default_delay_grid() if delay_grid is None else np.asarray(delay_grid, float)
-    circuit = Circuit(
-        num_channels=2,
-        elements=(
-            RelativeDelay(delay_um=grid),
-            GratingBS(channels=(0, 1), eta=eta),
-            Loss(DEFAULT_DEVICE_LOSS_DB),
-        ),
-    )
+    circuit = Circuit(num_channels=2, elements=(GratingBS(channels=(0, 1), eta=eta),))
     return _delay_scan(
         name, circuit, eta, source, config, grid,
         lambda fit: {
@@ -433,9 +423,7 @@ def run_hom_peak(
         raise InvalidInput("eta must lie strictly inside (0, 1)")
     grid = default_delay_grid() if delay_grid is None else np.asarray(delay_grid, float)
     base_elements = (
-        RelativeDelay(delay_um=grid),
         GratingBS(channels=(0, 1), eta=eta),
-        Loss(DEFAULT_DEVICE_LOSS_DB),
         GratingBS(channels=(0, 2), eta=0.5),
         GratingBS(channels=(1, 3), eta=0.5),
     )
@@ -458,14 +446,13 @@ def run_hom_peak(
 
 def _noon_circuit(eta1: float, eta2: float, phase) -> Circuit:
     """The cascaded interferometer with heater phase `phase` (rad), an
-    array of phases for a scan; the photon pair enters at zero delay."""
+    array of phases for a scan."""
     return Circuit(
         num_channels=2,
         elements=(
             GratingBS(channels=(0, 1), eta=eta1),
             PhaseShifter(channels=(1,), phase_rad=phase),
             GratingBS(channels=(0, 1), eta=eta2),
-            Loss(DEFAULT_DEVICE_LOSS_DB),
         ),
     )
 

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import haar_unitary
 from modeweaver.circuit import (
+    DEVICE_TRANSMISSION,
     RECK_SIZE_CAP,
     Circuit,
     CoincidenceConfig,
     GratingBS,
     HeaterModel,
-    Loss,
     PhaseShifter,
-    RelativeDelay,
     compile_circuit,
     heater_phase,
     reck_circuit,
@@ -32,35 +31,24 @@ from modeweaver.fock import (
 )
 
 
-def dip_circuit(eta=0.5, delay_um=0.0, *extra):
-    """The HOM dip circuit at relative delay `delay_um`, then `extra`
-    elements."""
-    return Circuit(
-        num_channels=2,
-        elements=(
-            RelativeDelay(delay_um=delay_um),
-            GratingBS(channels=(0, 1), eta=eta),
-            *extra,
-        ),
-    )
+def dip_circuit(eta=0.5):
+    """The HOM dip circuit: one coupler between the pair's channels."""
+    return Circuit(num_channels=2, elements=(GratingBS(channels=(0, 1), eta=eta),))
 
 
-def delay_scan(eta, source, config, delays, *extra):
-    """Counts of `dip_circuit` with its delay swept over `delays`."""
+def delay_scan(eta, source, config, delays):
+    """Counts of `dip_circuit` with the pair's delay swept over `delays`."""
     delays = np.asarray(delays, dtype=float)
-    return simulate_counts(dip_circuit(eta, delays, *extra), source, config, delays)
+    return simulate_counts(dip_circuit(eta), source, config, delays, delays)
 
 
 class TestCompile:
     def test_empty_is_identity(self):
-        compiled = compile_circuit(Circuit(num_channels=3, elements=()))
-        assert np.allclose(compiled.unitary, np.eye(3))
-        assert np.allclose(compiled.transmission, 1.0)
-        assert compiled.delay_um == 0.0
+        assert np.array_equal(compile_circuit(Circuit(num_channels=3, elements=())), np.eye(3))
 
     def test_grating_embedding(self):
         circuit = Circuit(3, (GratingBS(channels=(0, 2), eta=0.55),))
-        u = compile_circuit(circuit).unitary
+        u = compile_circuit(circuit)
         block = coupler_unitary(0.55)
         assert u[0, 0] == block[0, 0]
         assert u[0, 2] == block[0, 1]
@@ -77,7 +65,7 @@ class TestCompile:
                 GratingBS(channels=(0, 1), eta=0.6),
             ),
         )
-        u = compile_circuit(circuit).unitary
+        u = compile_circuit(circuit)
         b1 = coupler_unitary(0.3)
         phase = np.diag([1.0, np.exp(0.7j)])
         b2 = coupler_unitary(0.6)
@@ -91,24 +79,8 @@ class TestCompile:
             elements.append(
                 PhaseShifter(channels=(int(rng.integers(4)),), phase_rad=float(rng.uniform(0, 7)))
             )
-        u = compile_circuit(Circuit(4, tuple(elements))).unitary
+        u = compile_circuit(Circuit(4, tuple(elements)))
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
-
-    def test_loss_and_delay_factored_out(self):
-        circuit = Circuit(
-            2,
-            (
-                RelativeDelay(delay_um=120.0),
-                RelativeDelay(delay_um=30.0),
-                Loss(3.0),
-                Loss(1.0, channels=(1,)),
-            ),
-        )
-        compiled = compile_circuit(circuit)
-        assert np.allclose(compiled.unitary, np.eye(2))
-        assert compiled.delay_um == 150.0
-        assert compiled.transmission[0] == pytest.approx(10 ** -0.3)
-        assert compiled.transmission[1] == pytest.approx(10 ** -0.4)
 
     def test_channel_mismatch(self):
         with pytest.raises(ChannelMismatch):
@@ -119,11 +91,12 @@ class TestCompile:
             compile_circuit(Circuit(2, (PhaseShifter(channels=(3,), phase_rad=1.0),)))
 
     def test_swept_settings_compile_to_arrays(self):
-        def circuit(delay, phase):
+        """A swept phase compiles to a stack: one unitary per phase, each
+        the unitary of that phase alone."""
+        def circuit(phase):
             return Circuit(
                 2,
                 (
-                    RelativeDelay(delay_um=delay),
                     GratingBS(channels=(0, 1), eta=0.3),
                     PhaseShifter(channels=(1,), phase_rad=phase),
                     GratingBS(channels=(0, 1), eta=0.6),
@@ -131,13 +104,10 @@ class TestCompile:
             )
 
         phases = np.linspace(0.0, 6.0, 7)
-        delays = np.linspace(-5.0, 5.0, 7)
-        compiled = compile_circuit(circuit(delays, phases))
-        assert compiled.unitary.shape == (7, 2, 2)
-        for phase, u in zip(phases, compiled.unitary):
-            single = compile_circuit(circuit(0.0, float(phase)))
-            assert np.array_equal(u, single.unitary)
-        assert np.array_equal(compiled.delay_um, delays)
+        stack = compile_circuit(circuit(phases))
+        assert stack.shape == (7, 2, 2)
+        for phase, u in zip(phases, stack):
+            assert np.array_equal(u, compile_circuit(circuit(float(phase))))
 
 
 def _explicit_product(circuit: Circuit) -> np.ndarray:
@@ -150,14 +120,12 @@ def _explicit_product(circuit: Circuit) -> np.ndarray:
             a, b = element.channels
             step = np.eye(m, dtype=np.complex128)
             step[np.ix_([a, b], [a, b])] = coupler_unitary(element.eta)
-        elif isinstance(element, PhaseShifter):
+        else:
             phase = np.asarray(element.phase_rad, dtype=float)
             step = np.zeros(phase.shape + (m, m), dtype=np.complex128)
             step[..., range(m), range(m)] = 1.0
             for ch in element.channels:
                 step[..., ch, ch] = np.exp(1j * phase)
-        else:
-            continue
         unitary = step @ unitary
     return unitary
 
@@ -166,26 +134,23 @@ class TestRowWiseCompile:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_explicit_product(self, seed):
         """Random circuits over 2-6 channels, with couplers on any channel
-        pair, phase shifters on several channels, swept and unswept phases
-        and loss."""
+        pair, phase shifters on several channels, swept and unswept phases."""
         rng = np.random.default_rng(seed)
         m = int(rng.integers(2, 7))
         points = int(rng.integers(1, 9))
         elements = []
         for _ in range(int(rng.integers(1, 12))):
-            kind = rng.integers(4)
+            kind = rng.integers(3)
             if kind == 0:
                 a, b = rng.choice(m, size=2, replace=False)
                 elements.append(GratingBS(channels=(int(a), int(b)), eta=float(rng.uniform())))
-            elif kind == 3:
-                elements.append(Loss(float(rng.uniform(0, 3))))
             else:
                 count = int(rng.integers(1, m + 1))
                 channels = tuple(int(c) for c in rng.choice(m, size=count, replace=False))
                 phase = rng.uniform(-7, 7, size=points) if kind == 1 else rng.uniform(-7, 7)
                 elements.append(PhaseShifter(channels=channels, phase_rad=phase))
         circuit = Circuit(m, tuple(elements))
-        u = compile_circuit(circuit).unitary
+        u = compile_circuit(circuit)
         expected = _explicit_product(circuit)
         assert u.shape == expected.shape
         assert np.max(np.abs(u - expected)) < 1e-14
@@ -228,19 +193,19 @@ class TestSimulateCounts:
         assert counts["raw"] == pytest.approx(counts["net"] + counts["accidentals"])
 
     def test_large_delay_closed_form(self):
+        """Coincidences pass the chip's 0.2 dB transmission on both outputs,
+        singles on one."""
         delay = 5000.0
         counts = delay_scan(0.55, self.SOURCE, self.CONFIG, [delay])
         overlap = spectral_overlap(self.SOURCE, delay)
         u = coupler_unitary(0.55)
         p = two_photon_coincidence(u, (0, 1), (0, 1), overlap)
-        assert counts["net"][0] == pytest.approx(self.SOURCE.pair_rate_hz * p)
-
-    def test_loss_scales_rates(self):
-        lossless = delay_scan(0.55, self.SOURCE, self.CONFIG, [5000.0])
-        lossy = delay_scan(0.55, self.SOURCE, self.CONFIG, [5000.0], Loss(3.0))
-        t = 10 ** -0.3
-        assert lossy["net"][0] == pytest.approx(lossless["net"][0] * t * t)
-        assert lossy["singles_a"][0] == pytest.approx(lossless["singles_a"][0] * t)
+        t = 10 ** -0.02
+        assert DEVICE_TRANSMISSION == pytest.approx(t)
+        assert counts["net"][0] == pytest.approx(self.SOURCE.pair_rate_hz * p * t * t)
+        s_in = self.SOURCE.singles_rates_hz
+        singles = s_in[0] * abs(u[0, 0]) ** 2 + s_in[1] * abs(u[0, 1]) ** 2
+        assert counts["singles_a"][0] == pytest.approx(singles * t)
 
     def test_seeded_poisson_reproducible(self):
         config = CoincidenceConfig(poisson=True, seed=11)
@@ -283,8 +248,29 @@ class TestSimulateCounts:
             assert (column.dtype, column.shape) == (np.float64, (2,))
         assert counts["scan_value"].tolist() == [0.0, 100.0]
 
+    @pytest.mark.parametrize("poisson", [False, True])
+    @pytest.mark.parametrize("delay", [0.0, -0.0, 130.0, -4000.0])
+    def test_scalar_delay_is_the_repeated_delay_bit_for_bit(self, delay, poisson):
+        """One delay for the whole scan counts as that delay at every point,
+        for a fixed unitary and for a swept phase, drawn or not."""
+        config = CoincidenceConfig(poisson=poisson, seed=19)
+        source = PhotonPairSource()
+        phases = np.linspace(0.0, 6.0, 9)
+        swept = Circuit(2, (
+            GratingBS(channels=(0, 1), eta=0.66),
+            PhaseShifter(channels=(1,), phase_rad=phases),
+            GratingBS(channels=(0, 1), eta=0.4),
+        ))
+        for circuit in (dip_circuit(0.55), swept):
+            once = simulate_counts(circuit, source, config, phases, delay)
+            repeated = simulate_counts(circuit, source, config, phases, np.full(9, delay))
+            for name, column in once.items():
+                assert column.tobytes() == repeated[name].tobytes(), name
+
     def test_swept_setting_must_match_grid(self):
-        swept = dip_circuit(0.5, np.zeros(3))
+        with pytest.raises(InvalidInput, match="the scan has 2 points"):
+            simulate_counts(dip_circuit(), self.SOURCE, self.CONFIG, [0.0, 1.0], np.zeros(3))
+        swept = Circuit(2, (PhaseShifter(channels=(1,), phase_rad=np.zeros(3)),))
         with pytest.raises(InvalidInput, match="the scan has 2 points"):
             simulate_counts(swept, self.SOURCE, self.CONFIG, [0.0, 1.0])
         with pytest.raises(InvalidInput, match="one-dimensional"):
@@ -300,11 +286,11 @@ ROW_COLUMNS = ("raw", "accidentals", "net", "singles_a", "singles_b", "stderr")
 
 
 def reference_counts(build, source, config, delays, phases):
-    """Expected counts computed point by point: one compile of
-    `build(delay, phase)` and one permanent per scan point. Rows of (raw,
-    accidentals, net, singles_a, singles_b, stderr), and the pair
-    coincidence probability; the pair enters channels 0 and 1."""
-    circuit = build(0.0, 0.0)
+    """Expected counts computed point by point: one compile of `build(phase)`
+    and one permanent per scan point, the pair at relative delay `delay`.
+    Rows of (raw, accidentals, net, singles_a, singles_b, stderr), and the
+    pair coincidence probability; the pair enters channels 0 and 1."""
+    circuit = build(0.0)
     m = circuit.num_channels
     i, j = 0, 1
     k, l = circuit.output_channels
@@ -313,19 +299,18 @@ def reference_counts(build, source, config, delays, phases):
     t_int = config.integration_time_s
     rows, probabilities = [], []
     for delay, phase in zip(delays, phases):
-        compiled = compile_circuit(build(delay, phase))
-        x = spectral_overlap(source, compiled.delay_um)
-        u = compiled.unitary
+        u = compile_circuit(build(phase))
+        x = spectral_overlap(source, delay)
         prob = np.abs(u) ** 2
         p_dist = prob[k, i] * prob[l, j] + prob[k, j] * prob[l, i]
         p_indist = abs(transition_amplitude(u, occ_in, occ_out)) ** 2
         p = x * p_indist + (1 - x) * p_dist
-        t_k, t_l = compiled.transmission[k], compiled.transmission[l]
+        t = DEVICE_TRANSMISSION
         s_in = source.singles_rates_hz
-        singles_k = (s_in[0] * prob[k, i] + s_in[1] * prob[k, j]) * t_k
-        singles_l = (s_in[0] * prob[l, i] + s_in[1] * prob[l, j]) * t_l
+        singles_k = (s_in[0] * prob[k, i] + s_in[1] * prob[k, j]) * t
+        singles_l = (s_in[0] * prob[l, i] + s_in[1] * prob[l, j]) * t
         acc = singles_k * singles_l * config.window_ns * 1e-9 * t_int
-        raw = source.pair_rate_hz * p * t_k * t_l * t_int + acc
+        raw = source.pair_rate_hz * p * t * t * t_int + acc
         rows.append(
             (raw, acc, raw - acc, singles_k * t_int, singles_l * t_int, math.sqrt(raw))
         )
@@ -356,18 +341,14 @@ class TestBatchedScanOracle:
         for _ in range(num_gratings):
             a, b = (int(c) for c in rng.choice(m, 2, replace=False))
             couplers.append(((a, b), float(rng.uniform()), int(rng.integers(m))))
-        losses = [
-            Loss(float(rng.uniform(0.0, 6.0)), channels=(c,)) for c in range(m)
-        ]
 
-        def build(delay, phase):
-            """The circuit with every phase shifter at `phase`, its relative
-            delay `delay` plus a fixed offset."""
-            elements = [RelativeDelay(delay_um=delay), RelativeDelay(delay_um=offset)]
+        def build(phase):
+            """The circuit with every phase shifter at `phase`."""
+            elements = []
             for channels, eta, shifted in couplers:
                 elements.append(GratingBS(channels=channels, eta=eta))
                 elements.append(PhaseShifter(channels=(shifted,), phase_rad=phase))
-            return Circuit(m, tuple(elements + losses), (k, l))
+            return Circuit(m, tuple(elements), (k, l))
 
         source = PhotonPairSource(
             intrinsic_overlap=overlap,
@@ -381,15 +362,16 @@ class TestBatchedScanOracle:
             delays[:] = delays[0]
         if not sweep_phase:
             phases[:] = phases[0]
-        swept = build(
-            delays if sweep_delay else float(delays[0]),
-            phases if sweep_phase else float(phases[0]),
-        )
+        swept = build(phases if sweep_phase else float(phases[0]))
+        # the pair's delay, with a fixed offset added
+        delay = (delays if sweep_delay else float(delays[0])) + offset
         labels = np.arange(points, dtype=float)
 
-        counts = simulate_counts(swept, source, config, labels)
+        counts = simulate_counts(swept, source, config, labels, delay)
         got = np.column_stack([counts[name] for name in ROW_COLUMNS])
-        want, probabilities = reference_counts(build, source, config, delays, phases)
+        want, probabilities = reference_counts(
+            build, source, config, delays + offset, phases
+        )
         assert counts["scan_value"].tolist() == labels.tolist()
         for columns in ((0, 1, 2), (3, 4), (5,)):
             scale = np.abs(want[:, columns]).max()
@@ -400,14 +382,14 @@ class TestBatchedScanOracle:
         bare = dataclasses.replace(
             source, pair_rate_hz=1.0, singles_rates_hz=(0.0, 0.0)
         )
-        t = compile_circuit(swept).transmission
-        p_batched = simulate_counts(swept, bare, config, labels)["raw"] / (t[k] * t[l])
+        t = DEVICE_TRANSMISSION
+        p_batched = simulate_counts(swept, bare, config, labels, delay)["raw"] / (t * t)
         np.testing.assert_allclose(p_batched, probabilities, rtol=1e-12, atol=1e-15)
         assert np.all((p_batched >= -1e-15) & (p_batched <= 1.0 + 1e-12))
 
         # one Poisson draw over the grid takes the per-point stream
         noisy = dataclasses.replace(config, poisson=True, seed=seed)
-        draws = simulate_counts(swept, source, noisy, labels)
+        draws = simulate_counts(swept, source, noisy, labels, delay)
         stream = np.random.default_rng(seed)
         for point in range(points):
             for name in ("raw", "singles_a", "singles_b"):
@@ -424,12 +406,11 @@ class TestBatchedScanOracle:
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: Loss(math.nan),
         lambda: HeaterModel(p_2pi_w=math.nan),
         lambda: heater_phase(HeaterModel(), math.nan),
         lambda: CoincidenceConfig(window_ns=math.inf),
     ],
-    ids=["loss", "heater_model", "heater_phase", "coincidence_window"],
+    ids=["heater_model", "heater_phase", "coincidence_window"],
 )
 def test_validators_reject_non_finite(make):
     with pytest.raises(InvalidInput, match="must be finite"):
@@ -438,7 +419,7 @@ def test_validators_reject_non_finite(make):
 
 def _recompose(decomposition) -> np.ndarray:
     """The mesh unitary through the device circuit."""
-    return compile_circuit(reck_circuit(decomposition)).unitary
+    return compile_circuit(reck_circuit(decomposition))
 
 
 def _stage_product(decomposition) -> np.ndarray:

@@ -751,6 +751,19 @@ class TestTopLevel:
                     with pytest.raises(SystemExit):
                         parse([name, "--format", fmt])
 
+    def test_seed_only_on_commands_that_read_it(self, capsys):
+        """A command that draws nothing at random refuses --seed with
+        argparse's one-line error."""
+        parse = cli.build_parser().parse_args
+        for name, command in COMMANDS.items():
+            if command.seeded:
+                assert parse([name, "--seed", "5"]).seed == 5
+                continue
+            assert not hasattr(parse([name]), "seed")
+            code, out, err = run(capsys, name, "--seed", "5")
+            assert (code, out) == (2, "")
+            assert err == "modeweaver: error: unrecognized arguments: --seed 5\n"
+
     @pytest.mark.parametrize(
         "argv", [("design-grating",), ("decompose", "--seed", "3")]
     )
@@ -890,7 +903,7 @@ def _argv(draw):
         if option.help and draw(st.booleans()):
             flag = f"--{option.key.replace('_', '-')}"
             argv.append(flag if option.kind is bool else f"{flag}={draw(_value(option))}")
-    if draw(st.booleans()):
+    if COMMANDS[command].seeded and draw(st.booleans()):
         argv.append(f"--seed={draw(st.sampled_from(('-1', '0', '7', str(2**70))))}")
     if COMMANDS[command].formats:
         argv.append(f"--format={draw(st.sampled_from(COMMANDS[command].formats))}")

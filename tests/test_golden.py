@@ -34,7 +34,14 @@ from modeweaver.cli import main
 MANIFEST = Path(__file__).with_name("golden.json")
 
 # Config files written beside every run; they are inputs, not outputs.
-CONFIGS = {"size16.json": '{"size": 16}'}
+CONFIGS = {
+    "size16.json": '{"size": 16}',
+    # a 3x3 unitary whose entries are exact in decimal: a rotation of
+    # channels 0, 1 and then a coupler of channels 1, 2
+    "unitary.json": '{"unitary": [[[0.6, 0], [0.8, 0], [0, 0]], '
+                    '[[-0.48, 0], [0.36, 0], [0, 0.8]], '
+                    '[[0, -0.64], [0, 0.48], [0.6, 0]]]}',
+}
 
 _SOURCE = "--overlap 0.92 --filter-fwhm 3.0 --wavelength 808.0"
 
@@ -76,6 +83,7 @@ LINES = (
     "decompose --seed 3",
     "decompose --seed 5",
     "decompose --seed 3 --config size16.json",
+    "decompose --config unitary.json",
     # dense and off-default scans
     "dispersion --widths 400:3000:2 --modes TE0,TE1,TE2,TE3,TM0,TM1 --format json",
     "noon-scan --powers 0:5.2:0.005 --format json",
@@ -103,6 +111,7 @@ LINES = (
     "frobnicate",
     "hom-scan --eta abc",
     "hom-scan --seed=-1",
+    "dispersion --seed 5",
     "dispersion --widths 2000:400:25",
     "dispersion --modes TX9",
     "decompose",
@@ -113,6 +122,8 @@ LINES = (
     "splitting --periods 15,abc",
     "dispersion --height 1e-300",
     "hom-scan --eta 1.5",
+    # no dip to fit: the flat-data branch of the Gaussian fit
+    "hom-scan --eta 0 --format json",
     "hom-scan --wavelength 1e300 --format json",
     "noon-scan --p2pi 0.1",
     "splitting --kappa -1",

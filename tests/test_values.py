@@ -11,12 +11,9 @@ import pytest
 from modeweaver.circuit import (
     Circuit,
     CoincidenceConfig,
-    CompiledCircuit,
     GratingBS,
     HeaterModel,
-    Loss,
     PhaseShifter,
-    RelativeDelay,
     ReckDecomposition,
     ReckStage,
 )
@@ -39,15 +36,12 @@ GAUSSIAN = GaussianFit(1.0, 0.0, 80.0, 4.0, {}, 0.0)
 VALUES = {
     "GratingBS": lambda: GratingBS((0, 1), 0.5),
     "PhaseShifter": lambda: PhaseShifter((1,), 0.3),
-    "RelativeDelay": lambda: RelativeDelay(10.0),
     "Circuit": lambda: Circuit(2, (GratingBS((0, 1), 0.5),)),
-    "CompiledCircuit": lambda: CompiledCircuit(np.eye(2), np.ones(2), 0.0),
     "ReckStage": lambda: ReckStage((0, 1), 0.5, 0.1),
     "ReckDecomposition": lambda: ReckDecomposition((), np.zeros(2)),
     "GaussianFit": lambda: GAUSSIAN,
     "SinusoidFit": lambda: SinusoidFit(1.0, 4.0, 1.3, 0.0, {}, 0.0),
     "ScanResult": lambda: ScanResult("s", ("delay", "um"), "net", {}, GAUSSIAN, {}, {}),
-    "Loss": lambda: Loss(0.2),
     "HeaterModel": lambda: HeaterModel(),
     "CoincidenceConfig": lambda: CoincidenceConfig(),
     "GratingSpec": lambda: GratingSpec(6.9, 24.0, 20, 0.041, (TE0, TE2)),
@@ -61,7 +55,6 @@ VALUES = {
 
 # (class, a field, a value its check rejects)
 INVALID = [
-    ("Loss", "loss_db", -1.0),
     ("HeaterModel", "p_2pi_w", 0.0),
     ("CoincidenceConfig", "window_ns", 0.0),
     ("GratingSpec", "period_um", 0.0),

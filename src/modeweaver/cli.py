@@ -278,18 +278,13 @@ def cmd_dispersion(args) -> int:
         }
         _emit(args, _dump_json(payload), "dispersion.json")
     else:
-        # each width and each mode's family and order are formatted once
+        # each width and each mode are formatted once
         width_texts = np.array(["%.12g" % w for w in widths], dtype=object)
-        families = np.array([m.family for m in modes], dtype=object)
-        orders = np.array([str(m.order) for m in modes], dtype=object)
+        mode_texts = np.array([f"{m.family},{m.order}" for m in modes], dtype=object)
         table = _csv(
             ("sweep_param", "mode_family", "mode_order", "n_eff"),
-            (
-                width_texts[rows].tolist(),
-                families[columns].tolist(),
-                orders[columns].tolist(),
-                n_eff,
-            ),
+            # one mode cell fills both the mode_family and mode_order fields
+            (width_texts[rows].tolist(), mode_texts[columns].tolist(), n_eff),
         )
         _emit(args, table, "dispersion.csv")
     return 0

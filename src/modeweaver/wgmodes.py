@@ -19,7 +19,10 @@ evaluations, and the residual of the relation is directly meaningful.
 slabs that share a cladding and a wavelength, each element stopping at its
 own break. A dispersion sweep calls it twice, once for the vertical slab of
 every requested family and once for every (width, mode) pair whose vertical
-slab is guided.
+slab is guided. What depends only on the core index, family and order
+(n_core^2, the TM factor q, the order's phase and bracket cap) is computed
+once per argument as given, before the arguments are broadcast to one
+element per slab.
 ``effective_indices`` is the row of a one-width sweep, so a single solve
 and a sweep row of the same waveguide agree bit for bit.
 """
@@ -160,11 +163,12 @@ def slab_neff(
     break, so its result does not depend on the other elements. Raises
     InvalidInput for non-physical arguments.
     """
-    n_core, thickness_nm, family, order = np.broadcast_arrays(
-        np.asarray(n_core, dtype=float),
-        np.asarray(thickness_nm, dtype=float),
-        np.asarray(family),
-        np.asarray(order),
+    n_core = np.asarray(n_core, dtype=float)
+    thickness_nm = np.asarray(thickness_nm, dtype=float)
+    family = np.asarray(family)
+    order = np.asarray(order)
+    shape = np.broadcast_shapes(
+        n_core.shape, thickness_nm.shape, family.shape, order.shape
     )
     if not (np.all(n_core > n_clad) and n_clad > 0):
         raise InvalidInput("need n_core > n_clad > 0")
@@ -176,29 +180,33 @@ def slab_neff(
     if np.any(order < 0):
         raise InvalidInput("order must be >= 0")
 
-    shape = n_core.shape
-    n_core, thickness_nm, te, order = (
-        a.ravel() for a in (n_core, thickness_nm, te, order)
-    )
-    n_eff = np.full(n_core.shape, math.nan)
+    n_eff = np.full(math.prod(shape), math.nan)
     # a thickness near the float maximum overflows k0*t/2 or V^2 to inf; the
     # Newton step is then inf/inf = NaN, so such a slab bisects to the top of
     # its bracket and ends with n_eff = n_core, which is not guided
     with np.errstate(over="ignore", invalid="ignore"):
+        # what depends only on core, family or order is computed on the
+        # arguments as given, before they are broadcast to one slab each.
         # float_power squares through libm pow, as Python's ** does; the
         # array ** 2 is x * x, which differs in the last bit for about one
         # argument in a thousand and, just above a cut-off, decides whether
         # n_eff rounds onto n_clad
         core_squared = np.float_power(n_core, 2.0)
+        q = np.where(te, 1.0, np.float_power(n_core / n_clad, 2.0))
+        phase = 0.5 * order * math.pi
+        cap = 0.5 * (order + 1) * math.pi
         half_kt = math.pi * thickness_nm / wavelength_nm  # k0 * t / 2
         v_number = half_kt * np.sqrt(core_squared - n_clad**2)
-        phase = 0.5 * order * math.pi
-        guided = v_number > phase
-        n_core, te, order, core_squared, half_kt, v_number, phase = (
-            a[guided]
-            for a in (n_core, te, order, core_squared, half_kt, v_number, phase)
+        n_core, core_squared, q, phase, cap, half_kt, v_number = (
+            a.ravel()
+            for a in np.broadcast_arrays(
+                n_core, core_squared, q, phase, cap, half_kt, v_number
+            )
         )
-        q = np.where(te, 1.0, np.float_power(n_core / n_clad, 2.0))
+        guided = v_number > phase
+        n_core, core_squared, q, phase, cap, half_kt, v_number = (
+            a[guided] for a in (n_core, core_squared, q, phase, cap, half_kt, v_number)
+        )
 
         # rtsafe (Numerical Recipes, section 9.4): Newton steps on the
         # residual f(u) = u - order*pi/2 - atan2(q*w, u), w = sqrt(V^2 - u^2),
@@ -206,28 +214,27 @@ def slab_neff(
         # f < 0 at lo (atan2 > 0 there), f > 0 at hi, and
         # f'(u) = 1 + q*V^2 / (w*(u^2 + q^2*w^2)) >= 1, so the Newton step
         # f/f' is f*d/(d + q*V^2) with d = w*(u^2 + q^2*w^2), finite at w = 0
-        hi = np.minimum(v_number, 0.5 * (order + 1) * math.pi)
+        hi = np.minimum(v_number, cap)
         v_squared = v_number * v_number
-        # one row per quantity and one column per slab still moving; a slab
-        # that stops leaves its u in roots and its column is dropped. The
-        # last step and the one before it start at the bracket width
-        state = np.array(
-            [phase, q, v_squared, q * v_squared, phase, hi, 0.5 * (phase + hi)]
-            + 2 * [hi - phase]
-        )
+        qv_squared = q * v_squared
+        lo = phase
+        u = 0.5 * (phase + hi)
+        # the last step and the one before it start at the bracket width
+        step = step_before = hi - phase
+        # one entry per slab still moving; a slab that stops leaves its u in
+        # roots and is dropped from every array
         moving = np.arange(len(hi))
         roots = np.empty(len(hi))
         evaluations = 0  # at most 200, for any slab
         while len(moving) and evaluations < 200:
             evaluations += 1
-            phase, q, v_squared, qv_squared, lo, hi, u, step, step_before = state
             uu = u * u
             w = np.sqrt(v_squared - uu)  # u <= hi <= V, so V^2 - u^2 >= 0
             qw = q * w
             f = u - phase - np.arctan2(qw, u)
             below = f < 0.0
-            np.copyto(lo, u, where=below)
-            np.copyto(hi, u, where=~below)
+            lo = np.where(below, u, lo)
+            hi = np.where(below, hi, u)
             d = w * (uu + qw * qw)
             dx = f * d / (d + qv_squared)
             # the Newton point, kept where it lies in the bracket and its
@@ -237,18 +244,23 @@ def slab_neff(
             # otherwise the midpoint; u is an end of the bracket now, so
             # the step to the midpoint halves the bracket
             nxt = np.where(newton, nxt, 0.5 * (lo + hi))
-            step_before[:] = step
-            step[:] = np.abs(nxt - u)
-            u[:] = nxt
+            step_before, step = step, np.abs(nxt - u)
+            u = nxt
             # a slab stops at the first step that leaves its u unchanged.
             # A looser stop (two ulps of u) would leave a slab just above
             # cut-off, where the root sits within a few ulps of V, up to
-            # two ulps of u short of it and n_eff several ulps high
-            going = step > 0.0
-            if not going.all():
+            # two ulps of u short of it and n_eff several ulps high. The
+            # slabs still going are taken by index, which gathers the ten
+            # arrays faster than a mask would on a scattered stop pattern
+            going = np.flatnonzero(step > 0.0)
+            if len(going) < len(step):
                 roots[moving] = u
-                moving, state = moving[going], state[:, going]
-        roots[moving] = state[6]  # the slabs still moving when the budget ends
+                (moving, phase, q, v_squared, qv_squared,
+                 lo, hi, u, step, step_before) = (
+                    a[going] for a in (moving, phase, q, v_squared, qv_squared,
+                                       lo, hi, u, step, step_before)
+                )
+        roots[moving] = u  # the slabs still moving when the budget ends
         solved = np.sqrt(core_squared - np.float_power(roots / half_kt, 2.0))
     solved[~((n_clad < solved) & (solved < n_core))] = math.nan
     n_eff[guided] = solved

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -230,6 +231,18 @@ class TestCsvTables:
         assert lines[0] == "sweep_param,mode_family,mode_order,n_eff"
         assert lines[1].startswith("420,TE,0,")
         assert len(lines) == 3
+
+        code, out, _ = run(
+            capsys, "dispersion", "--widths", "400:3000:200", "--modes", "TE0,TM1,TE2"
+        )
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["sweep_param", "mode_family", "mode_order", "n_eff"]
+        assert rows
+        assert all(len(row) == 4 for row in rows)
+        assert {tuple(row[1:3]) for row in rows} == {
+            ("TE", "0"), ("TM", "1"), ("TE", "2")
+        }
 
     def test_cut_off_rows_are_absent(self, capsys):
         code, out, _ = run(

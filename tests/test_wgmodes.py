@@ -75,6 +75,12 @@ class TestSlab:
         ]:
             with pytest.raises(InvalidInput):
                 slab_neff(*args)
+        # the message lists the families as given, not the broadcast grid
+        with pytest.raises(InvalidInput) as error:
+            slab_neff(1.9, 1.45, np.full((1000, 1), 100.0), 808, ["TE", "TX"], 0)
+        message = str(error.value)
+        assert "['TE', 'TX']" in message
+        assert len(message) < 100
 
 
 # 200-bit roots of the phase-form slab relation (mpmath bisection on the
@@ -146,6 +152,51 @@ class TestSlabSolverStop:
         n = slab_neff(*self.ARGS, orders)
         single = [float(slab_neff(*self.ARGS, order)) for order in orders]
         assert [x.hex() for x in n.tolist()] == [x.hex() for x in single]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bits_do_not_depend_on_how_arguments_arrive(self, data):
+        """Per-mode lists against a thickness column give the bits of the
+        same arguments broadcast to the full grid first."""
+        draw = data.draw
+        n_clad, wavelength = 1.45, 808.0
+        modes = draw(
+            st.lists(
+                st.tuples(
+                    st.floats(1.4501, 2.5),
+                    st.sampled_from(["TE", "TM"]),
+                    st.integers(0, 39),
+                ),
+                min_size=1,
+                max_size=6,
+            ),
+            label="modes",
+        )
+        n_core, family, order = (list(column) for column in zip(*modes))
+        thickness = draw(
+            st.lists(st.floats(1e-2, 1e5), min_size=1, max_size=8), label="thickness"
+        )
+        # thicknesses just above each higher order's cut-off, V = order*pi/2
+        for n, m in zip(n_core, order):
+            if m:
+                cutoff = m * wavelength / (2.0 * math.sqrt(n * n - n_clad * n_clad))
+                exponent = draw(st.integers(-15, -1), label="offset")
+                thickness.append(cutoff * (1.0 + 10.0**exponent))
+        column = np.array(thickness)[:, np.newaxis]
+        shape = (len(thickness), len(modes))
+        as_given = slab_neff(n_core, n_clad, column, wavelength, family, order)
+        full = slab_neff(
+            np.broadcast_to(n_core, shape).copy(),
+            n_clad,
+            np.broadcast_to(column, shape).copy(),
+            wavelength,
+            np.broadcast_to(family, shape).copy(),
+            np.broadcast_to(order, shape).copy(),
+        )
+        assert as_given.shape == shape
+        assert [x.hex() for x in as_given.ravel().tolist()] == [
+            x.hex() for x in full.ravel().tolist()
+        ]
 
 
 class TestEffectiveIndex:

@@ -435,9 +435,29 @@ class TestNoon:
 
 
 class TestPaperTargets:
-    def test_tolerance_invariant(self):
-        with pytest.raises(InvalidInput):
-            PaperTarget("x", 1.0, 0.1, 0.05)
+    def test_table_states_its_invariants(self):
+        # summary.json and stdout list the targets in this order
+        _, _, targets = reproduce_all()
+        names = [t.name for t in targets]
+        assert len(set(names)) == len(names)
+        assert [t.name for t in targets if t.tolerance < t.uncertainty] == []
+        assert names == [
+            "grating_period_design_um",
+            "grating_period_fixed_dn_um",
+            "splitting_ratio_n20",
+            "splitting_bracket_n15",
+            "splitting_bracket_n20",
+            "splitting_bracket_n25",
+            "hom_dip_visibility",
+            "hom_ideal_visibility",
+            "dip_fwhm_um",
+            "hom_te0_te1_visibility",
+            "coalescence_ratio_ideal",
+            "coalescence_ratio_measured",
+            "noon_classical_visibility",
+            "noon_period_ratio",
+            "noon_quantum_visibility",
+        ]
 
     def test_passed(self):
         assert PaperTarget("x", 1.0, 0.0, 0.1, computed=1.05).passed
@@ -446,9 +466,6 @@ class TestPaperTargets:
 
     def test_reproduce_all_passes(self):
         scans, tables, targets = reproduce_all()
-        assert len(targets) == 15
-        names = [t.name for t in targets]
-        assert len(set(names)) == len(names)
         failed = [t.name for t in targets if not t.passed]
         assert failed == []
         assert "hom_dip" in scans and "noon_quantum" in scans

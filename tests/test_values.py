@@ -63,7 +63,6 @@ INVALID = [
     ("ModeId", "family", "TX"),
     ("PureState", "amplitudes", np.zeros(3)),
     ("PhotonPairSource", "intrinsic_overlap", 2.0),
-    ("PaperTarget", "tolerance", -1.0),
     ("PhotonPairSource", "pair_rate_hz", math.nan),
     ("PhotonPairSource", "pair_rate_hz", math.inf),
     ("PhotonPairSource", "singles_rates_hz", (math.nan, 1.0)),

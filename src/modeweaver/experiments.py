@@ -1,9 +1,11 @@
 """Scripted interference experiments: delay and heater-power scans with
-curve fits (visibility, width, period) and comparison targets.
+curve fits (visibility, width, period), and the paper run, which compares
+them with the published values, declared as one table in `reproduce_all`.
 
 Fits start from moments (the Gaussian dip) or from a given period (the
 fringes) and refine by damped Gauss-Newton (Levenberg-style) with analytic
-Jacobians.
+Jacobians. The fringe fit refuses a scan that spans under 1.5 start
+periods or whose largest step is not below half a start period.
 """
 
 from __future__ import annotations
@@ -235,7 +237,8 @@ def fit_sinusoid(x, y, start_period, leakage=False) -> SinusoidFit:
     frequency. With `leakage`, the fit adds B cos(pi x / P + psi), which
     keeps the extracted period unbiased; parameters are ordered
     [A, C, P, theta, B, psi]. Reported parameters describe the main
-    component. Requires >= 8 points spanning >= 1.5 start periods, and a
+    component. Requires >= 8 points spanning >= 1.5 start periods, with
+    every step between sorted points below half a start period, and a
     finite start period > 0.
     """
     if not (math.isfinite(start_period) and start_period > 0):
@@ -257,6 +260,12 @@ def fit_sinusoid(x, y, start_period, leakage=False) -> SinusoidFit:
     if span < 1.5 * start_period:
         raise InsufficientSpan(
             f"span {span:.4g} < 1.5 periods ({start_period:.4g} each)"
+        )
+    step = float(np.max(np.diff(xs)))
+    if not step < 0.5 * start_period:
+        raise InsufficientSpan(
+            f"largest step {step:.4g} is not below half the start period "
+            f"{start_period:.4g}"
         )
     y_scale = max(float(np.max(np.abs(ys))), 1e-30)
     ys = ys / y_scale
@@ -470,18 +479,12 @@ def run_noon(
     from the heater model's P_2pi. Quantum: coincidences with a photon pair
     at zero delay; its fringe is fitted with the half-frequency leakage
     term, from half the fitted classical period, so the extracted period is
-    exact. Raises InsufficientSpan unless every power step is below
-    P_2pi/4, the Nyquist limit of the two-photon fringe.
+    exact. The fits raise InsufficientSpan unless every power step is
+    below half its start period; for the two-photon fit that is about
+    P_2pi/4, the Nyquist limit of its fringe.
     """
     grid = default_power_grid() if power_grid is None else np.asarray(power_grid, float)
     circuit = _noon_circuit(eta1, eta2, heater_phase(heater, grid))
-    step = float(np.max(np.diff(np.sort(grid)), initial=0.0))
-    if not step < heater.p_2pi_w / 4:
-        raise InsufficientSpan(
-            f"power step {step:.6g} W is not below P_2pi/4 = "
-            f"{heater.p_2pi_w / 4:.6g} W, the Nyquist limit of the P_2pi/2 "
-            "two-photon fringe"
-        )
     classical_source = dataclasses.replace(
         source, singles_rates_hz=(source.singles_rates_hz[0], 0.0)
     )

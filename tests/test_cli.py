@@ -644,8 +644,16 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "option, message",
         [
-            pytest.param("--p2pi=1e-300", "power step 0.05 W", id="1e-300"),
-            pytest.param("--p2pi=0.1", "power step 0.05 W", id="0.1"),
+            pytest.param(
+                "--p2pi=1e-300",
+                "largest step 0.05 is not below half the start period 1e-300",
+                id="1e-300",
+            ),
+            pytest.param(
+                "--p2pi=0.1",
+                "largest step 0.05 is not below half the start period 0.1",
+                id="0.1",
+            ),
             pytest.param(
                 "--powers=0:1.9:0.05", "span 1.9 < 1.5 periods (1.3 each)",
                 id="short-span",

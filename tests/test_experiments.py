@@ -98,6 +98,19 @@ class TestSinusoidFit:
         with pytest.raises(InsufficientSpan):
             fit_sinusoid(x, y, 9.5)
 
+    def test_sparse_scan_is_refused(self):
+        # eight non-uniform points over two periods leave a gap of 1.09
+        # periods; from the true and from a drifted start the fit would land
+        # in different minima (periods 1.5350 and 2.0565 against 1.5744)
+        rng = np.random.default_rng(0)
+        x = _scan_points(8, "nonuniform", rng)
+        period = (x[-1] - x[0]) / 2.0
+        y = 2.0 + np.cos(2 * np.pi * x / period + rng.uniform(0.0, 7.0))
+        y = rng.poisson(50.0 * np.abs(y + 0.0 * rng.normal(size=8))).astype(float)
+        for start in (period, period * 1.125):
+            with pytest.raises(InsufficientSpan, match="largest step 1.723"):
+                fit_sinusoid(x, y, start)
+
     def test_noisy_period(self, rng):
         x = np.arange(0.0, 2.6001, 0.05)
         y = 500.0 + 200.0 * np.cos(2 * np.pi * x / 1.3 + 0.2)
@@ -158,6 +171,8 @@ class TestStartPeriod:
         if poisson:
             y = rng.poisson(50.0 * np.abs(y)).astype(float)
         start = period * (1.0 + drift * 0.25 / cycles)
+        # the fit refuses a scan with a step not below half its start period
+        assume(np.max(np.diff(x)) < 0.5 * min(period, start))
         reference = fit_sinusoid(x, y, period)
         assert fit_sinusoid(x, y, start).period == pytest.approx(
             reference.period, rel=1e-8
@@ -425,7 +440,7 @@ class TestNoon:
     @pytest.mark.parametrize("p_2pi_w", [1e-300, 0.1])
     def test_power_step_must_resolve_the_fringe(self, p_2pi_w):
         # the 0.05 W default step against P_2pi/4, the two-photon Nyquist limit
-        with pytest.raises(InsufficientSpan, match="not below P_2pi/4"):
+        with pytest.raises(InsufficientSpan, match="not below half the start period"):
             run_noon(0.66, 0.66, HeaterModel(p_2pi_w=p_2pi_w))
 
     def test_unbalanced_visibilities(self):

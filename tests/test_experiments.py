@@ -99,14 +99,15 @@ class TestSinusoidFit:
             fit_sinusoid(x, y, 9.5)
 
     def test_sparse_scan_is_refused(self):
-        # eight non-uniform points over two periods leave a gap of 1.09
-        # periods; from the true and from a drifted start the fit would land
-        # in different minima (periods 1.5350 and 2.0565 against 1.5744)
+        # TestStartPeriod's draw n = 8, cycles = 2, noise = 0, drift = 1,
+        # seed = 0 (nonuniform, poisson): a gap of 1.09 periods, across which
+        # the true and the drifted start would fit different minima
         rng = np.random.default_rng(0)
         x = _scan_points(8, "nonuniform", rng)
         period = (x[-1] - x[0]) / 2.0
         y = 2.0 + np.cos(2 * np.pi * x / period + rng.uniform(0.0, 7.0))
-        y = rng.poisson(50.0 * np.abs(y + 0.0 * rng.normal(size=8))).astype(float)
+        y = y + 0.0 * rng.normal(size=8)
+        y = rng.poisson(50.0 * np.abs(y)).astype(float)
         for start in (period, period * 1.125):
             with pytest.raises(InsufficientSpan, match="largest step 1.723"):
                 fit_sinusoid(x, y, start)

@@ -10,6 +10,9 @@ give the same manifest entry. A deliberate output change shows as changed
 hashes in that file; regenerate it with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which first prints to stderr each line whose entry it changes and where
+(`<line>: exit, stderr`), or that it adds or removes.
 """
 
 from __future__ import annotations
@@ -88,6 +91,10 @@ LINES = (
     "dispersion --widths 400:3000:2 --modes TE0,TE1,TE2,TE3,TM0,TM1 --format json",
     "noon-scan --powers 0:5.2:0.005 --format json",
     "hom-scan --delays=-500:500:1 --format json",
+    # two documents on stdout that share one grid
+    "hom-peak --delays=-500:500:1 --format json",
+    # a grid whose texts carry an exponent: 5e-06 in the CSV tables
+    "noon-scan --p2pi 1e-4 --powers 0:2.6e-4:5e-6 --output out",
     # every count column varies, so the CSV writer formats each value
     "hom-scan --poisson --seed 3 --delays=-500:500:1 --format csv",
     "noon-scan --eta1 0.7 --eta2 0.5 --poisson --seed 3 --powers 0:3:0.02 --output out",
@@ -305,9 +312,16 @@ def test_fresh_process_matches_manifest(line, tmp_path):
 
 
 if __name__ == "__main__":
+    stored = _manifest() if MANIFEST.exists() else {}
     manifest = {}
     for line in LINES:
         with tempfile.TemporaryDirectory() as tmp:
             manifest[line] = run_line(line, Path(tmp)).entry()
+        if line not in stored:
+            print(f"{line}: new", file=sys.stderr)
+        elif changed := _differences(manifest[line], stored[line]):
+            print(f"{line}: {', '.join(changed)}", file=sys.stderr)
+    for line in (line for line in stored if line not in manifest):
+        print(f"{line}: removed", file=sys.stderr)
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(manifest)} lines to {MANIFEST}", file=sys.stderr)

@@ -51,8 +51,7 @@ def _csv(header, columns) -> str:
     cells = []
     for column in columns:
         if isinstance(column, np.ndarray) and column.dtype == np.float64:
-            bits = column.view(np.int64)
-            if column.size and (bits == bits[0]).all():
+            if _one_pattern(column):
                 formats.append("%.12g" % column[0])
                 continue
             column = column.tolist()
@@ -66,6 +65,12 @@ def _csv(header, columns) -> str:
     for k, column in enumerate(cells):
         flat[k::len(cells)] = column
     return ",".join(header) + "\n" + ((",".join(formats) + "\n") * rows) % tuple(flat)
+
+
+def _one_pattern(column: np.ndarray) -> bool:
+    """Whether a non-empty float64 array holds one bit pattern on every row."""
+    bits = column.view(np.int64)
+    return bool(column.size) and bool((bits == bits[0]).all())
 
 
 def _dump_json(obj) -> str:
@@ -93,7 +98,9 @@ def _json(obj, newline: str) -> str:
         if not obj:
             return "[]"
         inner = newline + "  "
-        if set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
+        if isinstance(obj, _JsonTexts):
+            items = obj
+        elif set(map(type, obj)) == {float} and all(map(math.isfinite, obj)):
             items = list(map(_json_float, map("%.12g".__mod__, obj)))
         else:
             items = [_json(v, inner) for v in obj]
@@ -101,6 +108,10 @@ def _json(obj, newline: str) -> str:
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     return json.dumps(obj)
+
+
+class _JsonTexts(list):
+    """The JSON texts of finite floats, which `_json` writes as they are."""
 
 
 def _json_float(text: str) -> str:
@@ -332,16 +343,43 @@ def cmd_splitting(args) -> int:
     return 0
 
 
+# The fit document's config key for the grid of each swept quantity.
+_GRID_KEYS = {"delay": "delay_grid", "heater_power": "power_grid"}
+
+
 def _emit_scans(args, results) -> None:
-    """Serialise every result, then write: a failing result writes nothing."""
+    """Serialise every result, then write: a failing result writes nothing.
+    Each distinct scan grid is formatted once per call, and its texts fill
+    the scan_value column of every table and the grid of every fit
+    document that holds it."""
+    tables = args.output or args.format == "csv"
+    documents = args.output or args.format == "json"
+    grids = {}  # the grid's bytes -> its scan_value column, its JSON texts
     texts = []
     for result in results:
-        if args.output or args.format == "csv":
-            counts = result.counts
-            table = _csv(counts.keys(), counts.values())
-            texts.append((table, f"{result.name}.csv"))
-        if args.output or args.format == "json":
-            texts.append((_dump_json(result.fit_dict()), f"{result.name}.fit.json"))
+        values = result.counts["scan_value"]
+        key = values.tobytes()
+        if key not in grids:
+            grid = list(map("%.12g".__mod__, values.tolist()))
+            grids[key] = (
+                # one bit pattern stays an array: `_csv` writes it as a literal
+                values if _one_pattern(values) else grid,
+                # a non-finite grid is left to `_json`, which refuses it
+                _JsonTexts(map(_json_float, grid))
+                if documents and np.isfinite(values).all() else None,
+            )
+        column, json_texts = grids[key]
+        if tables:
+            counts = dict(result.counts, scan_value=column)
+            texts.append((_csv(counts.keys(), counts.values()), f"{result.name}.csv"))
+        if documents:
+            document = result.fit_dict()
+            if json_texts is not None:
+                # a copy: results of one scan may share their config
+                document["config"] = dict(
+                    document["config"], **{_GRID_KEYS[result.scan[0]]: json_texts}
+                )
+            texts.append((_dump_json(document), f"{result.name}.fit.json"))
     for text, filename in texts:
         _emit(args, text, filename)
 

@@ -141,7 +141,8 @@ def fit_gaussian(x, y) -> GaussianFit:
     """Fit offset + amplitude * exp(-(x - center)^2 / (2 sigma^2)).
 
     Initialization by moments; requires >= 5 points with offset-dominated
-    tails. Flat data short-circuit to amplitude 0.
+    tails. Flat data, which hold no dip or peak whose width could be
+    measured, raise InsufficientSpan.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -157,14 +158,7 @@ def fit_gaussian(x, y) -> GaussianFit:
     idx = int(np.argmax(np.abs(dev)))
     amp0 = float(dev[idx])
     if abs(amp0) < 1e-12:
-        return GaussianFit(
-            amplitude=0.0,
-            center=float(np.mean(xs)),
-            sigma=(xs[-1] - xs[0]) / 4.0,
-            offset=float(np.mean(ys)) * y_scale,
-            stderr={},
-            residual_norm=float(np.linalg.norm(ys - np.mean(ys))) * y_scale,
-        )
+        raise InsufficientSpan("flat data: no dip to fit")
     center0 = float(xs[idx])
     weights = np.abs(dev)
     sigma0 = math.sqrt(

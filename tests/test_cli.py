@@ -432,6 +432,92 @@ class TestScans:
         assert quantum["metrics"]["period_ratio"] == pytest.approx(0.5, abs=1e-6)
 
 
+@st.composite
+def _delay_grid(draw):
+    """A start:stop:step delay grid across the dip, in um. A start shifted
+    off a whole number of steps puts a point within 1e-4 of zero, whose
+    text carries an exponent."""
+    step = draw(st.floats(2.0, 40.0))
+    steps_below_zero = draw(st.integers(8, 60))
+    shift = draw(st.sampled_from((0.0, 3e-5, -7e-7, 1e-9)))
+    start = -steps_below_zero * step + shift
+    return f"{start!r}:{-start + draw(st.floats(0.0, 1.0)) * step!r}:{step!r}"
+
+
+@st.composite
+def _power_grid(draw):
+    """A start:stop:step heater power grid of two P_2pi, and that P_2pi;
+    at 1e-4 W and 1e13 W every nonzero text carries an exponent."""
+    p2pi = draw(st.sampled_from((1e-4, 1.3, 1e13))) * draw(st.floats(0.5, 2.0))
+    step = p2pi / draw(st.integers(10, 60))
+    start = draw(st.sampled_from((0.0, step / 3.0)))
+    return f"{start!r}:{start + 2.0 * p2pi!r}:{step!r}", repr(p2pi)
+
+
+def _results_and_files(runner, argv):
+    """The exit code, the results `runner` (an experiments.run_* name)
+    returns, as a list, and the files `argv` writes under --output."""
+    returned = []
+    wrapped = getattr(experiments, runner)
+
+    def capture(*args):
+        results = wrapped(*args)
+        if isinstance(results, experiments.ScanResult):
+            returned.append(results)
+        else:
+            returned.extend(results.values() if isinstance(results, dict) else results)
+        return results
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, runner, capture)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--output", tmp])
+        files = {p.name: p.read_text() for p in Path(tmp).iterdir()}
+    return code, returned, files
+
+
+class TestSharedGrid:
+    """Each command formats its grid once for all its tables and documents;
+    the bytes are those of formatting every result value by value."""
+
+    @staticmethod
+    def _check(code, results, files):
+        assert code == 0
+        assert len(files) == 2 * len(results)
+        for result in results:
+            counts = result.counts
+            assert files[f"{result.name}.csv"] == _csv_oracle(
+                counts.keys(), zip(*counts.values())
+            )
+            assert files[f"{result.name}.fit.json"] == _dump_json_oracle(
+                result.fit_dict()
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(delays=_delay_grid(), command=st.sampled_from(("hom-scan", "hom-peak")))
+    def test_delay_scans_match_value_by_value(self, delays, command):
+        runner = "run_hom_dip" if command == "hom-scan" else "run_hom_peak"
+        self._check(*_results_and_files(runner, [command, f"--delays={delays}"]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(grid=_power_grid())
+    def test_noon_scan_matches_value_by_value(self, grid):
+        powers, p2pi = grid
+        self._check(*_results_and_files(
+            "run_noon", ["noon-scan", f"--powers={powers}", f"--p2pi={p2pi}"]
+        ))
+
+    def test_exponent_texts(self):
+        """A grid of 5e-06 W steps writes exponents in both formats."""
+        code, results, files = _results_and_files(
+            "run_noon", ["noon-scan", "--p2pi", "1e-4", "--powers", "0:2.6e-4:5e-6"]
+        )
+        self._check(code, results, files)
+        assert files["noon_quantum.csv"].splitlines()[2].startswith("5e-06,")
+        assert "\n      5e-06,\n" in files["noon_quantum.fit.json"]
+
+
 class TestDecompose:
     def test_explicit_unitary(self, capsys, tmp_path):
         config = tmp_path / "c.json"
@@ -606,22 +692,24 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "argv, expected",
         [
-            (("hom-scan", "--delays=-1e300:1e300:1e298"), 0),
-            (("hom-peak", "--delays=-1e300:1e300:1e298"), 0),
+            (("hom-scan", "--delays=-1e300:1e300:1e298"), 3),
+            (("hom-peak", "--delays=-1e300:1e300:1e298"), 3),
             (("hom-scan", "--delays=-1e157:1e157:1e155"), 3),
             (("hom-peak", "--delays=-1e157:1e157:1e155"), 3),
         ],
     )
     def test_huge_delay_grid(self, capsys, argv, expected):
-        # the overlap of a huge delay is 0; the fit of a grid whose squared
-        # span overflows has no finite cost
-        code, _, err = run(capsys, *argv)
-        assert code == expected
-        if expected == 0:
-            assert err == ""
-        else:
-            assert len(err.splitlines()) == 1
-            assert err.startswith("error: FitDiverged: starting cost is not finite")
+        # the overlap of a huge delay is 0, so a step far wider than the dip
+        # leaves flat counts with no dip to fit; the fit of a grid whose
+        # squared span overflows has no finite cost
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (expected, "")
+        assert len(err.splitlines()) == 1
+        reason = (
+            "FitDiverged: starting cost is not finite" if "1e157" in argv[1]
+            else "InsufficientSpan: flat data: no dip to fit"
+        )
+        assert err.startswith(f"error: {reason}")
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -755,6 +843,20 @@ class TestTopLevel:
         assert fresh[5][0] == 2
         args = cli.build_parser().parse_args(["hom-scan"])
         assert (args.poisson, args.seed, args.format) == (None, None, "csv")
+
+    def test_each_call_writes_its_own_grid(self, capsys, tmp_path):
+        """Two calls in a row with different grids of one length each write
+        their own grid: no formatted grid outlives its main() call."""
+        grids = {"first": "-500:500:10", "second": "-400:600:10"}
+        for name, delays in grids.items():
+            argv = ("hom-scan", f"--delays={delays}", "--output", str(tmp_path / name))
+            assert run(capsys, *argv)[0] == 0
+        for name, delays in grids.items():
+            grid = cli._parse_range(delays, "delays")
+            table = (tmp_path / name / "hom_dip.csv").read_text().splitlines()
+            assert [row.split(",")[0] for row in table[1:]] == [f"{v:.12g}" for v in grid]
+            fit = json.loads((tmp_path / name / "hom_dip.fit.json").read_text())
+            assert fit["config"]["delay_grid"] == [float(f"{v:.12g}") for v in grid]
 
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

@@ -67,9 +67,8 @@ class TestGaussianFit:
 
     def test_flat_data(self):
         x = np.linspace(0, 100, 30)
-        fit = fit_gaussian(x, np.full_like(x, 7.0))
-        assert fit.amplitude == 0.0
-        assert fit.offset == pytest.approx(7.0)
+        with pytest.raises(InsufficientSpan, match="^flat data: no dip to fit$"):
+            fit_gaussian(x, np.full_like(x, 7.0))
 
     def test_too_few_points(self):
         with pytest.raises(InvalidInput):

@@ -129,7 +129,7 @@ LINES = (
     "splitting --periods 15,abc",
     "dispersion --height 1e-300",
     "hom-scan --eta 1.5",
-    # no dip to fit: the flat-data branch of the Gaussian fit
+    # no dip to fit: the Gaussian fit refuses flat data
     "hom-scan --eta 0 --format json",
     "hom-scan --wavelength 1e300 --format json",
     "noon-scan --p2pi 0.1",

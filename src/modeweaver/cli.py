@@ -376,9 +376,9 @@ def _emit_scans(args, results) -> None:
             document = result.fit_dict()
             if json_texts is not None:
                 # a copy: results of one scan may share their config
-                document["config"] = dict(
-                    document["config"], **{_GRID_KEYS[result.scan[0]]: json_texts}
-                )
+                document["config"] = {
+                    **document["config"], _GRID_KEYS[result.scan[0]]: json_texts
+                }
             texts.append((_dump_json(document), f"{result.name}.fit.json"))
     for text, filename in texts:
         _emit(args, text, filename)

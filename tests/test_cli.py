@@ -454,27 +454,24 @@ def _power_grid(draw):
     return f"{start!r}:{start + 2.0 * p2pi!r}:{step!r}", repr(p2pi)
 
 
-def _results_and_files(runner, argv):
-    """The exit code, the results `runner` (an experiments.run_* name)
-    returns, as a list, and the files `argv` writes under --output."""
-    returned = []
-    wrapped = getattr(experiments, runner)
+def _scans_and_files(argv):
+    """The exit code of `argv` run with --output, the results it passes to
+    `cli._emit_scans`, and the files it writes."""
+    emitted = []
+    emit_scans = cli._emit_scans
 
-    def capture(*args):
-        results = wrapped(*args)
-        if isinstance(results, experiments.ScanResult):
-            returned.append(results)
-        else:
-            returned.extend(results.values() if isinstance(results, dict) else results)
-        return results
+    def capture(args, results):
+        results = list(results)
+        emitted.extend(results)
+        emit_scans(args, results)
 
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, runner, capture)
+        mp.setattr(cli, "_emit_scans", capture)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([*argv, "--output", tmp])
         files = {p.name: p.read_text() for p in Path(tmp).iterdir()}
-    return code, returned, files
+    return code, emitted, files
 
 
 class TestSharedGrid:
@@ -497,21 +494,20 @@ class TestSharedGrid:
     @settings(max_examples=40, deadline=None)
     @given(delays=_delay_grid(), command=st.sampled_from(("hom-scan", "hom-peak")))
     def test_delay_scans_match_value_by_value(self, delays, command):
-        runner = "run_hom_dip" if command == "hom-scan" else "run_hom_peak"
-        self._check(*_results_and_files(runner, [command, f"--delays={delays}"]))
+        self._check(*_scans_and_files([command, f"--delays={delays}"]))
 
     @settings(max_examples=40, deadline=None)
     @given(grid=_power_grid())
     def test_noon_scan_matches_value_by_value(self, grid):
         powers, p2pi = grid
-        self._check(*_results_and_files(
-            "run_noon", ["noon-scan", f"--powers={powers}", f"--p2pi={p2pi}"]
+        self._check(*_scans_and_files(
+            ["noon-scan", f"--powers={powers}", f"--p2pi={p2pi}"]
         ))
 
     def test_exponent_texts(self):
         """A grid of 5e-06 W steps writes exponents in both formats."""
-        code, results, files = _results_and_files(
-            "run_noon", ["noon-scan", "--p2pi", "1e-4", "--powers", "0:2.6e-4:5e-6"]
+        code, results, files = _scans_and_files(
+            ["noon-scan", "--p2pi", "1e-4", "--powers", "0:2.6e-4:5e-6"]
         )
         self._check(code, results, files)
         assert files["noon_quantum.csv"].splitlines()[2].startswith("5e-06,")

@@ -133,6 +133,9 @@ LINES = (
     "hom-scan --eta 0 --format json",
     "hom-scan --wavelength 1e300 --format json",
     "noon-scan --p2pi 0.1",
+    # P_2pi must be positive
+    "noon-scan --p2pi 0",
+    "noon-scan --p2pi -1.3",
     "splitting --kappa -1",
     "splitting --kappa 0",
     "design-grating --kappa 0",

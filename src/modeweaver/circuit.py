@@ -16,7 +16,6 @@ computes every count column as an array expression over the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -28,9 +27,10 @@ from .fock import PhotonPairSource, check_unitary, spectral_overlap, two_photon_
 
 # Value holders that check nothing are NamedTuples: a class of them is
 # created several times faster at import than a frozen dataclass. Classes
-# that check their input stay frozen dataclasses, so that the check runs on
-# every construction, dataclasses.replace included; those that nothing
-# compares or prints generate no __eq__, __hash__ or __repr__.
+# that check their input are frozen dataclasses, so that the check runs on
+# every construction, dataclasses.replace included. Every class here is a
+# NamedTuple: what is checked is checked where it is used, a coupler's eta
+# by coupler_unitary, channels by compile_circuit and P_2pi by heater_phase.
 class GratingBS(NamedTuple):
     """Grating mode-beamsplitter acting on a channel pair."""
 
@@ -50,22 +50,18 @@ Element = GratingBS | PhaseShifter
 # Power transmission of the chip, 0.2 dB insertion loss, on every output.
 DEVICE_TRANSMISSION = 10.0 ** (-0.2 / 10.0)
 
-
-@dataclass(frozen=True, eq=False, repr=False)
-class HeaterModel:
-    """Linear power-to-phase heater: phi = 2 pi P / P_2pi + phi0."""
-
-    p_2pi_w: float = 1.3
-    phi0_rad: float = 0.0
-
-    def __post_init__(self):
-        require_finite(p_2pi_w=self.p_2pi_w, phi0_rad=self.phi0_rad)
-        if self.p_2pi_w <= 0:
-            raise InvalidInput("P_2pi must be positive")
+# The detection setup: coincidence window (ns) and integration time (s).
+WINDOW_NS = 2.0
+INTEGRATION_TIME_S = 1.0
 
 
-def heater_phase(model: HeaterModel, power_w):
-    """Phase at heater power `power_w` (W), a float or an array of powers."""
+def heater_phase(p_2pi_w: float, power_w):
+    """Phase of the linear heater, phi = 2 pi P / P_2pi, at heater power
+    `power_w` (W), a float or an array of powers; `p_2pi_w` is the power
+    per 2 pi (W), checked first."""
+    require_finite(p_2pi_w=p_2pi_w)
+    if p_2pi_w <= 0:
+        raise InvalidInput("P_2pi must be positive")
     power = np.asarray(power_w, dtype=float)
     finite = np.isfinite(power)
     if not finite.all():
@@ -73,11 +69,11 @@ def heater_phase(model: HeaterModel, power_w):
     if (power < 0).any():
         raise InvalidInput("heater power must be >= 0")
     with np.errstate(over="ignore"):
-        phase = 2.0 * math.pi * power / model.p_2pi_w + model.phi0_rad
+        phase = 2.0 * math.pi * power / p_2pi_w
     if not np.isfinite(phase).all():
         raise InvalidInput(
             f"heater phase overflows: power up to {power.max()} W, "
-            f"P_2pi {model.p_2pi_w} W"
+            f"P_2pi {p_2pi_w} W"
         )
     return phase
 
@@ -149,24 +145,21 @@ def compile_circuit(circuit: Circuit) -> np.ndarray:
     return unitary
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class CoincidenceConfig:
-    """Detection parameters for count simulation."""
+class CoincidenceConfig(NamedTuple):
+    """How counts are drawn: expected values, or Poisson draws from `seed`."""
 
-    window_ns: float = 2.0
-    integration_time_s: float = 1.0
-    subtract_accidentals: bool = True
     poisson: bool = False
     seed: int | None = None
 
-    def __post_init__(self):
-        require_finite(
-            window_ns=self.window_ns, integration_time_s=self.integration_time_s
-        )
-        if self.window_ns <= 0:
-            raise InvalidInput("coincidence window must be positive")
-        if self.integration_time_s <= 0:
-            raise InvalidInput("integration time must be positive")
+    def to_dict(self) -> dict:
+        """The detection settings as a fit document records them."""
+        return {
+            "window_ns": WINDOW_NS,
+            "integration_time_s": INTEGRATION_TIME_S,
+            "subtract_accidentals": True,
+            "poisson": self.poisson,
+            "seed": self.seed,
+        }
 
 
 def simulate_counts(
@@ -183,10 +176,12 @@ def simulate_counts(
     `PhaseShifter` of `circuit` hold one value, or one per entry of
     `scan_values`. The circuit compiles once and every column is computed
     over the grid at once; every rate passes the chip's transmission
-    DEVICE_TRANSMISSION on each output. Returns one float array per column,
-    keyed scan_value, raw, accidentals, net, singles_a, singles_b, stderr;
-    every count column but net is non-negative. Poisson sampling draws raw,
-    singles_a and singles_b; accidentals then follow from the drawn singles
+    DEVICE_TRANSMISSION on each output, and counts are taken over
+    INTEGRATION_TIME_S with a coincidence window of WINDOW_NS. Returns one
+    float array per column, keyed scan_value, raw, accidentals, net,
+    singles_a, singles_b, stderr; net is raw - accidentals, and every other
+    count column is non-negative. Poisson sampling draws raw, singles_a and
+    singles_b; accidentals then follow from the drawn singles
     (singles_a * singles_b * window / integration time), so net subtracts
     the accidentals of the counts it sits beside. Deterministic without a
     seed; bitwise reproducible with one.
@@ -211,8 +206,8 @@ def simulate_counts(
     s_in = source.singles_rates_hz
     singles_k = (s_in[0] * prob[..., k, 0] + s_in[1] * prob[..., k, 1]) * t
     singles_l = (s_in[0] * prob[..., l, 0] + s_in[1] * prob[..., l, 1]) * t
-    acc_rate = singles_k * singles_l * config.window_ns * 1e-9
-    t_int = config.integration_time_s
+    acc_rate = singles_k * singles_l * WINDOW_NS * 1e-9
+    t_int = INTEGRATION_TIME_S
     # one row per point, [raw, singles_k, singles_l]: a single Poisson draw
     # over it takes the same stream as per-point draws in that order
     counts = np.empty((n, 3))
@@ -222,7 +217,7 @@ def simulate_counts(
     if config.poisson:
         counts = np.random.default_rng(config.seed).poisson(counts).astype(float)
         # the accidentals the drawn singles imply
-        acc = counts[:, 1] * counts[:, 2] * config.window_ns * 1e-9 / t_int
+        acc = counts[:, 1] * counts[:, 2] * WINDOW_NS * 1e-9 / t_int
     else:
         acc = np.full(n, acc_rate * t_int)
     raw = counts[:, 0]
@@ -230,7 +225,7 @@ def simulate_counts(
         "scan_value": values,
         "raw": raw,
         "accidentals": acc,
-        "net": raw - acc if config.subtract_accidentals else raw,
+        "net": raw - acc,
         "singles_a": counts[:, 1],
         "singles_b": counts[:, 2],
         "stderr": np.sqrt(np.maximum(raw, 0.0)),

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import circuit as circuit_mod
 from . import coupling, experiments, wgmodes
-from .circuit import HeaterModel, reck_circuit, reck_decompose
+from .circuit import reck_circuit, reck_decompose
 from .errors import InvalidInput, ModeCutoff, ModeweaverError
 from .fock import PhotonPairSource
 from .wgmodes import MaterialStack, ModeId, WaveguideGeometry
@@ -221,8 +221,8 @@ def _resolve(args) -> None:
         setattr(args, key, value)
 
 
-def _emit(args, text: str, filename: str | None = None) -> None:
-    if args.output and filename:
+def _emit(args, text: str, filename: str) -> None:
+    if args.output:
         out_dir = Path(args.output)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -405,7 +405,7 @@ def cmd_hom_peak(args) -> int:
 def cmd_noon_scan(args) -> int:
     powers = _parse_range(args.powers, "powers")
     results = experiments.run_noon(
-        args.eta1, args.eta2, HeaterModel(p_2pi_w=args.p2pi), np.array(powers),
+        args.eta1, args.eta2, args.p2pi, np.array(powers),
         _source(args), _count_config(args),
     )
     _emit_scans(args, results)

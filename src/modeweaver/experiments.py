@@ -21,7 +21,6 @@ from .circuit import (
     Circuit,
     CoincidenceConfig,
     GratingBS,
-    HeaterModel,
     PhaseShifter,
     heater_phase,
     simulate_counts,
@@ -158,7 +157,7 @@ def fit_gaussian(x, y) -> GaussianFit:
     idx = int(np.argmax(np.abs(dev)))
     amp0 = float(dev[idx])
     if abs(amp0) < 1e-12:
-        raise InsufficientSpan("flat data: no dip to fit")
+        raise InsufficientSpan("flat data: no dip or peak to fit")
     center0 = float(xs[idx])
     weights = np.abs(dev)
     sigma0 = math.sqrt(
@@ -364,7 +363,7 @@ def _delay_scan(name, circuit, eta, source, config, grid, metrics, **extra):
             "eta": eta,
             **extra,
             "source": dataclasses.asdict(source),
-            "config": dataclasses.asdict(config),
+            "config": config.to_dict(),
             "delay_grid": grid.tolist(),
         },
     )
@@ -462,7 +461,7 @@ def _noon_circuit(eta1: float, eta2: float, phase) -> Circuit:
 def run_noon(
     eta1: float,
     eta2: float,
-    heater: HeaterModel = HeaterModel(),
+    p_2pi_w: float = 1.3,
     power_grid=None,
     source: PhotonPairSource = PhotonPairSource(),
     config: CoincidenceConfig = CoincidenceConfig(),
@@ -470,20 +469,19 @@ def run_noon(
     """Classical and two-photon fringes of the cascaded interferometer.
 
     Classical: singles of one output with a single input arm lit, fitted
-    from the heater model's P_2pi. Quantum: coincidences with a photon pair
-    at zero delay; its fringe is fitted with the half-frequency leakage
-    term, from half the fitted classical period, so the extracted period is
-    exact. The fits raise InsufficientSpan unless every power step is
+    from P_2pi. Quantum: coincidences with a photon pair at zero delay; its
+    fringe is fitted with the half-frequency leakage term, from half the
+    fitted classical period, so the extracted period is exact. The fits raise InsufficientSpan unless every power step is
     below half its start period; for the two-photon fit that is about
     P_2pi/4, the Nyquist limit of its fringe.
     """
     grid = default_power_grid() if power_grid is None else np.asarray(power_grid, float)
-    circuit = _noon_circuit(eta1, eta2, heater_phase(heater, grid))
+    circuit = _noon_circuit(eta1, eta2, heater_phase(p_2pi_w, grid))
     classical_source = dataclasses.replace(
         source, singles_rates_hz=(source.singles_rates_hz[0], 0.0)
     )
     classical_counts = simulate_counts(circuit, classical_source, config, grid)
-    classical_fit = fit_sinusoid(grid, classical_counts["singles_a"], heater.p_2pi_w)
+    classical_fit = fit_sinusoid(grid, classical_counts["singles_a"], p_2pi_w)
 
     quantum_counts = simulate_counts(circuit, source, config, grid)
     quantum_fit = fit_sinusoid(
@@ -493,9 +491,9 @@ def run_noon(
     shared_config = {
         "eta1": eta1,
         "eta2": eta2,
-        "heater": dataclasses.asdict(heater),
+        "heater": {"p_2pi_w": p_2pi_w, "phi0_rad": 0.0},
         "source": dataclasses.asdict(source),
-        "config": dataclasses.asdict(config),
+        "config": config.to_dict(),
         "power_grid": grid.tolist(),
     }
     scan = ("heater_power", "W")

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from conftest import haar_unitary
 from modeweaver.circuit import (
     DEVICE_TRANSMISSION,
+    INTEGRATION_TIME_S,
     RECK_SIZE_CAP,
+    WINDOW_NS,
     Circuit,
     CoincidenceConfig,
     GratingBS,
-    HeaterModel,
     PhaseShifter,
     compile_circuit,
     heater_phase,
@@ -160,24 +161,31 @@ class TestRowWiseCompile:
 
 class TestHeaterAndAccidentals:
     def test_heater_linear(self):
-        model = HeaterModel(p_2pi_w=1.3)
-        assert heater_phase(model, 0.0) == 0.0
-        assert heater_phase(model, 1.3) == pytest.approx(2 * math.pi)
-        assert heater_phase(model, 0.65) == pytest.approx(math.pi)
-        phases = heater_phase(model, np.array([0.0, 0.65, 1.3]))
+        assert heater_phase(1.3, 0.0) == 0.0
+        assert heater_phase(1.3, 1.3) == pytest.approx(2 * math.pi)
+        assert heater_phase(1.3, 0.65) == pytest.approx(math.pi)
+        phases = heater_phase(1.3, np.array([0.0, 0.65, 1.3]))
         assert phases == pytest.approx([0.0, math.pi, 2 * math.pi])
-
-    def test_heater_offset(self):
-        model = HeaterModel(p_2pi_w=1.3, phi0_rad=0.4)
-        assert heater_phase(model, 0.0) == 0.4
 
     def test_heater_validation(self):
         with pytest.raises(InvalidInput):
-            HeaterModel(p_2pi_w=0.0)
+            heater_phase(1.3, -0.1)
         with pytest.raises(InvalidInput):
-            heater_phase(HeaterModel(), -0.1)
-        with pytest.raises(InvalidInput):
-            heater_phase(HeaterModel(), np.array([0.1, -0.1]))
+            heater_phase(1.3, np.array([0.1, -0.1]))
+
+    @pytest.mark.parametrize(
+        "p_2pi_w, message",
+        [
+            (0.0, "P_2pi must be positive"),
+            (-1.0, "P_2pi must be positive"),
+            (math.nan, "p_2pi_w must be finite, got nan"),
+            (math.inf, "p_2pi_w must be finite, got inf"),
+        ],
+    )
+    def test_heater_refuses_p_2pi(self, p_2pi_w, message):
+        # P_2pi is checked before the powers, which are bad here too
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            heater_phase(p_2pi_w, np.array([0.1, -0.1]))
 
 
 class TestSimulateCounts:
@@ -224,12 +232,10 @@ class TestSimulateCounts:
         assert abs(mean - expected) < 4 * math.sqrt(expected / 400)
 
     def test_poisson_accidentals_follow_drawn_singles(self):
-        config = CoincidenceConfig(
-            window_ns=3.0, integration_time_s=0.5, poisson=True, seed=7
-        )
+        config = CoincidenceConfig(poisson=True, seed=7)
         counts = delay_scan(0.55, self.SOURCE, config, np.linspace(-300, 300, 41))
-        implied = (counts["singles_a"] * counts["singles_b"] * config.window_ns
-                   * 1e-9 / config.integration_time_s)
+        implied = (counts["singles_a"] * counts["singles_b"] * WINDOW_NS
+                   * 1e-9 / INTEGRATION_TIME_S)
         assert counts["accidentals"].tolist() == implied.tolist()
         assert len(set(implied.tolist())) > 1
         net_plus_accidentals = counts["net"] + counts["accidentals"]
@@ -276,16 +282,12 @@ class TestSimulateCounts:
         with pytest.raises(InvalidInput, match="one-dimensional"):
             simulate_counts(dip_circuit(), self.SOURCE, self.CONFIG, [[0.0]])
 
-    def test_config_validation(self):
-        with pytest.raises(InvalidInput):
-            CoincidenceConfig(window_ns=0.0)
-
 
 # The count columns of simulate_counts in the row order of reference_counts.
 ROW_COLUMNS = ("raw", "accidentals", "net", "singles_a", "singles_b", "stderr")
 
 
-def reference_counts(build, source, config, delays, phases):
+def reference_counts(build, source, delays, phases):
     """Expected counts computed point by point: one compile of `build(phase)`
     and one permanent per scan point, the pair at relative delay `delay`.
     Rows of (raw, accidentals, net, singles_a, singles_b, stderr), and the
@@ -296,7 +298,7 @@ def reference_counts(build, source, config, delays, phases):
     k, l = circuit.output_channels
     occ_in = tuple(int(c in (i, j)) for c in range(m))
     occ_out = tuple(int(c in (k, l)) for c in range(m))
-    t_int = config.integration_time_s
+    t_int = INTEGRATION_TIME_S
     rows, probabilities = [], []
     for delay, phase in zip(delays, phases):
         u = compile_circuit(build(phase))
@@ -309,7 +311,7 @@ def reference_counts(build, source, config, delays, phases):
         s_in = source.singles_rates_hz
         singles_k = (s_in[0] * prob[k, i] + s_in[1] * prob[k, j]) * t
         singles_l = (s_in[0] * prob[l, i] + s_in[1] * prob[l, j]) * t
-        acc = singles_k * singles_l * config.window_ns * 1e-9 * t_int
+        acc = singles_k * singles_l * WINDOW_NS * 1e-9 * t_int
         raw = source.pair_rate_hz * p * t * t * t_int + acc
         rows.append(
             (raw, acc, raw - acc, singles_k * t_int, singles_l * t_int, math.sqrt(raw))
@@ -370,7 +372,7 @@ class TestBatchedScanOracle:
         counts = simulate_counts(swept, source, config, labels, delay)
         got = np.column_stack([counts[name] for name in ROW_COLUMNS])
         want, probabilities = reference_counts(
-            build, source, config, delays + offset, phases
+            build, source, delays + offset, phases
         )
         assert counts["scan_value"].tolist() == labels.tolist()
         for columns in ((0, 1, 2), (3, 4), (5,)):
@@ -388,7 +390,7 @@ class TestBatchedScanOracle:
         assert np.all((p_batched >= -1e-15) & (p_batched <= 1.0 + 1e-12))
 
         # one Poisson draw over the grid takes the per-point stream
-        noisy = dataclasses.replace(config, poisson=True, seed=seed)
+        noisy = CoincidenceConfig(poisson=True, seed=seed)
         draws = simulate_counts(swept, source, noisy, labels, delay)
         stream = np.random.default_rng(seed)
         for point in range(points):
@@ -406,11 +408,10 @@ class TestBatchedScanOracle:
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: HeaterModel(p_2pi_w=math.nan),
-        lambda: heater_phase(HeaterModel(), math.nan),
-        lambda: CoincidenceConfig(window_ns=math.inf),
+        lambda: heater_phase(math.nan, 0.1),
+        lambda: heater_phase(1.3, math.nan),
     ],
-    ids=["heater_model", "heater_phase", "coincidence_window"],
+    ids=["heater_model", "heater_phase"],
 )
 def test_validators_reject_non_finite(make):
     with pytest.raises(InvalidInput, match="must be finite"):

@@ -703,9 +703,15 @@ class TestNonFiniteInput:
         assert len(err.splitlines()) == 1
         reason = (
             "FitDiverged: starting cost is not finite" if "1e157" in argv[1]
-            else "InsufficientSpan: flat data: no dip to fit"
+            else "InsufficientSpan: flat data: no dip or peak to fit"
         )
         assert err.startswith(f"error: {reason}")
+
+    def test_flat_peak_scan_is_compute_error(self, capsys):
+        # no source overlap: no bunching peak, and the counts are flat
+        code, out, err = run(capsys, "hom-peak", "--overlap", "0", "--format", "json")
+        assert (code, out) == (3, "")
+        assert err == "error: InsufficientSpan: flat data: no dip or peak to fit\n"
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from modeweaver import circuit as circuit_mod
 from modeweaver import experiments
-from modeweaver.circuit import CoincidenceConfig, HeaterModel
+from modeweaver.circuit import CoincidenceConfig
 from modeweaver.errors import (
     FitDiverged,
     InsufficientSpan,
@@ -67,7 +67,7 @@ class TestGaussianFit:
 
     def test_flat_data(self):
         x = np.linspace(0, 100, 30)
-        with pytest.raises(InsufficientSpan, match="^flat data: no dip to fit$"):
+        with pytest.raises(InsufficientSpan, match="^flat data: no dip or peak to fit$"):
             fit_gaussian(x, np.full_like(x, 7.0))
 
     def test_too_few_points(self):
@@ -441,12 +441,40 @@ class TestNoon:
     def test_power_step_must_resolve_the_fringe(self, p_2pi_w):
         # the 0.05 W default step against P_2pi/4, the two-photon Nyquist limit
         with pytest.raises(InsufficientSpan, match="not below half the start period"):
-            run_noon(0.66, 0.66, HeaterModel(p_2pi_w=p_2pi_w))
+            run_noon(0.66, 0.66, p_2pi_w)
 
     def test_unbalanced_visibilities(self):
         classical, quantum = run_noon(0.66, 0.66)
         assert classical.metrics["visibility"] == pytest.approx(0.82, abs=0.08)
         assert quantum.metrics["visibility"] == pytest.approx(0.886, abs=0.01)
+
+
+class TestRecordedSettings:
+    def test_fit_documents_record_the_fixed_setup(self):
+        # repr compares key order and True, 2.0 and None as written too
+        config = CoincidenceConfig(poisson=True, seed=3)
+        dip = run_hom_dip(0.55)
+        classical, quantum = run_noon(
+            0.66, 0.66, 2.6, np.arange(0.0, 5.2, 0.05), config=config
+        )
+        assert repr(dip.config["config"]) == repr({
+            "window_ns": 2.0,
+            "integration_time_s": 1.0,
+            "subtract_accidentals": True,
+            "poisson": False,
+            "seed": None,
+        })
+        for fringe in (classical, quantum):
+            assert repr(fringe.config["config"]) == repr({
+                "window_ns": 2.0,
+                "integration_time_s": 1.0,
+                "subtract_accidentals": True,
+                "poisson": True,
+                "seed": 3,
+            })
+            assert repr(fringe.config["heater"]) == repr(
+                {"p_2pi_w": 2.6, "phi0_rad": 0.0}
+            )
 
 
 class TestPaperTargets:

@@ -12,7 +12,6 @@ from modeweaver.circuit import (
     Circuit,
     CoincidenceConfig,
     GratingBS,
-    HeaterModel,
     PhaseShifter,
     ReckDecomposition,
     ReckStage,
@@ -42,7 +41,6 @@ VALUES = {
     "GaussianFit": lambda: GAUSSIAN,
     "SinusoidFit": lambda: SinusoidFit(1.0, 4.0, 1.3, 0.0, {}, 0.0),
     "ScanResult": lambda: ScanResult("s", ("delay", "um"), "net", {}, GAUSSIAN, {}, {}),
-    "HeaterModel": lambda: HeaterModel(),
     "CoincidenceConfig": lambda: CoincidenceConfig(),
     "GratingSpec": lambda: GratingSpec(6.9, 24.0, 20, 0.041, (TE0, TE2)),
     "MaterialStack": lambda: MaterialStack(),
@@ -55,8 +53,6 @@ VALUES = {
 
 # (class, a field, a value its check rejects)
 INVALID = [
-    ("HeaterModel", "p_2pi_w", 0.0),
-    ("CoincidenceConfig", "window_ns", 0.0),
     ("GratingSpec", "period_um", 0.0),
     ("MaterialStack", "n_core", 1.0),
     ("WaveguideGeometry", "width_nm", -1.0),

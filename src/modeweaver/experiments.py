@@ -471,9 +471,10 @@ def run_noon(
     Classical: singles of one output with a single input arm lit, fitted
     from P_2pi. Quantum: coincidences with a photon pair at zero delay; its
     fringe is fitted with the half-frequency leakage term, from half the
-    fitted classical period, so the extracted period is exact. The fits raise InsufficientSpan unless every power step is
-    below half its start period; for the two-photon fit that is about
-    P_2pi/4, the Nyquist limit of its fringe.
+    fitted classical period, so the extracted period is exact. The fits
+    raise InsufficientSpan unless every power step is below half its start
+    period; for the two-photon fit that is about P_2pi/4, the Nyquist limit
+    of its fringe.
     """
     grid = default_power_grid() if power_grid is None else np.asarray(power_grid, float)
     circuit = _noon_circuit(eta1, eta2, heater_phase(p_2pi_w, grid))

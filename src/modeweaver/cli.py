@@ -278,14 +278,22 @@ def cmd_dispersion(args) -> int:
         )
     n_eff = grid[rows, columns]
     if args.format == "json":
-        names = [str(m) for m in modes]
+        if not np.isfinite(n_eff).all():
+            raise InvalidInput(
+                f"non-finite number in output: {n_eff[~np.isfinite(n_eff)][0]}"
+            )
+        # each width and each mode name are formatted once; a row's text is
+        # its dict as `_dump_json` lays it out at this depth
+        width_texts = [_json_float("%.12g" % w) for w in widths]
+        name_texts = [encode_basestring_ascii(str(m)) for m in modes]
+        row = '{\n      "mode": %s,\n      "n_eff": %s,\n      "sweep_value": %s\n    }'
         payload = {
             "sweep_param": "width",
             "wavelength_nm": stack.wavelength_nm,
-            "rows": [
-                {"sweep_value": widths[i], "mode": names[j], "n_eff": n}
+            "rows": _JsonTexts(
+                row % (name_texts[j], _json_float("%.12g" % n), width_texts[i])
                 for i, j, n in zip(rows.tolist(), columns.tolist(), n_eff.tolist())
-            ],
+            ),
         }
         _emit(args, _dump_json(payload), "dispersion.json")
     else:
@@ -351,10 +359,14 @@ def _emit_scans(args, results) -> None:
     """Serialise every result, then write: a failing result writes nothing.
     Each distinct scan grid is formatted once per call, and its texts fill
     the scan_value column of every table and the grid of every fit
-    document that holds it."""
+    document that holds it. Each distinct table, keyed by the names and
+    bytes of its count columns, goes through `_csv` once per call; a result
+    whose columns equal an earlier one's bit for bit, such as hom-peak's
+    arm B, reuses that CSV text."""
     tables = args.output or args.format == "csv"
     documents = args.output or args.format == "json"
     grids = {}  # the grid's bytes -> its scan_value column, its JSON texts
+    csv_texts = {}  # the count columns' (name, bytes) pairs -> the CSV text
     texts = []
     for result in results:
         values = result.counts["scan_value"]
@@ -370,8 +382,13 @@ def _emit_scans(args, results) -> None:
             )
         column, json_texts = grids[key]
         if tables:
-            counts = dict(result.counts, scan_value=column)
-            texts.append((_csv(counts.keys(), counts.values()), f"{result.name}.csv"))
+            table = tuple(
+                (name, array.tobytes()) for name, array in result.counts.items()
+            )
+            if table not in csv_texts:
+                counts = dict(result.counts, scan_value=column)
+                csv_texts[table] = _csv(counts.keys(), counts.values())
+            texts.append((csv_texts[table], f"{result.name}.csv"))
         if documents:
             document = result.fit_dict()
             if json_texts is not None:
@@ -539,7 +556,7 @@ COMMANDS = {
         Option("eta2", float, 0.66, "second coupler splitting ratio"),
         *SOURCE,
         Option("powers", str, "0:2.6:0.05", "heater power grid start:stop:step in W"),
-        Option("p2pi", float, 1.3, "heater power per 2 pi (W)"),
+        Option("p2pi", float, experiments.P_2PI_W, "heater power per 2 pi (W)"),
         POISSON,
     ), seeded=True),
     "decompose": Command(

@@ -514,6 +514,29 @@ class TestSharedGrid:
         assert "\n      5e-06,\n" in files["noon_quantum.fit.json"]
 
 
+class TestTableReuse:
+    def test_each_table_is_csv_of_its_own_columns(self, tmp_path):
+        """Equal tables share one CSV text; tables that differ only in the
+        sign of a zero do not."""
+        base = experiments.run_hom_dip(0.55, delay_grid=np.arange(-500.0, 501.0, 100.0))
+        counts = dict(base.counts, raw=np.zeros(len(base.counts["raw"])))
+        equal = {key: column.copy() for key, column in counts.items()}
+        signed = dict(counts, raw=counts["raw"].copy())
+        signed["raw"][3] = -0.0
+        results = [
+            base._replace(name=name, counts=table)
+            for name, table in (("first", counts), ("equal", equal), ("signed", signed))
+        ]
+        args = cli.build_parser().parse_args(["hom-scan", "--output", str(tmp_path)])
+        cli._emit_scans(args, results)
+        texts = {r.name: (tmp_path / f"{r.name}.csv").read_text() for r in results}
+        for result in results:
+            assert texts[result.name] == cli._csv(
+                result.counts.keys(), result.counts.values()
+            )
+        assert texts["first"] == texts["equal"] != texts["signed"]
+
+
 class TestDecompose:
     def test_explicit_unitary(self, capsys, tmp_path):
         config = tmp_path / "c.json"
@@ -845,6 +868,12 @@ class TestTopLevel:
         assert fresh[5][0] == 2
         args = cli.build_parser().parse_args(["hom-scan"])
         assert (args.poisson, args.seed, args.format) == (None, None, "csv")
+
+    def test_noon_scan_default_p2pi_is_the_paper_runs(self):
+        args = cli.build_parser().parse_args(["noon-scan"])
+        cli._resolve(args)
+        scans, _, _ = experiments.reproduce_all()
+        assert args.p2pi == scans["noon_classical"].config["heater"]["p_2pi_w"]
 
     def test_each_call_writes_its_own_grid(self, capsys, tmp_path):
         """Two calls in a row with different grids of one length each write

@@ -410,6 +410,36 @@ class TestHomPeak:
         with pytest.raises(InvalidInput):
             run_hom_peak(0.0)
 
+    def test_equal_arms_share_one_fit(self):
+        peaks = run_hom_peak(0.55)
+        arm_a, arm_b = peaks["arm_a"].fit, peaks["arm_b"].fit
+        assert arm_b is arm_a
+        direct = fit_gaussian(default_delay_grid(), peaks["arm_b"].counts["net"])
+        assert _fit_bits(arm_b) == _fit_bits(direct)
+
+    @pytest.mark.parametrize("config", [
+        # expected counts: the arms' singles differ, their net columns do not
+        CoincidenceConfig(),
+        # drawn counts: the net columns differ too
+        CoincidenceConfig(poisson=True, seed=7),
+    ])
+    def test_unequal_arms_fit_their_own_net(self, config):
+        source = PhotonPairSource(singles_rates_hz=(30000.0, 10000.0))
+        peaks = run_hom_peak(0.55, source, config=config)
+        arm_a, arm_b = peaks["arm_a"].counts, peaks["arm_b"].counts
+        assert arm_a["singles_a"].tobytes() != arm_b["singles_a"].tobytes()
+        for scan in peaks.values():
+            direct = fit_gaussian(default_delay_grid(), scan.counts["net"])
+            assert _fit_bits(scan.fit) == _fit_bits(direct)
+
+
+def _fit_bits(fit) -> dict:
+    """Every float of a fit, its stderr entries included, by bit pattern."""
+    fields = fit._asdict()
+    stderr = fields.pop("stderr")
+    stderr = {f"stderr_{key}": value for key, value in stderr.items()}
+    return {key: float(value).hex() for key, value in {**fields, **stderr}.items()}
+
 
 class TestNoon:
     def test_period_halving_exact(self):

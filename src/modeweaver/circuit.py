@@ -9,8 +9,10 @@ the other.
 A scan's circuit is built with its sweep in place: a swept phase is a
 phase shifter holding an array with one value per scan point, and a swept
 delay is such an array passed to `simulate_counts`. The circuit compiles
-once, a swept phase to a stack of unitaries, and `simulate_counts`
-computes every count column as an array expression over the grid.
+once per scan, a swept phase to a stack of unitaries, and
+`simulate_counts` takes that unitary and computes every count column as
+an array expression over the grid; count sets of one scan that differ
+only in their source or measured outputs share the one compile.
 """
 
 from __future__ import annotations
@@ -79,12 +81,11 @@ def heater_phase(p_2pi_w: float, power_w):
 
 
 class Circuit(NamedTuple):
-    """Ordered element list over m mode channels, plus measured ports; the
-    photon pair enters channels 0 and 1."""
+    """Ordered element list over m mode channels; the photon pair enters
+    channels 0 and 1."""
 
     num_channels: int
     elements: tuple[Element, ...]
-    output_channels: tuple[int, int] = (0, 1)
 
 
 def _times(c_re, c_im, x_re, x_im):
@@ -163,35 +164,38 @@ class CoincidenceConfig(NamedTuple):
 
 
 def simulate_counts(
-    circuit: Circuit,
+    unitary: np.ndarray,
     source: PhotonPairSource,
     config: CoincidenceConfig,
     scan_values,
     delay_um=0.0,
+    outputs: tuple[int, int] = (0, 1),
 ) -> dict[str, np.ndarray]:
     """Expected (or Poisson-sampled) counts over a scan, as columns.
 
-    `delay_um` is the relative delay of the photon pair, the one entering
-    channel 0 against the one entering channel 1. It and a swept
-    `PhaseShifter` of `circuit` hold one value, or one per entry of
-    `scan_values`. The circuit compiles once and every column is computed
-    over the grid at once; every rate passes the chip's transmission
-    DEVICE_TRANSMISSION on each output, and counts are taken over
-    INTEGRATION_TIME_S with a coincidence window of WINDOW_NS. Returns one
-    float array per column, keyed scan_value, raw, accidentals, net,
-    singles_a, singles_b, stderr; net is raw - accidentals, and every other
-    count column is non-negative. Poisson sampling draws raw, singles_a and
-    singles_b; accidentals then follow from the drawn singles
-    (singles_a * singles_b * window / integration time), so net subtracts
-    the accidentals of the counts it sits beside. Deterministic without a
-    seed; bitwise reproducible with one.
+    `unitary` is a compiled circuit, `compile_circuit`'s (m, m) unitary or
+    its (N, m, m) stack for a swept phase; the photon pair enters channels
+    0 and 1 and coincidences are taken between the channels `outputs`,
+    singles_a of the first and singles_b of the second. `delay_um` is the
+    relative delay of the photon pair, the one entering channel 0 against
+    the one entering channel 1. It and the unitary hold one value, or one
+    per entry of `scan_values`. Every column is computed over the grid at
+    once; every rate passes the chip's transmission DEVICE_TRANSMISSION on
+    each output, and counts are taken over INTEGRATION_TIME_S with a
+    coincidence window of WINDOW_NS. Returns one float array per column,
+    keyed scan_value, raw, accidentals, net, singles_a, singles_b, stderr;
+    net is raw - accidentals, and every other count column is non-negative.
+    Poisson sampling draws raw, singles_a and singles_b from a generator
+    seeded afresh on every call; accidentals then follow from the drawn
+    singles (singles_a * singles_b * window / integration time), so net
+    subtracts the accidentals of the counts it sits beside. Deterministic
+    without a seed; bitwise reproducible with one.
     """
     values = np.asarray(scan_values, dtype=float)
     if values.ndim != 1:
         raise InvalidInput(f"scan values must be one-dimensional, got {values.shape}")
     n = len(values)
-    unitary = compile_circuit(circuit)
-    k, l = circuit.output_channels
+    k, l = outputs
     delay = np.asarray(delay_um, dtype=float)
     for shape in (delay.shape, unitary.shape[:-2]):
         if shape not in ((), (n,)):
@@ -199,7 +203,7 @@ def simulate_counts(
                 f"a swept delay or phase has shape {shape}; the scan has {n} points"
             )
     overlap = spectral_overlap(source, delay)
-    p_cc = two_photon_coincidence(unitary, (0, 1), (k, l), overlap)
+    p_cc = two_photon_coincidence(unitary, (0, 1), outputs, overlap)
     prob = np.abs(unitary) ** 2
     t = DEVICE_TRANSMISSION
     net_rate = source.pair_rate_hz * p_cc * t * t

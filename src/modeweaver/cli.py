@@ -45,14 +45,16 @@ def _csv(header, columns) -> str:
     """CSV text with a header line, from one sequence per column of a
     shared length: a float64 array to 12 significant digits, any other
     column by `%s`. Each column's format is chosen once, and the table
-    takes a single `%`. A float64 array that holds one bit pattern (0.0
-    and -0.0 differ) is formatted once, into the row format itself."""
+    takes a single `%`. A float64 array whose every value prints as one
+    text (see `_one_text`), such as a count column that varies only in
+    roundoff, is formatted once, into the row format itself."""
     formats = []
     cells = []
     for column in columns:
         if isinstance(column, np.ndarray) and column.dtype == np.float64:
-            if _one_pattern(column):
-                formats.append("%.12g" % column[0])
+            text = _one_text(column)
+            if text is not None:
+                formats.append(text)
                 continue
             column = column.tolist()
             formats.append("%.12g")
@@ -67,10 +69,22 @@ def _csv(header, columns) -> str:
     return ",".join(header) + "\n" + ((",".join(formats) + "\n") * rows) % tuple(flat)
 
 
-def _one_pattern(column: np.ndarray) -> bool:
-    """Whether a non-empty float64 array holds one bit pattern on every row."""
-    bits = column.view(np.int64)
-    return bool(column.size) and bool((bits == bits[0]).all())
+def _one_text(column: np.ndarray) -> str | None:
+    """The `%.12g` text that every value of a float64 array prints as, or
+    None if the values print as more than one text or there are none.
+
+    Rounding to 12 significant digits is monotonic, so when the minimum and
+    the maximum print alike, every value between them does. A zero minimum
+    could hide -0.0 beside 0.0, and a non-finite span a NaN or an infinity:
+    there every value must hold the first one's bit pattern."""
+    if not column.size:
+        return None
+    low, high = float(column.min()), float(column.max())
+    if low == 0 or not math.isfinite(high - low):
+        bits = column.view(np.int64)
+        return "%.12g" % column[0] if (bits == bits[0]).all() else None
+    text = "%.12g" % low
+    return text if text == "%.12g" % high else None
 
 
 def _dump_json(obj) -> str:
@@ -125,8 +139,9 @@ def _json_float(text: str) -> str:
     return text if "." in text else text + ".0"
 
 
-def _parse_range(text: str, name: str) -> list[float]:
-    """Parse start:stop:step into an inclusive grid."""
+def _parse_range(text: str, name: str) -> np.ndarray:
+    """Parse start:stop:step into an inclusive grid, a float64 array whose
+    i-th value is start + i * step, rounded as Python rounds it."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"{name} must be start:stop:step, got {text!r}")
@@ -144,7 +159,12 @@ def _parse_range(text: str, name: str) -> list[float]:
             f"{name}={text!r} has more than {MAX_GRID_POINTS} points"
         )
     count = math.floor(intervals + 1e-9) + 1
-    return [start + i * step for i in range(count)]
+    return start + np.arange(count) * step
+
+
+def _grid_texts(values: list[float]) -> list[str]:
+    """The `%.12g` text of each value, formatted with one `%`."""
+    return ("%.12g\n" * len(values) % tuple(values)).splitlines()
 
 
 def _parse_modes(text: str) -> list[ModeId]:
@@ -221,21 +241,28 @@ def _resolve(args) -> None:
         setattr(args, key, value)
 
 
-def _emit(args, text: str, filename: str) -> None:
+def _emit(args, files) -> None:
+    """Write a command's outputs, each a (text, filename) pair serialised
+    beforehand: into the --output directory, created once, or in turn to
+    stdout."""
     if args.output:
         out_dir = Path(args.output)
+        path = out_dir / files[0][1]
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / filename).write_text(text, encoding="utf-8")
+            for text, filename in files:
+                path = out_dir / filename
+                path.write_text(text, encoding="utf-8")
         except OSError as exc:
-            raise ConfigError(f"cannot write {out_dir / filename}: {exc}") from exc
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
     else:
         # A write larger than the buffer that meets a closed pipe comes back
         # short and TextIOWrapper drops the rest silently; writes that fit
         # the buffer raise BrokenPipeError instead.
         step = io.DEFAULT_BUFFER_SIZE
-        for start in range(0, len(text), step):
-            sys.stdout.write(text[start:start + step])
+        for text, _ in files:
+            for start in range(0, len(text), step):
+                sys.stdout.write(text[start:start + step])
 
 
 def _stack(args) -> MaterialStack:
@@ -263,7 +290,7 @@ def _count_config(args) -> circuit_mod.CoincidenceConfig:
 
 
 def cmd_dispersion(args) -> int:
-    widths = _parse_range(args.widths, "widths")
+    widths = _parse_range(args.widths, "widths").tolist()
     modes = _parse_modes(args.modes)
     if not modes:
         raise ConfigError("no modes requested")
@@ -284,7 +311,7 @@ def cmd_dispersion(args) -> int:
             )
         # each width and each mode name are formatted once; a row's text is
         # its dict as `_dump_json` lays it out at this depth
-        width_texts = [_json_float("%.12g" % w) for w in widths]
+        width_texts = list(map(_json_float, _grid_texts(widths)))
         name_texts = [encode_basestring_ascii(str(m)) for m in modes]
         row = '{\n      "mode": %s,\n      "n_eff": %s,\n      "sweep_value": %s\n    }'
         payload = {
@@ -295,17 +322,17 @@ def cmd_dispersion(args) -> int:
                 for i, j, n in zip(rows.tolist(), columns.tolist(), n_eff.tolist())
             ),
         }
-        _emit(args, _dump_json(payload), "dispersion.json")
+        _emit(args, [(_dump_json(payload), "dispersion.json")])
     else:
         # each width and each mode are formatted once
-        width_texts = np.array(["%.12g" % w for w in widths], dtype=object)
+        width_texts = np.array(_grid_texts(widths), dtype=object)
         mode_texts = np.array([f"{m.family},{m.order}" for m in modes], dtype=object)
         table = _csv(
             ("sweep_param", "mode_family", "mode_order", "n_eff"),
             # one mode cell fills both the mode_family and mode_order fields
             (width_texts[rows].tolist(), mode_texts[columns].tolist(), n_eff),
         )
-        _emit(args, table, "dispersion.csv")
+        _emit(args, [(table, "dispersion.csv")])
     return 0
 
 
@@ -321,7 +348,7 @@ def cmd_design_grating(args) -> int:
         num_periods=args.periods,
         kappa_override=args.kappa,
     )
-    _emit(args, _dump_json(spec.to_dict()), "grating.json")
+    _emit(args, [(_dump_json(spec.to_dict()), "grating.json")])
     return 0
 
 
@@ -335,19 +362,19 @@ def cmd_splitting(args) -> int:
         if not n_values:
             raise ConfigError(f"no period count in periods={periods_text!r}")
     else:
-        grid = _parse_range(periods_text, "periods")
+        grid = _parse_range(periods_text, "periods").tolist()
         if not all(v.is_integer() for v in grid):
             raise ConfigError(f"periods={periods_text!r} has a non-integer count")
         n_values = [int(v) for v in grid]
     rows = experiments.run_splitting_vs_N(args.kappa, n_values, args.overlap)
     if args.format == "json":
-        _emit(args, _dump_json(rows), "splitting.json")
+        _emit(args, [(_dump_json(rows), "splitting.json")])
     else:
         header = ("N", "eta", "visibility_ideal", "visibility_measured")
         table = _csv(header, [[r["N"] for r in rows]] + [
             np.array([r[key] for r in rows]) for key in header[1:]
         ])
-        _emit(args, table, "splitting.csv")
+        _emit(args, [(table, "splitting.csv")])
     return 0
 
 
@@ -355,11 +382,12 @@ def cmd_splitting(args) -> int:
 _GRID_KEYS = {"delay": "delay_grid", "heater_power": "power_grid"}
 
 
-def _emit_scans(args, results) -> None:
-    """Serialise every result, then write: a failing result writes nothing.
-    Each distinct scan grid is formatted once per call, and its texts fill
-    the scan_value column of every table and the grid of every fit
-    document that holds it. Each distinct table, keyed by the names and
+def _scan_files(args, results) -> list[tuple[str, str]]:
+    """Every result serialised, as the (text, filename) pairs `_emit`
+    writes: a failing result raises before anything is written. Each
+    distinct scan grid is formatted once per call, by `_grid_texts`, and its
+    texts fill the scan_value column of every table and the grid of every
+    fit document that holds it. Each distinct table, keyed by the names and
     bytes of its count columns, goes through `_csv` once per call; a result
     whose columns equal an earlier one's bit for bit, such as hom-peak's
     arm B, reuses that CSV text."""
@@ -372,10 +400,10 @@ def _emit_scans(args, results) -> None:
         values = result.counts["scan_value"]
         key = values.tobytes()
         if key not in grids:
-            grid = list(map("%.12g".__mod__, values.tolist()))
+            grid = _grid_texts(values.tolist())
             grids[key] = (
-                # one bit pattern stays an array: `_csv` writes it as a literal
-                values if _one_pattern(values) else grid,
+                # one text stays an array: `_csv` writes it as a literal
+                values if _one_text(values) is not None else grid,
                 # a non-finite grid is left to `_json`, which refuses it
                 _JsonTexts(map(_json_float, grid))
                 if documents and np.isfinite(values).all() else None,
@@ -397,35 +425,34 @@ def _emit_scans(args, results) -> None:
                     **document["config"], _GRID_KEYS[result.scan[0]]: json_texts
                 }
             texts.append((_dump_json(document), f"{result.name}.fit.json"))
-    for text, filename in texts:
-        _emit(args, text, filename)
+    return texts
 
 
 def cmd_hom_scan(args) -> int:
     grid = _parse_range(args.delays, "delays")
     result = experiments.run_hom_dip(
-        args.eta, _source(args), np.array(grid), _count_config(args)
+        args.eta, _source(args), grid, _count_config(args)
     )
-    _emit_scans(args, [result])
+    _emit(args, _scan_files(args, [result]))
     return 0
 
 
 def cmd_hom_peak(args) -> int:
     grid = _parse_range(args.delays, "delays")
     results = experiments.run_hom_peak(
-        args.eta, _source(args), np.array(grid), _count_config(args)
+        args.eta, _source(args), grid, _count_config(args)
     )
-    _emit_scans(args, results.values())
+    _emit(args, _scan_files(args, results.values()))
     return 0
 
 
 def cmd_noon_scan(args) -> int:
     powers = _parse_range(args.powers, "powers")
     results = experiments.run_noon(
-        args.eta1, args.eta2, args.p2pi, np.array(powers),
+        args.eta1, args.eta2, args.p2pi, powers,
         _source(args), _count_config(args),
     )
-    _emit_scans(args, results)
+    _emit(args, _scan_files(args, results))
     return 0
 
 
@@ -471,7 +498,7 @@ def cmd_decompose(args) -> int:
         "output_phases_rad": [float(p) for p in decomposition.output_phases],
         "recomposition_error": float(np.max(np.abs(recomposed - matrix))),
     }
-    _emit(args, _dump_json(payload), "decomposition.json")
+    _emit(args, [(_dump_json(payload), "decomposition.json")])
     return 0
 
 
@@ -480,9 +507,6 @@ def cmd_reproduce_paper(args) -> int:
     scans, tables, targets = experiments.reproduce_all(
         seed=args.seed, poisson=args.poisson
     )
-    _emit_scans(args, scans.values())
-    for name, rows in tables.items():
-        _emit(args, _dump_json(rows), f"{name}.json")
     all_pass = all(t.passed for t in targets)
     summary = {
         "seed": args.seed,
@@ -490,7 +514,11 @@ def cmd_reproduce_paper(args) -> int:
         "targets": [t.to_dict() for t in targets],
         "all_passed": all_pass,
     }
-    _emit(args, _dump_json(summary), "summary.json")
+    _emit(args, [
+        *_scan_files(args, scans.values()),
+        *((_dump_json(rows), f"{name}.json") for name, rows in tables.items()),
+        (_dump_json(summary), "summary.json"),
+    ])
     for t in targets:
         status = "pass" if t.passed else "FAIL"
         sys.stdout.write(

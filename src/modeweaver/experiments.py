@@ -16,6 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+# compile_circuit is looked up on its module at each call, so that a
+# wrapper installed there (a span tracer, a test's call counter) sees it
+from . import circuit as circuit_mod
 from . import coupling, wgmodes
 from .circuit import (
     Circuit,
@@ -355,14 +358,14 @@ class ScanResult(NamedTuple):
         }
 
 
-def _delay_scan(name, circuit, eta, source, config, grid, metrics,
+def _delay_scan(name, counts, eta, source, config, grid, metrics,
                 same_as=None, **extra):
-    """Net coincidences of `circuit` with the pair's relative delay swept
-    over `grid`, fitted with a Gaussian; `metrics(fit)` gives the reported
-    metrics and `extra` joins the recorded config. The fit depends only on
-    the grid and the net column: when both equal those of the scan `same_as`
-    bit for bit, its fit is reused."""
-    counts = simulate_counts(circuit, source, config, grid, grid)
+    """A scan of the count columns `counts`, simulated with the pair's
+    relative delay swept over `grid`, its net column fitted with a
+    Gaussian; `metrics(fit)` gives the reported metrics and `extra` joins
+    the recorded config. The fit depends only on the grid and the net
+    column: when both equal those of the scan `same_as` bit for bit, its
+    fit is reused."""
     if same_as is not None and all(
         counts[key].tobytes() == same_as.counts[key].tobytes()
         for key in ("scan_value", "net")
@@ -391,9 +394,12 @@ def run_hom_dip(
 ) -> ScanResult:
     """Two-photon dip: coincidences between the coupler outputs vs delay."""
     grid = default_delay_grid() if delay_grid is None else np.asarray(delay_grid, float)
-    circuit = Circuit(num_channels=2, elements=(GratingBS(channels=(0, 1), eta=eta),))
+    unitary = circuit_mod.compile_circuit(
+        Circuit(num_channels=2, elements=(GratingBS(channels=(0, 1), eta=eta),))
+    )
     return _delay_scan(
-        name, circuit, eta, source, config, grid,
+        name, simulate_counts(unitary, source, config, grid, grid),
+        eta, source, config, grid,
         lambda fit: {
             "visibility": fit.visibility,
             "fwhm_um": fit.fwhm,
@@ -434,19 +440,20 @@ def run_hom_peak(
     """Bunching peak per output arm: each arm feeds an ideal 50:50 splitter
     and coincidences are taken between that splitter's two outputs.
 
-    Arm A takes outputs (0, 2) and arm B outputs (1, 3). Both arms are
-    simulated. When arm B's net column equals arm A's bit for bit, as it
-    does for the default source, arm B reuses arm A's `GaussianFit` object
-    instead of fitting again; the two results then share its `stderr` dict,
-    which must not be mutated."""
+    Arm A takes outputs (0, 2) and arm B outputs (1, 3). The 4x4 circuit
+    compiles once and both arms are simulated from that unitary, each with
+    its own count draws. When arm B's net column equals arm A's bit for
+    bit, as it does for the default source, arm B reuses arm A's
+    `GaussianFit` object instead of fitting again; the two results then
+    share its `stderr` dict, which must not be mutated."""
     if not 0.0 < eta < 1.0:
         raise InvalidInput("eta must lie strictly inside (0, 1)")
     grid = default_delay_grid() if delay_grid is None else np.asarray(delay_grid, float)
-    base_elements = (
+    unitary = circuit_mod.compile_circuit(Circuit(num_channels=4, elements=(
         GratingBS(channels=(0, 1), eta=eta),
         GratingBS(channels=(0, 2), eta=0.5),
         GratingBS(channels=(1, 3), eta=0.5),
-    )
+    )))
 
     def metrics(fit: GaussianFit) -> dict:
         ratio = 1.0 + fit.amplitude / fit.offset if fit.offset else float("nan")
@@ -454,11 +461,9 @@ def run_hom_peak(
 
     results = {}
     for arm, outputs in (("arm_a", (0, 2)), ("arm_b", (1, 3))):
-        circuit = Circuit(
-            num_channels=4, elements=base_elements, output_channels=outputs
-        )
+        counts = simulate_counts(unitary, source, config, grid, grid, outputs)
         results[arm] = _delay_scan(
-            f"hom_peak_{arm}", circuit, eta, source, config, grid, metrics,
+            f"hom_peak_{arm}", counts, eta, source, config, grid, metrics,
             same_as=results.get("arm_a"), outputs=list(outputs),
         )
     return results
@@ -487,23 +492,28 @@ def run_noon(
 ) -> tuple[ScanResult, ScanResult]:
     """Classical and two-photon fringes of the cascaded interferometer.
 
-    Classical: singles of one output with a single input arm lit, fitted
-    from P_2pi. Quantum: coincidences with a photon pair at zero delay; its
-    fringe is fitted with the half-frequency leakage term, from half the
-    fitted classical period, so the extracted period is exact. The fits
+    The swept circuit compiles once, to one unitary per heater power, and
+    both fringes are simulated from that stack, each with its own count
+    draws. Classical: singles of one output with a single input arm lit,
+    fitted from P_2pi. Quantum: coincidences with a photon pair at zero
+    delay; its fringe is fitted with the half-frequency leakage term, from
+    half the fitted classical period, so the extracted period is exact. The
+    fits
     raise InsufficientSpan unless every power step is below half its start
     period; for the two-photon fit that is about P_2pi/4, the Nyquist limit
     of its fringe.
     """
     grid = default_power_grid() if power_grid is None else np.asarray(power_grid, float)
-    circuit = _noon_circuit(eta1, eta2, heater_phase(p_2pi_w, grid))
+    unitary = circuit_mod.compile_circuit(
+        _noon_circuit(eta1, eta2, heater_phase(p_2pi_w, grid))
+    )
     classical_source = dataclasses.replace(
         source, singles_rates_hz=(source.singles_rates_hz[0], 0.0)
     )
-    classical_counts = simulate_counts(circuit, classical_source, config, grid)
+    classical_counts = simulate_counts(unitary, classical_source, config, grid)
     classical_fit = fit_sinusoid(grid, classical_counts["singles_a"], p_2pi_w)
 
-    quantum_counts = simulate_counts(circuit, source, config, grid)
+    quantum_counts = simulate_counts(unitary, source, config, grid)
     quantum_fit = fit_sinusoid(
         grid, quantum_counts["net"], classical_fit.period / 2.0, leakage=True
     )

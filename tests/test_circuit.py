@@ -40,7 +40,8 @@ def dip_circuit(eta=0.5):
 def delay_scan(eta, source, config, delays):
     """Counts of `dip_circuit` with the pair's delay swept over `delays`."""
     delays = np.asarray(delays, dtype=float)
-    return simulate_counts(dip_circuit(eta), source, config, delays, delays)
+    unitary = compile_circuit(dip_circuit(eta))
+    return simulate_counts(unitary, source, config, delays, delays)
 
 
 class TestCompile:
@@ -268,34 +269,36 @@ class TestSimulateCounts:
             GratingBS(channels=(0, 1), eta=0.4),
         ))
         for circuit in (dip_circuit(0.55), swept):
-            once = simulate_counts(circuit, source, config, phases, delay)
-            repeated = simulate_counts(circuit, source, config, phases, np.full(9, delay))
+            unitary = compile_circuit(circuit)
+            once = simulate_counts(unitary, source, config, phases, delay)
+            repeated = simulate_counts(unitary, source, config, phases, np.full(9, delay))
             for name, column in once.items():
                 assert column.tobytes() == repeated[name].tobytes(), name
 
     def test_swept_setting_must_match_grid(self):
+        dip = compile_circuit(dip_circuit())
         with pytest.raises(InvalidInput, match="the scan has 2 points"):
-            simulate_counts(dip_circuit(), self.SOURCE, self.CONFIG, [0.0, 1.0], np.zeros(3))
+            simulate_counts(dip, self.SOURCE, self.CONFIG, [0.0, 1.0], np.zeros(3))
         swept = Circuit(2, (PhaseShifter(channels=(1,), phase_rad=np.zeros(3)),))
         with pytest.raises(InvalidInput, match="the scan has 2 points"):
-            simulate_counts(swept, self.SOURCE, self.CONFIG, [0.0, 1.0])
+            simulate_counts(compile_circuit(swept), self.SOURCE, self.CONFIG, [0.0, 1.0])
         with pytest.raises(InvalidInput, match="one-dimensional"):
-            simulate_counts(dip_circuit(), self.SOURCE, self.CONFIG, [[0.0]])
+            simulate_counts(dip, self.SOURCE, self.CONFIG, [[0.0]])
 
 
 # The count columns of simulate_counts in the row order of reference_counts.
 ROW_COLUMNS = ("raw", "accidentals", "net", "singles_a", "singles_b", "stderr")
 
 
-def reference_counts(build, source, delays, phases):
+def reference_counts(build, outputs, source, delays, phases):
     """Expected counts computed point by point: one compile of `build(phase)`
     and one permanent per scan point, the pair at relative delay `delay`.
     Rows of (raw, accidentals, net, singles_a, singles_b, stderr), and the
-    pair coincidence probability; the pair enters channels 0 and 1."""
-    circuit = build(0.0)
-    m = circuit.num_channels
+    pair coincidence probability; the pair enters channels 0 and 1 and
+    leaves by the channels `outputs`."""
+    m = build(0.0).num_channels
     i, j = 0, 1
-    k, l = circuit.output_channels
+    k, l = outputs
     occ_in = tuple(int(c in (i, j)) for c in range(m))
     occ_out = tuple(int(c in (k, l)) for c in range(m))
     t_int = INTEGRATION_TIME_S
@@ -350,7 +353,7 @@ class TestBatchedScanOracle:
             for channels, eta, shifted in couplers:
                 elements.append(GratingBS(channels=channels, eta=eta))
                 elements.append(PhaseShifter(channels=(shifted,), phase_rad=phase))
-            return Circuit(m, tuple(elements), (k, l))
+            return Circuit(m, tuple(elements))
 
         source = PhotonPairSource(
             intrinsic_overlap=overlap,
@@ -364,15 +367,15 @@ class TestBatchedScanOracle:
             delays[:] = delays[0]
         if not sweep_phase:
             phases[:] = phases[0]
-        swept = build(phases if sweep_phase else float(phases[0]))
+        swept = compile_circuit(build(phases if sweep_phase else float(phases[0])))
         # the pair's delay, with a fixed offset added
         delay = (delays if sweep_delay else float(delays[0])) + offset
         labels = np.arange(points, dtype=float)
 
-        counts = simulate_counts(swept, source, config, labels, delay)
+        counts = simulate_counts(swept, source, config, labels, delay, (k, l))
         got = np.column_stack([counts[name] for name in ROW_COLUMNS])
         want, probabilities = reference_counts(
-            build, source, delays + offset, phases
+            build, (k, l), source, delays + offset, phases
         )
         assert counts["scan_value"].tolist() == labels.tolist()
         for columns in ((0, 1, 2), (3, 4), (5,)):
@@ -385,13 +388,14 @@ class TestBatchedScanOracle:
             source, pair_rate_hz=1.0, singles_rates_hz=(0.0, 0.0)
         )
         t = DEVICE_TRANSMISSION
-        p_batched = simulate_counts(swept, bare, config, labels, delay)["raw"] / (t * t)
+        p_batched = simulate_counts(swept, bare, config, labels, delay, (k, l))["raw"]
+        p_batched = p_batched / (t * t)
         np.testing.assert_allclose(p_batched, probabilities, rtol=1e-12, atol=1e-15)
         assert np.all((p_batched >= -1e-15) & (p_batched <= 1.0 + 1e-12))
 
         # one Poisson draw over the grid takes the per-point stream
         noisy = CoincidenceConfig(poisson=True, seed=seed)
-        draws = simulate_counts(swept, source, noisy, labels, delay)
+        draws = simulate_counts(swept, source, noisy, labels, delay, (k, l))
         stream = np.random.default_rng(seed)
         for point in range(points):
             for name in ("raw", "singles_a", "singles_b"):

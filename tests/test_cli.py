@@ -327,6 +327,10 @@ CSV_COLUMNS = {
 }
 
 
+# A count that varies only in roundoff: c (1 + k 2^-52), unsorted.
+NEAR_CONSTANT = 29313.0 * (1.0 + np.array([0, 3, 1, 7, 2, 0, 5]) * 2.0**-52)
+
+
 class TestSerialisers:
     """The JSON and CSV writers produce the bytes of the straightforward
     formatting they replace."""
@@ -356,9 +360,19 @@ class TestSerialisers:
             [np.repeat([1.5, 2.5, 1e-5, 1e12, 1.5], [1, 5, 2, 9, 3])],
             [np.linspace(-1.0, 1.0, 7), np.full(7, 3.0), np.repeat([1.0, 2.0], [3, 4])],
             [np.full(4, 2.0), np.full(4, -0.0), np.full(4, 3.5), np.full(4, math.nan)],
+            # first and last print alike, the maximum does not
+            [np.array([1.000000000004, 0.9999999999996, 1.000000000006, 1.000000000004])],
+            [NEAR_CONSTANT, -NEAR_CONSTANT],
+            [np.array([0.0, -0.0, 0.0])],
+            [np.array([-0.0, 0.0])],
+            [np.array([2.5, math.nan, 2.5, 2.5])],
+            [np.array([math.inf, -math.inf, math.inf]), np.array([-1e308, 1e308, -1e308]),
+             np.array([math.inf, 1e308, math.inf])],
         ],
         ids=["one_value", "signed_zeros", "nan_runs", "mixed_run_lengths",
-             "constant_beside_varying", "every_column_constant"],
+             "constant_beside_varying", "every_column_constant",
+             "unsorted_across_rounding", "near_constant", "zero_between_zeros",
+             "negative_zero_first", "nan_among_numbers", "infinities"],
     )
     def test_float_runs_match_value_by_value(self, columns):
         """Constant and varying float64 columns read as the per-value
@@ -379,6 +393,13 @@ class TestSerialisers:
         """Whole numbers, signed zero, subnormals, and both sides of where
         `%g` (1e12) and repr (1e16) switch to an exponent."""
         assert _dump_json(wrap(value)) == _dump_json_oracle(wrap(value))
+
+    @pytest.mark.parametrize("column", [NEAR_CONSTANT, -NEAR_CONSTANT],
+                             ids=["positive", "negative"])
+    def test_roundoff_column_is_one_text(self, column):
+        """A column that varies only in its last bits prints as one text."""
+        assert len(set(column.tolist())) > 1
+        assert cli._one_text(column) == "%.12g" % column[0]
 
     def test_empty_table_is_its_header(self):
         assert cli._csv(("a", "b"), ([], [])) == "a,b\n"
@@ -456,22 +477,41 @@ def _power_grid(draw):
 
 def _scans_and_files(argv):
     """The exit code of `argv` run with --output, the results it passes to
-    `cli._emit_scans`, and the files it writes."""
+    `cli._scan_files`, and the files it writes."""
     emitted = []
-    emit_scans = cli._emit_scans
+    scan_files = cli._scan_files
 
     def capture(args, results):
         results = list(results)
         emitted.extend(results)
-        emit_scans(args, results)
+        return scan_files(args, results)
 
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "_emit_scans", capture)
+        mp.setattr(cli, "_scan_files", capture)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([*argv, "--output", tmp])
         files = {p.name: p.read_text() for p in Path(tmp).iterdir()}
     return code, emitted, files
+
+
+class TestParseRange:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        start=st.floats(-1e6, 1e6),
+        step=st.floats(1e-6, 1e3),
+        intervals=st.integers(0, 400),
+        over=st.floats(0.0, 1.0),
+    )
+    def test_grid_is_start_plus_i_step(self, start, step, intervals, over):
+        """The grid's values are start + i * step bit for bit, and its texts
+        are the values formatted one by one."""
+        stop = start + (intervals + over) * step
+        grid = cli._parse_range(f"{start!r}:{stop!r}:{step!r}", "grid")
+        count = math.floor((stop - start) / step + 1e-9) + 1
+        expected = [start + i * step for i in range(count)]
+        assert list(map(float.hex, grid.tolist())) == list(map(float.hex, expected))
+        assert cli._grid_texts(grid.tolist()) == list(map("%.12g".__mod__, expected))
 
 
 class TestSharedGrid:
@@ -528,7 +568,7 @@ class TestTableReuse:
             for name, table in (("first", counts), ("equal", equal), ("signed", signed))
         ]
         args = cli.build_parser().parse_args(["hom-scan", "--output", str(tmp_path)])
-        cli._emit_scans(args, results)
+        cli._emit(args, cli._scan_files(args, results))
         texts = {r.name: (tmp_path / f"{r.name}.csv").read_text() for r in results}
         for result in results:
             assert texts[result.name] == cli._csv(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -365,10 +366,65 @@ class TestCompileOncePerScan:
         assert len(result.counts["scan_value"]) == 101
         assert len(compiles) == 1
 
-    def test_noon_compiles_once_per_fringe(self, compiles):
-        classical, quantum = run_noon(0.66, 0.66)
+    @staticmethod
+    def _standalone(elements, source, config, grid, delay=0.0, outputs=(0, 1)):
+        """The counts of one fringe or arm from its own circuit, compiled
+        for it alone."""
+        unitary = circuit_mod.compile_circuit(circuit_mod.Circuit(
+            max(max(e.channels) for e in elements) + 1, elements
+        ))
+        return circuit_mod.simulate_counts(unitary, source, config, grid, delay, outputs)
+
+    @staticmethod
+    def _assert_same_bits(counts, expected):
+        assert list(counts) == list(expected)
+        for name, column in counts.items():
+            assert column.tobytes() == expected[name].tobytes(), name
+
+    @pytest.mark.parametrize("config", [
+        CoincidenceConfig(), CoincidenceConfig(poisson=True, seed=7),
+    ], ids=["expected", "poisson"])
+    def test_noon_compiles_once(self, compiles, config):
+        """Both fringes come from one compile, each with the counts it has
+        when simulated on its own."""
+        source = PhotonPairSource()
+        classical, quantum = run_noon(0.66, 0.66, source=source, config=config)
         assert len(classical.counts["net"]) == len(quantum.counts["net"]) == 53
-        assert len(compiles) == 2
+        assert len(compiles) == 1
+        grid = default_power_grid()
+        elements = (
+            circuit_mod.GratingBS((0, 1), 0.66),
+            circuit_mod.PhaseShifter((1,), circuit_mod.heater_phase(1.3, grid)),
+            circuit_mod.GratingBS((0, 1), 0.66),
+        )
+        lit = dataclasses.replace(
+            source, singles_rates_hz=(source.singles_rates_hz[0], 0.0)
+        )
+        for scan, fringe_source in ((classical, lit), (quantum, source)):
+            self._assert_same_bits(
+                scan.counts, self._standalone(elements, fringe_source, config, grid)
+            )
+
+    @pytest.mark.parametrize("config", [
+        CoincidenceConfig(), CoincidenceConfig(poisson=True, seed=7),
+    ], ids=["expected", "poisson"])
+    def test_hom_peak_compiles_once(self, compiles, config):
+        """Both arms come from one compile, each with the counts it has
+        when simulated on its own."""
+        source = PhotonPairSource(singles_rates_hz=(1.1e5, 0.9e5))
+        peaks = run_hom_peak(0.55, source, config=config)
+        assert len(compiles) == 1
+        grid = default_delay_grid()
+        elements = (
+            circuit_mod.GratingBS((0, 1), 0.55),
+            circuit_mod.GratingBS((0, 2), 0.5),
+            circuit_mod.GratingBS((1, 3), 0.5),
+        )
+        for arm, outputs in (("arm_a", (0, 2)), ("arm_b", (1, 3))):
+            self._assert_same_bits(
+                peaks[arm].counts,
+                self._standalone(elements, source, config, grid, grid, outputs),
+            )
 
 
 class TestSplittingTable:

@@ -441,8 +441,8 @@ def run_hom_peak(
     and coincidences are taken between that splitter's two outputs.
 
     Arm A takes outputs (0, 2) and arm B outputs (1, 3). The 4x4 circuit
-    compiles once and both arms are simulated from that unitary, each with
-    its own count draws. When arm B's net column equals arm A's bit for
+    compiles once and both arms are simulated from that unitary; each
+    draws its counts as it would with a compile of its own. When arm B's net column equals arm A's bit for
     bit, as it does for the default source, arm B reuses arm A's
     `GaussianFit` object instead of fitting again; the two results then
     share its `stderr` dict, which must not be mutated."""
@@ -493,15 +493,14 @@ def run_noon(
     """Classical and two-photon fringes of the cascaded interferometer.
 
     The swept circuit compiles once, to one unitary per heater power, and
-    both fringes are simulated from that stack, each with its own count
-    draws. Classical: singles of one output with a single input arm lit,
-    fitted from P_2pi. Quantum: coincidences with a photon pair at zero
-    delay; its fringe is fitted with the half-frequency leakage term, from
-    half the fitted classical period, so the extracted period is exact. The
-    fits
-    raise InsufficientSpan unless every power step is below half its start
-    period; for the two-photon fit that is about P_2pi/4, the Nyquist limit
-    of its fringe.
+    both fringes are simulated from that stack; each draws its counts as
+    it would with a compile of its own. Classical: singles of one output
+    with a single input arm lit, fitted from P_2pi. Quantum: coincidences
+    with a photon pair at zero delay; its fringe is fitted with the
+    half-frequency leakage term, from half the fitted classical period, so
+    the extracted period is exact. The fits raise InsufficientSpan unless
+    every power step is below half its start period; for the two-photon
+    fit that is about P_2pi/4, the Nyquist limit of its fringe.
     """
     grid = default_power_grid() if power_grid is None else np.asarray(power_grid, float)
     unitary = circuit_mod.compile_circuit(

@@ -24,7 +24,9 @@ import numpy as np
 
 from .coupling import coupler_unitary
 from .errors import ChannelMismatch, InvalidInput, require_finite
-from .fock import PhotonPairSource, check_unitary, spectral_overlap, two_photon_coincidence
+from .fock import (
+    PhotonPairSource, check_unitary, spectral_overlap, times, two_photon_coincidence,
+)
 
 
 # Value holders that check nothing are NamedTuples: a class of them is
@@ -88,13 +90,6 @@ class Circuit(NamedTuple):
     elements: tuple[Element, ...]
 
 
-def _times(c_re, c_im, x_re, x_im):
-    """(c_re + i c_im)(x_re + i x_im) in real arithmetic: numpy's complex
-    multiply may fuse multiply-adds on one CPU and not on another, or in one
-    array loop and not in another."""
-    return c_re * x_re - c_im * x_im, c_im * x_re + c_re * x_im
-
-
 def compile_circuit(circuit: Circuit) -> np.ndarray:
     """The mode unitary: the elements applied in order to the rows of the
     identity.
@@ -119,7 +114,7 @@ def compile_circuit(circuit: Circuit) -> np.ndarray:
             mixed = []
             for weights in coupler_unitary(element.eta).tolist():
                 (x_re, x_im), (y_re, y_im) = (
-                    _times(w.real, w.imag, re[c], im[c]) for w, c in zip(weights, rows)
+                    times(w.real, w.imag, re[c], im[c]) for w, c in zip(weights, rows)
                 )
                 mixed.append((x_re + y_re, x_im + y_im))
             for c, (row_re, row_im) in zip(rows, mixed):
@@ -137,7 +132,7 @@ def compile_circuit(circuit: Circuit) -> np.ndarray:
             for ch in dict.fromkeys(element.channels):
                 if not 0 <= ch < m:
                     raise ChannelMismatch(f"phase channel {ch} outside 0..{m - 1}")
-                re[ch], im[ch] = _times(factor.real, factor.imag, re[ch], im[ch])
+                re[ch], im[ch] = times(factor.real, factor.imag, re[ch], im[ch])
         else:
             raise InvalidInput(f"unknown element {element!r}")
     unitary = np.empty(re.shape[2:] + (m, m), dtype=np.complex128)

@@ -140,8 +140,8 @@ def _json_float(text: str) -> str:
 
 
 def _parse_range(text: str, name: str) -> np.ndarray:
-    """Parse start:stop:step into an inclusive grid, a float64 array whose
-    i-th value is start + i * step, rounded as Python rounds it."""
+    """Parse start:stop:step into the inclusive grid that
+    `experiments.scan_grid` builds."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"{name} must be start:stop:step, got {text!r}")
@@ -158,8 +158,7 @@ def _parse_range(text: str, name: str) -> np.ndarray:
         raise ConfigError(
             f"{name}={text!r} has more than {MAX_GRID_POINTS} points"
         )
-    count = math.floor(intervals + 1e-9) + 1
-    return start + np.arange(count) * step
+    return experiments.scan_grid(start, stop, step)
 
 
 def _grid_texts(values: list[float]) -> list[str]:
@@ -342,10 +341,7 @@ def cmd_design_grating(args) -> int:
         raise ConfigError("design-grating needs exactly two modes")
     geometry = WaveguideGeometry(args.width, args.height, _stack(args))
     spec = coupling.grating_from_geometry(
-        geometry,
-        (modes[0], modes[1]),
-        depth_nm=args.depth,
-        num_periods=args.periods,
+        geometry, tuple(modes), depth_nm=args.depth, num_periods=args.periods,
         kappa_override=args.kappa,
     )
     _emit(args, [(_dump_json(spec.to_dict()), "grating.json")])
@@ -404,44 +400,35 @@ def _scan_files(args, results) -> list[tuple[str, str]]:
             grids[key] = (
                 # one text stays an array: `_csv` writes it as a literal
                 values if _one_text(values) is not None else grid,
-                # a non-finite grid is left to `_json`, which refuses it
-                _JsonTexts(map(_json_float, grid))
-                if documents and np.isfinite(values).all() else None,
+                _JsonTexts(map(_json_float, grid)) if documents else None,
             )
         column, json_texts = grids[key]
         if tables:
-            table = tuple(
-                (name, array.tobytes()) for name, array in result.counts.items()
-            )
+            table = tuple((name, array.tobytes()) for name, array in result.counts.items())
             if table not in csv_texts:
                 counts = dict(result.counts, scan_value=column)
                 csv_texts[table] = _csv(counts.keys(), counts.values())
             texts.append((csv_texts[table], f"{result.name}.csv"))
         if documents:
             document = result.fit_dict()
-            if json_texts is not None:
-                # a copy: results of one scan may share their config
-                document["config"] = {
-                    **document["config"], _GRID_KEYS[result.scan[0]]: json_texts
-                }
+            # a copy: results of one scan may share their config
+            document["config"] = {
+                **document["config"], _GRID_KEYS[result.scan[0]]: json_texts
+            }
             texts.append((_dump_json(document), f"{result.name}.fit.json"))
     return texts
 
 
 def cmd_hom_scan(args) -> int:
     grid = _parse_range(args.delays, "delays")
-    result = experiments.run_hom_dip(
-        args.eta, _source(args), grid, _count_config(args)
-    )
+    result = experiments.run_hom_dip(args.eta, _source(args), grid, _count_config(args))
     _emit(args, _scan_files(args, [result]))
     return 0
 
 
 def cmd_hom_peak(args) -> int:
     grid = _parse_range(args.delays, "delays")
-    results = experiments.run_hom_peak(
-        args.eta, _source(args), grid, _count_config(args)
-    )
+    results = experiments.run_hom_peak(args.eta, _source(args), grid, _count_config(args))
     _emit(args, _scan_files(args, results.values()))
     return 0
 
@@ -531,20 +518,22 @@ def cmd_reproduce_paper(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# Options shared by several commands.
-HEIGHT = Option("height", float, 190.0, "waveguide height in nm")
-WAVELENGTH = Option("wavelength", float, 808.0, "wavelength in nm")
-OVERLAP = Option("overlap", float, 0.92, "source overlap x0")
+# Options shared by several commands. A device default is the paper's value
+# where its module declares it; a grid's is its (start, stop, step) text.
+HEIGHT = Option("height", float, WaveguideGeometry.height_nm, "waveguide height in nm")
+WAVELENGTH = Option("wavelength", float, wgmodes.DEFAULT_WAVELENGTH_NM, "wavelength in nm")
+OVERLAP = Option("overlap", float, PhotonPairSource.intrinsic_overlap, "source overlap x0")
 SOURCE = (
     OVERLAP,
-    Option("filter_fwhm", float, 3.0, "filter FWHM in nm"),
+    Option("filter_fwhm", float, PhotonPairSource.filter_fwhm_nm, "filter FWHM in nm"),
     WAVELENGTH,
 )
 POISSON = Option("poisson", bool, False, "sample Poisson counts instead of expectations")
 DELAY_SCAN = (
-    Option("eta", float, 0.55, "splitting ratio"),
+    Option("eta", float, experiments.DIP_ETA, "splitting ratio"),
     *SOURCE,
-    Option("delays", str, "-500:500:10", "delay grid start:stop:step in um"),
+    Option("delays", str, "%r:%r:%r" % experiments.DELAY_GRID_UM,
+           "delay grid start:stop:step in um"),
     POISSON,
 )
 
@@ -558,18 +547,22 @@ COMMANDS = {
     "design-grating": Command(
         cmd_design_grating, "grating spec from waveguide geometry",
         (
-            Option("width", float, 1600.0, "waveguide width in nm"),
+            Option("width", float, WaveguideGeometry.width_nm, "waveguide width in nm"),
             HEIGHT,
-            Option("modes", str, "TE0,TE2", "mode pair, e.g. TE0,TE2"),
-            Option("depth", float, 24.0, "grating depth in nm"),
-            Option("periods", int, 20, "number of grating periods"),
+            Option("modes", str, ",".join(map(str, coupling.DEFAULT_MODE_PAIR)),
+                   "mode pair, e.g. TE0,TE2"),
+            Option("depth", float, coupling.REFERENCE_GRATING_DEPTH_NM,
+                   "grating depth in nm"),
+            Option("periods", int, coupling.DEFAULT_NUM_PERIODS,
+                   "number of grating periods"),
             Option("kappa", float, None, "override kappa per period"),
             WAVELENGTH,
         ),
         ("json",),
     ),
     "splitting": Command(cmd_splitting, "splitting ratio vs period count", (
-        Option("kappa", float, 0.041, "coupling per period (rad)"),
+        Option("kappa", float, coupling.REFERENCE_KAPPA_PER_PERIOD,
+               "coupling per period (rad)"),
         Option("periods", str, "0:40:1", "N list '15,20,25' or range start:stop:step"),
         OVERLAP,
     )),
@@ -580,10 +573,11 @@ COMMANDS = {
         cmd_hom_peak, "bunching peak per output arm", DELAY_SCAN, seeded=True
     ),
     "noon-scan": Command(cmd_noon_scan, "classical and two-photon fringes", (
-        Option("eta1", float, 0.66, "first coupler splitting ratio"),
-        Option("eta2", float, 0.66, "second coupler splitting ratio"),
+        Option("eta1", float, experiments.NOON_ETA, "first coupler splitting ratio"),
+        Option("eta2", float, experiments.NOON_ETA, "second coupler splitting ratio"),
         *SOURCE,
-        Option("powers", str, "0:2.6:0.05", "heater power grid start:stop:step in W"),
+        Option("powers", str, "%r:%r:%r" % experiments.POWER_GRID_W,
+               "heater power grid start:stop:step in W"),
         Option("p2pi", float, experiments.P_2PI_W, "heater power per 2 pi (W)"),
         POISSON,
     ), seeded=True),

@@ -15,9 +15,12 @@ from .wgmodes import ModeId, WaveguideGeometry
 
 # Anchor point for the per-period coupling strength: a 24 nm deep tooth
 # gives kappa = 0.041 rad/period; kappa scales linearly with depth
-# (first-order perturbation).
+# (first-order perturbation). The paper's grating has that depth, and
+# this period count and mode pair.
 REFERENCE_GRATING_DEPTH_NM = 24.0
 REFERENCE_KAPPA_PER_PERIOD = 0.041
+DEFAULT_NUM_PERIODS = 20
+DEFAULT_MODE_PAIR = (ModeId("TE", 0), ModeId("TE", 2))
 
 
 def splitting_ratio(kappa_per_period: float, num_periods: float) -> float:
@@ -97,15 +100,15 @@ class GratingSpec:
 
 def grating_from_geometry(
     geometry: WaveguideGeometry,
-    mode_pair: tuple[ModeId, ModeId],
+    mode_pair: tuple[ModeId, ModeId] = DEFAULT_MODE_PAIR,
     depth_nm: float = REFERENCE_GRATING_DEPTH_NM,
-    num_periods: int = 20,
+    num_periods: int = DEFAULT_NUM_PERIODS,
     kappa_override: float | None = None,
 ) -> GratingSpec:
     """Design a grating for a mode pair from waveguide geometry.
 
     Period from the effective-index difference; kappa from the override or
-    the 24 nm anchor scaled linearly in depth.
+    the reference anchor scaled linearly in depth.
     """
     if depth_nm < 0:
         raise InvalidInput("depth must be non-negative")

@@ -39,16 +39,23 @@ from .fock import (
 
 GAUSS_FWHM_FACTOR = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
-# The device heater's power for a 2 pi phase (W): the paper run's P_2pi and
-# the noon-scan command's default.
+# A fit converges when every gradient entry is below this times the cost.
+GRADIENT_TOL = 1e-13
+
+# The paper run's couplers (dip and peaks; cascaded interferometer), heater
+# power per 2 pi (W) and scan grids as (start, stop, step) for `scan_grid`.
+DIP_ETA = 0.55
+NOON_ETA = 0.66
 P_2PI_W = 1.3
+DELAY_GRID_UM = (-500.0, 500.0, 10.0)  # covers the ~190 um overlap width
+POWER_GRID_W = (0.0, 2.6, 0.05)  # two classical heater periods
 
 
 # ---------------------------------------------------------------------------
 # least-squares machinery
 
 
-def _damped_gauss_newton(evaluate, p0, max_iter=200, tol=1e-13):
+def _damped_gauss_newton(evaluate, p0, max_iter=200):
     """Minimize ||r(p)||^2, where `evaluate(p)` gives the residual r and
     its Jacobian from one model evaluation; returns (params, covariance,
     residual), the residual at the returned params.
@@ -74,7 +81,7 @@ def _damped_gauss_newton(evaluate, p0, max_iter=200, tol=1e-13):
     for _ in range(max_iter):
         jtj = j.T @ j
         g = j.T @ r
-        if np.max(np.abs(g)) < tol * max(cost, 1e-30):
+        if np.max(np.abs(g)) < GRADIENT_TOL * max(cost, 1e-30):
             converged = True
             break
         damping = np.diag(np.clip(np.diag(jtj), 1e-12, None))
@@ -317,14 +324,12 @@ def fit_sinusoid(x, y, start_period, leakage=False) -> SinusoidFit:
 # scan experiments
 
 
-def default_delay_grid() -> np.ndarray:
-    """+-500 um in 10 um steps: covers the ~190 um overlap width."""
-    return np.arange(-500.0, 500.0 + 1e-9, 10.0)
-
-
-def default_power_grid() -> np.ndarray:
-    """0..2.6 W in 0.05 W steps: two classical heater periods."""
-    return np.arange(0.0, 2.6 + 1e-9, 0.05)
+def scan_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """The inclusive grid start:stop:step, a float64 array whose i-th value
+    is start + i * step, rounded as Python rounds it; a stop less than 1e-9
+    steps short of a grid point still reaches it."""
+    count = math.floor((stop - start) / step + 1e-9) + 1
+    return start + np.arange(count) * step
 
 
 class ScanResult(NamedTuple):
@@ -393,7 +398,7 @@ def run_hom_dip(
     name: str = "hom_dip",
 ) -> ScanResult:
     """Two-photon dip: coincidences between the coupler outputs vs delay."""
-    grid = default_delay_grid() if delay_grid is None else np.asarray(delay_grid, float)
+    grid = scan_grid(*DELAY_GRID_UM) if delay_grid is None else np.asarray(delay_grid, float)
     unitary = circuit_mod.compile_circuit(
         Circuit(num_channels=2, elements=(GratingBS(channels=(0, 1), eta=eta),))
     )
@@ -411,7 +416,7 @@ def run_hom_dip(
 def run_splitting_vs_N(
     kappa: float,
     n_values,
-    intrinsic_overlap: float = 0.92,
+    intrinsic_overlap: float = PhotonPairSource.intrinsic_overlap,
 ) -> list[dict]:
     """Splitting ratio and dip visibility versus grating period count; a
     zero kappa is the zero-depth grating, which never splits."""
@@ -448,7 +453,7 @@ def run_hom_peak(
     share its `stderr` dict, which must not be mutated."""
     if not 0.0 < eta < 1.0:
         raise InvalidInput("eta must lie strictly inside (0, 1)")
-    grid = default_delay_grid() if delay_grid is None else np.asarray(delay_grid, float)
+    grid = scan_grid(*DELAY_GRID_UM) if delay_grid is None else np.asarray(delay_grid, float)
     unitary = circuit_mod.compile_circuit(Circuit(num_channels=4, elements=(
         GratingBS(channels=(0, 1), eta=eta),
         GratingBS(channels=(0, 2), eta=0.5),
@@ -502,7 +507,7 @@ def run_noon(
     every power step is below half its start period; for the two-photon
     fit that is about P_2pi/4, the Nyquist limit of its fringe.
     """
-    grid = default_power_grid() if power_grid is None else np.asarray(power_grid, float)
+    grid = scan_grid(*POWER_GRID_W) if power_grid is None else np.asarray(power_grid, float)
     unitary = circuit_mod.compile_circuit(
         _noon_circuit(eta1, eta2, heater_phase(p_2pi_w, grid))
     )
@@ -579,19 +584,14 @@ def reproduce_all(seed: int | None = None, poisson: bool = False):
     """
     config = CoincidenceConfig(poisson=poisson, seed=seed)
     source = PhotonPairSource()
-    eta = 0.55  # the near-balanced coupler of the dip and the peaks
-
-    te0, te2 = wgmodes.ModeId("TE", 0), wgmodes.ModeId("TE", 2)
-    design = coupling.grating_from_geometry(
-        wgmodes.WaveguideGeometry(1600.0, 190.0), (te0, te2)
-    )
-    splitting_rows = run_splitting_vs_N(0.041, [15, 20, 25])
+    design = coupling.grating_from_geometry(wgmodes.WaveguideGeometry())
+    splitting_rows = run_splitting_vs_N(coupling.REFERENCE_KAPPA_PER_PERIOD, [15, 20, 25])
     eta_by_n = {row["N"]: row["eta"] for row in splitting_rows}
-    dip = run_hom_dip(eta, source, config=config)
+    dip = run_hom_dip(DIP_ETA, source, config=config)
     # odd-parity pair through the asymmetric grating
     dip_te1 = run_hom_dip(0.64, source, config=config, name="hom_dip_te0_te1")
-    peaks = run_hom_peak(eta, source, config=config)
-    classical, quantum = run_noon(0.66, 0.66, source=source, config=config)
+    peaks = run_hom_peak(DIP_ETA, source, config=config)
+    classical, quantum = run_noon(NOON_ETA, NOON_ETA, source=source, config=config)
 
     period_um = 6.675
     targets = [PaperTarget(*row) for row in (
@@ -599,17 +599,17 @@ def reproduce_all(seed: int | None = None, poisson: bool = False):
         ("grating_period_design_um", period_um, 0.0, period_um * 0.25,
          design.period_um),
         ("grating_period_fixed_dn_um", period_um, 0.0, 5e-4,
-         wgmodes.grating_period(808.0, 0.12105)),
+         wgmodes.grating_period(wgmodes.DEFAULT_WAVELENGTH_NM, 0.12105)),
         ("splitting_ratio_n20", 0.5345, 0.0, 1e-4, eta_by_n[20]),
         *((f"splitting_bracket_n{n}", frac, 0.0, 0.07, eta_by_n[n])
           for n, frac in ((15, 1.0 / 3.0), (20, 0.5), (25, 2.0 / 3.0))),
         ("hom_dip_visibility", 0.90, 0.008, 0.013, dip.metrics["visibility"]),
-        ("hom_ideal_visibility", 0.99, 0.0, 0.015, hom_visibility(eta)),
+        ("hom_ideal_visibility", 0.99, 0.0, 0.015, hom_visibility(DIP_ETA)),
         ("dip_fwhm_um", 194.0, 10.0, 30.0, dip.metrics["fwhm_um"]),
         ("hom_te0_te1_visibility", 0.78, 0.003, 0.011,
          dip_te1.metrics["visibility"]),
         ("coalescence_ratio_ideal", 2.0, 0.0, 1e-9,
-         coalescence_enhancement(eta, 1.0)),
+         coalescence_enhancement(DIP_ETA, 1.0)),
         ("coalescence_ratio_measured", 1.0 + source.intrinsic_overlap, 0.0, 1e-3,
          peaks["arm_a"].metrics["enhancement_ratio"]),
         ("noon_classical_visibility", 0.82, 0.08, 0.08,

@@ -30,6 +30,7 @@ from .errors import (
     SizeLimit,
     require_finite,
 )
+from .wgmodes import DEFAULT_WAVELENGTH_NM
 
 SPEED_OF_LIGHT_UM_PER_S = 2.99792458e14
 
@@ -301,9 +302,10 @@ def check_overlap(overlap, name: str = "overlap") -> np.ndarray:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class PhotonPairSource:
-    """Phenomenological degenerate pair source behind bandpass filters."""
+    """Phenomenological degenerate pair source behind bandpass filters; the
+    defaults are the paper's."""
 
-    center_wavelength_nm: float = 808.0
+    center_wavelength_nm: float = DEFAULT_WAVELENGTH_NM
     filter_fwhm_nm: float = 3.0
     intrinsic_overlap: float = 0.92
     pair_rate_hz: float = 2000.0
@@ -373,6 +375,12 @@ def spectral_overlap(source: PhotonPairSource, delay_um):
     return (source.intrinsic_overlap * overlap).reshape(delay.shape)
 
 
+def times(c_re, c_im, x_re, x_im):
+    """(c_re + i c_im)(x_re + i x_im) in real arithmetic, which rounds alike
+    on every CPU and in every array loop; numpy's complex multiply may not."""
+    return c_re * x_re - c_im * x_im, c_im * x_re + c_re * x_im
+
+
 def two_photon_coincidence(
     unitary: np.ndarray,
     in_channels: tuple[int, int],
@@ -398,12 +406,11 @@ def two_photon_coincidence(
             f"channels {in_channels} -> {out_channels} outside 0..{m - 1}"
         )
     a, b, c, d = u[..., k, i], u[..., l, j], u[..., k, j], u[..., l, i]
-    # Real arithmetic and hypot round alike on every CPU, as Python's complex
-    # scalars do; numpy's complex multiply and abs over arrays may fuse
-    # multiply-adds, which moves the fringe fits at roundoff.
-    amp_re = (a.real * b.real - a.imag * b.imag) + (c.real * d.real - c.imag * d.imag)
-    amp_im = (a.real * b.imag + a.imag * b.real) + (c.real * d.imag + c.imag * d.real)
-    p_indist = np.hypot(amp_re, amp_im) ** 2
+    # hypot, like `times`, rounds alike on every CPU; numpy's abs over
+    # complex arrays may not, which moves the fringe fits at roundoff
+    ab_re, ab_im = times(a.real, a.imag, b.real, b.imag)
+    cd_re, cd_im = times(c.real, c.imag, d.real, d.imag)
+    p_indist = np.hypot(ab_re + cd_re, ab_im + cd_im) ** 2
     a2, b2, c2, d2 = (np.hypot(z.real, z.imag) ** 2 for z in (a, b, c, d))
     p_dist = a2 * b2 + c2 * d2
     return x * p_indist + (1.0 - x) * p_dist

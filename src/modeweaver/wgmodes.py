@@ -82,7 +82,7 @@ def _sellmeier_index(wavelength_nm: float, terms, material: str) -> float:
     return math.sqrt(n2)
 
 
-# Frozen defaults at the 808 nm operating wavelength.
+# Frozen defaults at the paper's operating wavelength.
 DEFAULT_WAVELENGTH_NM = 808.0
 SI3N4_INDEX_808 = silicon_nitride_index(DEFAULT_WAVELENGTH_NM)
 SIO2_INDEX_808 = silica_index(DEFAULT_WAVELENGTH_NM)
@@ -110,10 +110,11 @@ class MaterialStack:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class WaveguideGeometry:
-    """Rectangular cross-section (nm) on a material stack."""
+    """Rectangular cross-section (nm) on a material stack; the defaults are
+    the paper's guide."""
 
-    width_nm: float
-    height_nm: float
+    width_nm: float = 1600.0
+    height_nm: float = 190.0
     stack: MaterialStack = MaterialStack()
 
     def __post_init__(self):
@@ -305,7 +306,7 @@ def dispersion_sweep(
     values_nm: Sequence[float],
     modes: Iterable[ModeId],
     stack: MaterialStack = MaterialStack(),
-    height_nm: float = 190.0,
+    height_nm: float = WaveguideGeometry.height_nm,
 ) -> np.ndarray:
     """Sweep the width at a fixed height and tabulate n_eff per mode.
 

@@ -909,11 +909,29 @@ class TestTopLevel:
         args = cli.build_parser().parse_args(["hom-scan"])
         assert (args.poisson, args.seed, args.format) == (None, None, "csv")
 
-    def test_noon_scan_default_p2pi_is_the_paper_runs(self):
-        args = cli.build_parser().parse_args(["noon-scan"])
-        cli._resolve(args)
-        scans, _, _ = experiments.reproduce_all()
-        assert args.p2pi == scans["noon_classical"].config["heater"]["p_2pi_w"]
+    def test_defaults_are_the_paper_run(self, capsys, tmp_path):
+        """Every device default is the paper run's value: each scan command
+        run without flags writes the CSV tables of `reproduce-paper` byte
+        for byte, and design-grating and splitting print its two tables."""
+        paper = tmp_path / "paper"
+        argv = ("reproduce-paper", "--seed", "7", "--output", str(paper))
+        assert run(capsys, *argv)[0] == 0
+        for command, names in (
+            ("hom-scan", ["hom_dip"]),
+            ("hom-peak", ["hom_peak_arm_a", "hom_peak_arm_b"]),
+            ("noon-scan", ["noon_classical", "noon_quantum"]),
+        ):
+            out_dir = tmp_path / command
+            assert run(capsys, command, "--output", str(out_dir)) == (0, "", "")
+            for name in names:
+                table = f"{name}.csv"
+                assert (out_dir / table).read_bytes() == (paper / table).read_bytes()
+        code, out, _ = run(capsys, "design-grating")
+        assert code == 0
+        design = json.loads((paper / "grating_design.json").read_text())
+        assert [json.loads(out)] == design
+        code, out, _ = run(capsys, "splitting", "--periods", "15,20,25", "--format", "json")
+        assert (code, out) == (0, (paper / "splitting_vs_n.json").read_text())
 
     def test_each_call_writes_its_own_grid(self, capsys, tmp_path):
         """Two calls in a row with different grids of one length each write

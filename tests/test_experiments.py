@@ -15,10 +15,10 @@ from modeweaver.errors import (
     InvalidInput,
 )
 from modeweaver.experiments import (
+    DELAY_GRID_UM,
     GAUSS_FWHM_FACTOR,
+    POWER_GRID_W,
     PaperTarget,
-    default_delay_grid,
-    default_power_grid,
     fit_gaussian,
     fit_sinusoid,
     reproduce_all,
@@ -26,6 +26,7 @@ from modeweaver.experiments import (
     run_hom_peak,
     run_noon,
     run_splitting_vs_N,
+    scan_grid,
 )
 from modeweaver.fock import PhotonPairSource, hom_visibility
 
@@ -316,11 +317,16 @@ class TestLeakageFit:
 
 class TestGrids:
     def test_default_grids(self):
-        delays = default_delay_grid()
+        delays = scan_grid(*DELAY_GRID_UM)
         assert delays[0] == -500.0 and delays[-1] == 500.0
         assert len(delays) == 101
-        powers = default_power_grid()
+        powers = scan_grid(*POWER_GRID_W)
         assert powers[0] == 0.0 and powers[-1] == pytest.approx(2.6)
+        assert len(powers) == 53
+        # the bits np.arange gives the paper's grids, which the golden
+        # outputs were written from
+        for grid, (start, stop, step) in ((delays, DELAY_GRID_UM), (powers, POWER_GRID_W)):
+            assert grid.tobytes() == np.arange(start, stop + 1e-9, step).tobytes()
 
 
 class TestHomDip:
@@ -391,7 +397,7 @@ class TestCompileOncePerScan:
         classical, quantum = run_noon(0.66, 0.66, source=source, config=config)
         assert len(classical.counts["net"]) == len(quantum.counts["net"]) == 53
         assert len(compiles) == 1
-        grid = default_power_grid()
+        grid = scan_grid(*POWER_GRID_W)
         elements = (
             circuit_mod.GratingBS((0, 1), 0.66),
             circuit_mod.PhaseShifter((1,), circuit_mod.heater_phase(1.3, grid)),
@@ -414,7 +420,7 @@ class TestCompileOncePerScan:
         source = PhotonPairSource(singles_rates_hz=(1.1e5, 0.9e5))
         peaks = run_hom_peak(0.55, source, config=config)
         assert len(compiles) == 1
-        grid = default_delay_grid()
+        grid = scan_grid(*DELAY_GRID_UM)
         elements = (
             circuit_mod.GratingBS((0, 1), 0.55),
             circuit_mod.GratingBS((0, 2), 0.5),
@@ -470,7 +476,7 @@ class TestHomPeak:
         peaks = run_hom_peak(0.55)
         arm_a, arm_b = peaks["arm_a"].fit, peaks["arm_b"].fit
         assert arm_b is arm_a
-        direct = fit_gaussian(default_delay_grid(), peaks["arm_b"].counts["net"])
+        direct = fit_gaussian(scan_grid(*DELAY_GRID_UM), peaks["arm_b"].counts["net"])
         assert _fit_bits(arm_b) == _fit_bits(direct)
 
     @pytest.mark.parametrize("config", [
@@ -485,7 +491,7 @@ class TestHomPeak:
         arm_a, arm_b = peaks["arm_a"].counts, peaks["arm_b"].counts
         assert arm_a["singles_a"].tobytes() != arm_b["singles_a"].tobytes()
         for scan in peaks.values():
-            direct = fit_gaussian(default_delay_grid(), scan.counts["net"])
+            direct = fit_gaussian(scan_grid(*DELAY_GRID_UM), scan.counts["net"])
             assert _fit_bits(scan.fit) == _fit_bits(direct)
 
 
